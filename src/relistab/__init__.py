@@ -61,8 +61,6 @@ from .ingest import (
     read_annotation_records,
     read_annotation_records_csv,
     read_annotation_records_jsonl,
-    read_annotations_csv,
-    read_annotations_jsonl,
     read_rationalisations_csv,
     save_schema,
     write_annotations_csv,
@@ -98,7 +96,6 @@ from .reporting import (
 )
 from .simulator import (
     DEFAULT_CAUSE_QUADRANT,
-    AnnotatorProfile,
     SimConfig,
     SimTruth,
     recovery_accuracy,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -30,17 +30,10 @@ from .errors import (
     EmptyInputError,
     InvalidConfigError,
     NoOverlapError,
-    TooManyDegenerateError,
     ValidationError,
     ZeroMarginError,
 )
-from .reliability import (
-    AgreementResult,
-    fleiss_kappa,
-    krippendorff_alpha,
-    percent_agreement,
-    resample_items,
-)
+from .reliability import METRICS, percentile_ci, resampler
 from .stability import ItemStabilityLabel, dataset_stability
 
 RATIONALISATION_LABELS = ("subjective", "ambiguous", "difficult")
@@ -197,11 +190,8 @@ def permutation_p(table: ContingencyTable, replicates: int = 10000, seed: int | 
     return (1 + hits) / (1 + replicates)
 
 
-_RELIABILITY_FOR_COMPARE: dict[str, Callable[[AnnotationSet, int], AgreementResult]] = {
-    "krippendorff_alpha": lambda s, r: krippendorff_alpha(s, rounds=r),
-    "fleiss_kappa": lambda s, r: fleiss_kappa(s, rounds=r),
-    "percent_agreement": lambda s, r: percent_agreement(s, rounds=r),
-}
+#: reliability metrics a two-dataset comparison accepts
+COMPARE_RELIABILITY_METRICS = ("krippendorff_alpha", "fleiss_kappa", "percent_agreement")
 
 
 def _bootstrap_difference(
@@ -212,30 +202,12 @@ def _bootstrap_difference(
     confidence: float,
     seed: int | None,
 ) -> tuple[float, tuple[float, float]]:
-    if seed is None:
-        raise InvalidConfigError("comparison bootstrap requires an explicit seed")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidConfigError("confidence must lie in (0, 1)")
-    difference = stat(set_a) - stat(set_b)
-    items_a, items_b = set_a.items(), set_b.items()
-    diffs = []
-    degenerate = 0
-    for replicate in range(replicates):
-        rng_a = np.random.default_rng([int(seed), replicate, 0])
-        rng_b = np.random.default_rng([int(seed), replicate, 1])
-        pick_a = [items_a[i] for i in rng_a.integers(0, len(items_a), size=len(items_a))]
-        pick_b = [items_b[i] for i in rng_b.integers(0, len(items_b), size=len(items_b))]
-        try:
-            diffs.append(stat(resample_items(set_a, pick_a)) - stat(resample_items(set_b, pick_b)))
-        except DegenerateError:
-            degenerate += 1
-    if degenerate > replicates / 2:
-        raise TooManyDegenerateError(
-            f"{degenerate}/{replicates} comparison replicates were degenerate"
-        )
-    tail = (1.0 - confidence) / 2.0 * 100.0
-    low, high = np.percentile(diffs, [tail, 100.0 - tail])
-    return difference, (min(float(low), difference), max(float(high), difference))
+    draw_a, draw_b = resampler(set_a), resampler(set_b)
+    return percentile_ci(
+        lambda: stat(set_a) - stat(set_b),
+        lambda seed_, r: stat(draw_a(seed_, r, 0)) - stat(draw_b(seed_, r, 1)),
+        replicates, confidence, seed, "comparison",
+    )
 
 
 def compare_stability(
@@ -278,14 +250,14 @@ def compare_reliability(
 
     The metric runs on each set's first present round.
     """
-    if metric not in _RELIABILITY_FOR_COMPARE:
+    if metric not in COMPARE_RELIABILITY_METRICS:
         raise InvalidConfigError(
-            f"reliability metric must be one of {sorted(_RELIABILITY_FOR_COMPARE)}"
+            f"reliability metric must be one of {sorted(COMPARE_RELIABILITY_METRICS)}"
         )
-    fn = _RELIABILITY_FOR_COMPARE[metric]
+    kernel = METRICS[metric].kernel
 
     def stat(aset: AnnotationSet) -> float:
-        return fn(aset, min(aset.rounds())).value
+        return kernel(aset, min(aset.rounds())).value
 
     return _bootstrap_difference(stat, set_a, set_b, replicates, confidence, seed)
 
@@ -302,21 +274,17 @@ def compare_item_scores(
     For hypothesis-style group comparisons of per-item scores (e.g. the
     item-level reliability of two groups from the same dataset).
     """
-    if seed is None:
-        raise InvalidConfigError("comparison bootstrap requires an explicit seed")
     if not scores_a or not scores_b:
         raise EmptyInputError("both score groups must be non-empty")
     arr_a = np.asarray(scores_a, dtype=float)
     arr_b = np.asarray(scores_b, dtype=float)
-    difference = float(arr_a.mean() - arr_b.mean())
-    diffs = np.empty(replicates)
-    for replicate in range(replicates):
-        rng_a = np.random.default_rng([int(seed), replicate, 0])
-        rng_b = np.random.default_rng([int(seed), replicate, 1])
-        diffs[replicate] = (
-            arr_a[rng_a.integers(0, len(arr_a), size=len(arr_a))].mean()
-            - arr_b[rng_b.integers(0, len(arr_b), size=len(arr_b))].mean()
-        )
-    tail = (1.0 - confidence) / 2.0 * 100.0
-    low, high = np.percentile(diffs, [tail, 100.0 - tail])
-    return difference, (min(float(low), difference), max(float(high), difference))
+
+    def replicate(seed_: int, r: int) -> float:
+        pick_a = np.random.default_rng([seed_, r, 0]).integers(0, len(arr_a), size=len(arr_a))
+        pick_b = np.random.default_rng([seed_, r, 1]).integers(0, len(arr_b), size=len(arr_b))
+        return arr_a[pick_a].mean() - arr_b[pick_b].mean()
+
+    return percentile_ci(
+        lambda: float(arr_a.mean() - arr_b.mean()), replicate,
+        replicates, confidence, seed, "comparison",
+    )

@@ -54,14 +54,7 @@ from .quadrant import (
     classify_dataset,
     classify_items,
 )
-from .reliability import (
-    bootstrap_ci,
-    cohens_kappa,
-    fleiss_kappa,
-    icc,
-    krippendorff_alpha,
-    percent_agreement,
-)
+from .reliability import ICC_MODELS, METRICS, bootstrap_ci
 from .reporting import (
     SECTION_KEYS,
     build_provenance,
@@ -107,9 +100,11 @@ def _read_config_file(path: str) -> dict:
 class _Options:
     """Flag/config merger: flags win, then config file, then defaults."""
 
-    def __init__(self, args: argparse.Namespace, allowed_keys: set[str]):
+    def __init__(self, args: argparse.Namespace):
         self.args = args
         self.config = _read_config_file(args.config) if args.config else {}
+        # every key the subcommand has a flag for, and no other
+        allowed_keys = set(vars(args)) - {"config", "func", "subcommand"}
         unknown = sorted(set(self.config) - allowed_keys)
         if unknown:
             raise InvalidConfigError(
@@ -185,7 +180,7 @@ def _provenance(opts: _Options, subcommand: str, inputs: dict, seed) -> dict:
 
 
 def cmd_validate(args) -> int:
-    opts = _Options(args, {"annotations", "schema", "out"})
+    opts = _Options(args)
     annotations = opts.get("annotations", required=True)
     schema_path = opts.get("schema", required=True)
     out = opts.get("out")
@@ -206,6 +201,11 @@ def cmd_validate(args) -> int:
     return 0
 
 
+#: ``reliability --metric`` names: the registered metrics with the ICC
+#: models folded into one ``icc`` chosen by ``--icc-model``
+RELIABILITY_CHOICES = [name for name in METRICS if not name.startswith("icc_")] + ["icc"]
+
+
 def _reliability_battery(aset: AnnotationSet) -> list[str]:
     battery = ["percent_agreement", "fleiss_kappa", "krippendorff_alpha"]
     if len(aset.annotators()) == 2:
@@ -216,13 +216,7 @@ def _reliability_battery(aset: AnnotationSet) -> list[str]:
 
 
 def cmd_reliability(args) -> int:
-    opts = _Options(
-        args,
-        {
-            "annotations", "schema", "metric", "round", "annotator_a", "annotator_b",
-            "icc_model", "distance", "bootstrap", "confidence", "seed", "out",
-        },
-    )
+    opts = _Options(args)
     annotations = opts.get("annotations", required=True)
     schema_path = opts.get("schema", required=True)
     metric = opts.get("metric")
@@ -250,23 +244,25 @@ def cmd_reliability(args) -> int:
             "has exactly 2 annotators"
         )
 
-    def _metric_fn(name: str):
-        if name == "percent_agreement":
-            return lambda s: percent_agreement(s, rounds=rounds)
-        if name == "fleiss_kappa":
-            return lambda s: fleiss_kappa(s, rounds=rounds)
-        if name == "krippendorff_alpha":
-            return lambda s: krippendorff_alpha(s, rounds=rounds, distance=distance)
-        if name == "cohens_kappa":
-            ann_a, ann_b = _pair()
-            return lambda s: cohens_kappa(s, ann_a, ann_b, rounds=rounds)
+    def kernel_for(name: str):
+        if name not in RELIABILITY_CHOICES:
+            raise InvalidConfigError(f"unknown reliability metric {name!r}")
+        options = {}
         if name == "icc":
-            return lambda s: icc(s, rounds=rounds, model=icc_model)
-        raise InvalidConfigError(f"unknown reliability metric {name!r}")
+            if icc_model not in ICC_MODELS:
+                raise InvalidConfigError(f"model must be one of {ICC_MODELS}, got {icc_model!r}")
+            name = f"icc_{icc_model}"
+        elif name == "cohens_kappa":
+            ann_a, ann_b = _pair()
+            options = {"annotator_a": ann_a, "annotator_b": ann_b}
+        elif name == "krippendorff_alpha":
+            options = {"distance": distance}
+        kernel = METRICS[name].kernel
+        return lambda s: kernel(s, rounds, **options)
 
     results = []
     for name in names:
-        fn = _metric_fn(name)
+        fn = kernel_for(name)
         result = fn(aset)
         if replicates:
             ci = bootstrap_ci(
@@ -288,10 +284,7 @@ def cmd_reliability(args) -> int:
 
 
 def cmd_stability(args) -> int:
-    opts = _Options(
-        args,
-        {"annotations", "schema", "pairing", "bucket_edges", "permutation", "seed", "out"},
-    )
+    opts = _Options(args)
     annotations = opts.get("annotations", required=True)
     schema_path = opts.get("schema", required=True)
     pairing = opts.get("pairing", default="consecutive")
@@ -340,13 +333,7 @@ def _thresholds_from(opts: _Options) -> QuadrantThresholds:
 
 
 def cmd_matrix(args) -> int:
-    opts = _Options(
-        args,
-        {
-            "annotations", "schema", "reliability_metric", "stability_metric",
-            "reliability_cut", "stability_cut", "out",
-        },
-    )
+    opts = _Options(args)
     annotations = opts.get("annotations", required=True)
     schema_path = opts.get("schema", required=True)
     thresholds = _thresholds_from(opts)
@@ -373,10 +360,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_phi(args) -> int:
-    opts = _Options(
-        args,
-        {"annotations", "schema", "rationalisations", "permutation", "seed", "out"},
-    )
+    opts = _Options(args)
     annotations = opts.get("annotations", required=True)
     schema_path = opts.get("schema", required=True)
     rationalisations_path = opts.get("rationalisations", required=True)
@@ -414,13 +398,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    opts = _Options(
-        args,
-        {
-            "annotations_a", "annotations_b", "schema", "schema_b", "axis",
-            "metric", "replicates", "seed", "confidence", "out",
-        },
-    )
+    opts = _Options(args)
     annotations_a = opts.get("annotations_a", required=True)
     annotations_b = opts.get("annotations_b", required=True)
     schema_path = opts.get("schema", required=True)
@@ -470,13 +448,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    opts = _Options(
-        args,
-        {
-            "sim_config", "seed", "out", "end_to_end",
-            "reliability_metric", "stability_metric", "reliability_cut", "stability_cut",
-        },
-    )
+    opts = _Options(args)
     config_path = opts.get("sim_config", required=True)
     out = opts.get("out", required=True)
     end_to_end = bool(opts.get("end_to_end", default=False))
@@ -533,7 +505,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    opts = _Options(args, {"inputs", "out"})
+    opts = _Options(args)
     inputs = opts.get("inputs", required=True)
     if isinstance(inputs, str):
         inputs = [inputs]
@@ -591,14 +563,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("reliability", cmd_reliability, "between-annotator agreement metrics")
     p.add_argument("--annotations")
     p.add_argument("--schema")
-    p.add_argument(
-        "--metric",
-        choices=["percent_agreement", "cohens_kappa", "fleiss_kappa", "krippendorff_alpha", "icc"],
-    )
+    p.add_argument("--metric", choices=RELIABILITY_CHOICES)
     p.add_argument("--round", help="round selector: an integer or comma list")
     p.add_argument("--annotator-a", dest="annotator_a")
     p.add_argument("--annotator-b", dest="annotator_b")
-    p.add_argument("--icc-model", dest="icc_model", choices=["oneway_random", "twoway_random_single"])
+    p.add_argument("--icc-model", dest="icc_model", choices=list(ICC_MODELS))
     p.add_argument("--distance", choices=["nominal", "ordinal", "interval"])
     p.add_argument("--bootstrap", type=int, help="bootstrap replicates for CIs")
     p.add_argument("--confidence", type=float)

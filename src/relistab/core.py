@@ -9,8 +9,11 @@ matrix.
 
 from __future__ import annotations
 
+import math
+import operator
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from datetime import datetime, timezone
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -19,6 +22,7 @@ from .errors import (
     DegenerateError,
     DuplicateCellError,
     InvalidConfigError,
+    NonFiniteError,
     NoRepeatsError,
     SchemaMismatchError,
     UnknownLabelError,
@@ -194,45 +198,111 @@ class AnnotationSet:
         return {key: list(v) for key, v in self._by_cell.items()}
 
 
-def _coerce_record(raw, schema: LabelSchema) -> AnnotationRecord:
-    if isinstance(raw, AnnotationRecord):
-        rec = raw
-    elif isinstance(raw, Mapping):
+def parse_rfc3339(text: str) -> float:
+    """RFC 3339 timestamp text -> POSIX epoch seconds (naive text is UTC)."""
+    cleaned = text.strip()
+    # Python 3.10's fromisoformat rejects the Z suffix.
+    if cleaned.endswith(("Z", "z")):
+        cleaned = cleaned[:-1] + "+00:00"
+    try:
+        parsed = datetime.fromisoformat(cleaned)
+    except ValueError as exc:
+        raise ValidationError(f"bad RFC 3339 timestamp {text!r}") from exc
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)
+    return parsed.timestamp()
+
+
+RECORD_FIELDS = ("task_id", "item_id", "annotator_id", "round", "label", "timestamp")
+_REQUIRED_FIELDS = RECORD_FIELDS[:5]
+
+
+def _as_round(value) -> int:
+    if type(value) is int:  # not bool
+        return value
+    if isinstance(value, str):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (bool, float)):
+        raise ValueError(value)
+    return operator.index(value)
+
+
+def _as_timestamp(value) -> float | None:
+    if isinstance(value, str):
+        value = value.strip()
+        if not value:
+            return None
+        # text with a time of day is RFC 3339; skip the failing float()
+        if ":" in value:
+            return parse_rfc3339(value)
         try:
-            rec = AnnotationRecord(
-                task_id=str(raw["task_id"]),
-                item_id=str(raw["item_id"]),
-                annotator_id=str(raw["annotator_id"]),
-                round=int(raw["round"]),
-                label=str(raw["label"]),
-                timestamp=None if raw.get("timestamp") in (None, "") else float(raw["timestamp"]),
-            )
-        except KeyError as exc:
-            raise ValidationError(f"record missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise ValidationError(f"unparseable record {raw!r}: {exc}") from exc
-    else:
-        raise ValidationError(f"unsupported record type {type(raw).__name__}")
-    label = normalize_label(rec.label)
-    if label != rec.label:
-        rec = AnnotationRecord(
-            rec.task_id, rec.item_id, rec.annotator_id, rec.round, label, rec.timestamp
-        )
-    return rec
+            return float(value)
+        except ValueError:
+            return parse_rfc3339(value)
+    return None if value is None else float(value)
+
+
+def coerce_record(raw: Mapping) -> AnnotationRecord:
+    """The one conversion of raw fields (a CSV row, a JSON object or any
+    mapping) into an :class:`AnnotationRecord`.
+
+    The ids and the label are required and non-empty and become strings.
+    ``round`` is an integer, an integral float or the text of an integer.
+    ``timestamp`` is optional: absent, None or blank means none; otherwise
+    epoch seconds as a number or as text, or RFC 3339 text, and finite.
+    Labels are kept as given; :func:`validate_dataset` normalises them.
+    """
+    # dict first: the Mapping ABC check alone costs a sizeable share of a row
+    if not isinstance(raw, (dict, Mapping)):
+        raise ValidationError(f"expected a mapping of record fields, got {type(raw).__name__}")
+    values = tuple(map(raw.get, _REQUIRED_FIELDS))
+    if None in values or "" in values:
+        missing = [f for f, v in zip(_REQUIRED_FIELDS, values) if v is None or v == ""]
+        raise ValidationError(f"missing field(s) {missing}")
+    task_id, item_id, annotator_id, rnd, label = values
+    try:
+        rnd = _as_round(rnd)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"round {rnd!r} is not an integer") from exc
+    try:
+        stamp = _as_timestamp(raw.get("timestamp"))
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
+        raise ValidationError(f"bad timestamp {raw['timestamp']!r}") from exc
+    if stamp is not None and not math.isfinite(stamp):
+        raise NonFiniteError(f"timestamp {raw['timestamp']!r} is not finite")
+    return AnnotationRecord(
+        task_id=str(task_id),
+        item_id=str(item_id),
+        annotator_id=str(annotator_id),
+        round=rnd,
+        label=str(label),
+        timestamp=stamp,
+    )
 
 
 def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
     """Check all invariants and build an :class:`AnnotationSet`.
 
-    Raises :class:`DuplicateCellError`, :class:`UnknownLabelError` or
+    Records are :class:`AnnotationRecord` objects or field mappings, which
+    go through :func:`coerce_record`; labels are normalised. Raises
+    :class:`DuplicateCellError`, :class:`UnknownLabelError` or
     :class:`SchemaMismatchError` on the first violating record; the record
     count is preserved on success.
     """
     categories = set(schema.categories)
     seen: set[tuple[str, str, int]] = set()
     validated: list[AnnotationRecord] = []
-    for raw in records:
-        rec = _coerce_record(raw, schema)
+    for position, rec in enumerate(records):
+        if not isinstance(rec, AnnotationRecord):
+            try:
+                rec = coerce_record(rec)
+            except ValidationError as exc:
+                raise type(exc)(f"record {position}: {exc}") from exc
+        label = normalize_label(rec.label)
+        if label != rec.label:
+            rec = replace(rec, label=label)
         if rec.task_id != schema.task_id:
             raise SchemaMismatchError(
                 f"record task_id {rec.task_id!r} != schema task_id {schema.task_id!r}"

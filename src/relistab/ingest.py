@@ -8,31 +8,17 @@ seconds (UTC).
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .core import AnnotationRecord, AnnotationSet, LabelSchema, validate_dataset
+from .core import RECORD_FIELDS as CSV_FIELDS
+from .core import AnnotationRecord, AnnotationSet, LabelSchema, coerce_record
+from .core import parse_rfc3339  # noqa: F401 - part of this module's API
 from .errors import InvalidConfigError, ValidationError
-
-CSV_FIELDS = ("task_id", "item_id", "annotator_id", "round", "label", "timestamp")
-
-
-def parse_rfc3339(text: str) -> float:
-    """RFC 3339 timestamp text -> POSIX epoch seconds."""
-    cleaned = text.strip()
-    # Python 3.10's fromisoformat rejects the Z suffix.
-    if cleaned.endswith(("Z", "z")):
-        cleaned = cleaned[:-1] + "+00:00"
-    try:
-        parsed = datetime.fromisoformat(cleaned)
-    except ValueError as exc:
-        raise ValidationError(f"bad RFC 3339 timestamp {text!r}") from exc
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.timestamp()
 
 
 def format_rfc3339(epoch_seconds: float) -> str:
@@ -44,39 +30,18 @@ def format_rfc3339(epoch_seconds: float) -> str:
     return text
 
 
-def _parse_timestamp_field(raw: str | None) -> float | None:
-    if raw is None:
-        return None
-    raw = raw.strip()
-    if not raw:
-        return None
+@contextlib.contextmanager
+def _open_text(path: str | Path, **kwargs):
+    """``path`` opened as UTF-8 text; undecodable bytes are a ValidationError."""
     try:
-        return float(raw)
-    except ValueError:
-        return parse_rfc3339(raw)
-
-
-def _record_from_row(row: dict, where: str) -> AnnotationRecord:
-    missing = [f for f in CSV_FIELDS[:5] if row.get(f) in (None, "")]
-    if missing:
-        raise ValidationError(f"{where}: missing field(s) {missing}")
-    try:
-        rnd = int(row["round"])
-    except ValueError as exc:
-        raise ValidationError(f"{where}: round {row['round']!r} is not an integer") from exc
-    return AnnotationRecord(
-        task_id=row["task_id"],
-        item_id=row["item_id"],
-        annotator_id=row["annotator_id"],
-        round=rnd,
-        label=row["label"],
-        timestamp=_parse_timestamp_field(row.get("timestamp")),
-    )
+        with open(path, encoding="utf-8", **kwargs) as handle:
+            yield handle
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
 def read_annotation_records_csv(path: str | Path) -> list[AnnotationRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _open_text(path, newline="") as handle:
         reader = csv.DictReader(handle)
         header = reader.fieldnames or []
         required = set(CSV_FIELDS[:5])
@@ -87,13 +52,13 @@ def read_annotation_records_csv(path: str | Path) -> list[AnnotationRecord]:
         unknown = set(header) - set(CSV_FIELDS)
         if unknown:
             raise ValidationError(f"{path}: unknown CSV column(s) {sorted(unknown)}")
+        records = []
         for lineno, row in enumerate(reader, start=2):
-            records.append(_record_from_row(row, f"{path}:{lineno}"))
+            try:
+                records.append(coerce_record(row))
+            except ValidationError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     return records
-
-
-def read_annotations_csv(path: str | Path, schema: LabelSchema) -> AnnotationSet:
-    return validate_dataset(read_annotation_records_csv(path), schema)
 
 
 def write_annotations_csv(records: Iterable[AnnotationRecord] | AnnotationSet, path: str | Path) -> None:
@@ -111,38 +76,17 @@ def write_annotations_csv(records: Iterable[AnnotationRecord] | AnnotationSet, p
 
 def read_annotation_records_jsonl(path: str | Path) -> list[AnnotationRecord]:
     records = []
-    with open(path, encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
+            if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                records.append(coerce_record(json.loads(line)))
             except json.JSONDecodeError as exc:
                 raise ValidationError(f"{path}:{lineno}: invalid JSON") from exc
-            if not isinstance(obj, dict):
-                raise ValidationError(f"{path}:{lineno}: expected an object per line")
-            ts = obj.get("timestamp")
-            if isinstance(ts, str):
-                obj = dict(obj, timestamp=parse_rfc3339(ts))
-            try:
-                records.append(
-                    AnnotationRecord(
-                        task_id=str(obj["task_id"]),
-                        item_id=str(obj["item_id"]),
-                        annotator_id=str(obj["annotator_id"]),
-                        round=int(obj["round"]),
-                        label=str(obj["label"]),
-                        timestamp=None if obj.get("timestamp") is None else float(obj["timestamp"]),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ValidationError(f"{path}:{lineno}: bad record: {exc}") from exc
+            except ValidationError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
     return records
-
-
-def read_annotations_jsonl(path: str | Path, schema: LabelSchema) -> AnnotationSet:
-    return validate_dataset(read_annotation_records_jsonl(path), schema)
 
 
 def write_annotations_jsonl(records: Iterable[AnnotationRecord] | AnnotationSet, path: str | Path) -> None:
@@ -178,7 +122,7 @@ def read_rationalisations_csv(path: str | Path):
     from .association import RationalisationRecord
 
     records = []
-    with open(path, newline="", encoding="utf-8") as handle:
+    with _open_text(path, newline="") as handle:
         reader = csv.DictReader(handle)
         header = tuple(reader.fieldnames or ())
         if set(header) != set(RATIONALISATION_FIELDS):

@@ -18,22 +18,16 @@ chance correction is undefined for a single item.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
 from .core import AnnotationSet
 from .errors import DegenerateError, InvalidConfigError, NonFiniteError, NoQualifyingItemsError
-from .reliability import fleiss_kappa, icc, krippendorff_alpha, percent_agreement
-from .stability import dataset_stability
+from .reliability import METRICS, unit_agreement
+from .stability import dataset_stability, item_votes
 
-RELIABILITY_METRICS = (
-    "krippendorff_alpha",
-    "fleiss_kappa",
-    "percent_agreement",
-    "icc_oneway_random",
-    "icc_twoway_random_single",
-)
+#: dataset-level metrics: every registered one that needs no annotator pair
+RELIABILITY_METRICS = tuple(name for name in METRICS if name != "cohens_kappa")
 STABILITY_METRICS = ("self_kappa", "exact_rate")
 
 #: raw (not chance-corrected) scores get the stricter default cut
@@ -127,18 +121,6 @@ def classify(
     return Quadrant.SUBJECTIVE_PERSPECTIVES if high_stab else Quadrant.AMBIGUOUS_DIFFICULT_OR_POOR
 
 
-def _dataset_reliability(aset: AnnotationSet, metric: str, rnd: int) -> float:
-    if metric == "krippendorff_alpha":
-        return krippendorff_alpha(aset, rounds=rnd).value
-    if metric == "fleiss_kappa":
-        return fleiss_kappa(aset, rounds=rnd).value
-    if metric == "percent_agreement":
-        return percent_agreement(aset, rounds=rnd).value
-    if metric == "icc_oneway_random":
-        return icc(aset, rounds=rnd, model="oneway_random").value
-    return icc(aset, rounds=rnd, model="twoway_random_single").value
-
-
 def classify_dataset(
     aset: AnnotationSet, thresholds: QuadrantThresholds | None = None
 ) -> QuadrantAssignment:
@@ -146,7 +128,7 @@ def classify_dataset(
     stability across all rounds."""
     thresholds = thresholds or QuadrantThresholds()
     first_round = min(aset.rounds())
-    reliability_score = _dataset_reliability(aset, thresholds.reliability_metric, first_round)
+    reliability_score = METRICS[thresholds.reliability_metric].kernel(aset, first_round).value
     stab = dataset_stability(aset)
     if thresholds.stability_metric == "self_kappa":
         if stab.self_kappa is None:
@@ -176,12 +158,7 @@ def classify_items(
     """
     thresholds = thresholds or QuadrantThresholds()
     first_round = min(aset.rounds())
-    consistent_votes: dict[str, list[bool]] = {}
-    for (item, _annotator), history in aset.cells().items():
-        if len(history) < 2:
-            continue
-        labels = {lbl for _, lbl, _ in history}
-        consistent_votes.setdefault(item, []).append(len(labels) == 1)
+    consistent_votes = item_votes(aset)
     first_round_labels = {
         item: [lbl for _, lbl in entries]
         for (item, _rnd), entries in aset.round_units([first_round]).items()
@@ -190,17 +167,14 @@ def classify_items(
     exclusions = []
     for item in aset.items():
         first_labels = first_round_labels.get(item, [])
-        m = len(first_labels)
-        if m < 2:
+        if len(first_labels) < 2:
             exclusions.append(f"item {item!r}: fewer than 2 round-{first_round} labels")
             continue
         votes = consistent_votes.get(item)
         if not votes:
             exclusions.append(f"item {item!r}: no repeat pair")
             continue
-        counts = Counter(first_labels)
-        agreeing = sum(c * (c - 1) for c in counts.values()) / 2
-        reliability_score = agreeing / (m * (m - 1) / 2)
+        reliability_score = unit_agreement(first_labels)
         stability_score = sum(votes) / len(votes)
         assignments.append(
             QuadrantAssignment(

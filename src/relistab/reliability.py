@@ -40,14 +40,30 @@ from .errors import (
 DISTANCES = ("nominal", "ordinal", "interval")
 ICC_MODELS = ("oneway_random", "twoway_random_single")
 
-#: closed value range per metric name, used as a result invariant
-_RANGES: dict[str, tuple[float, float]] = {
-    "percent_agreement": (0.0, 1.0),
-    "cohens_kappa": (-1.0, 1.0),
-    "fleiss_kappa": (-1.0, 1.0),
-    "krippendorff_alpha": (-1.0, 1.0),
-    "icc_oneway_random": (-math.inf, 1.0),
-    "icc_twoway_random_single": (-math.inf, 1.0),
+
+@dataclass(frozen=True)
+class Metric:
+    """A registered coefficient: ``kernel(aset, rounds, **options)`` and the
+    closed range its value must lie in."""
+
+    kernel: Callable[..., "AgreementResult"]
+    low: float
+    high: float
+
+
+#: every coefficient by the name its results carry. Kernels are looked up as
+#: module attributes at call time, so replacing one (e.g. to trace it) takes
+#: effect for every caller of the table.
+METRICS: dict[str, Metric] = {
+    "percent_agreement": Metric(lambda s, r: percent_agreement(s, r), 0.0, 1.0),
+    "cohens_kappa": Metric(lambda s, r, annotator_a, annotator_b: cohens_kappa(
+        s, annotator_a, annotator_b, r), -1.0, 1.0),
+    "fleiss_kappa": Metric(lambda s, r: fleiss_kappa(s, r), -1.0, 1.0),
+    "krippendorff_alpha": Metric(
+        lambda s, r, distance=None: krippendorff_alpha(s, r, distance), -1.0, 1.0),
+    "icc_oneway_random": Metric(lambda s, r: icc(s, r, "oneway_random"), -math.inf, 1.0),
+    "icc_twoway_random_single": Metric(
+        lambda s, r: icc(s, r, "twoway_random_single"), -math.inf, 1.0),
 }
 
 _RANGE_TOL = 1e-9
@@ -55,7 +71,7 @@ _RANGE_TOL = 1e-9
 
 def _snap(metric_name: str, value: float) -> float:
     """Clamp float noise back into the metric's documented range."""
-    low, high = _RANGES[metric_name]
+    low, high = METRICS[metric_name].low, METRICS[metric_name].high
     if value < low - _RANGE_TOL or value > high + _RANGE_TOL:
         raise RelistabError(f"{metric_name} produced out-of-range value {value!r}")
     return min(max(value, low), high)
@@ -118,6 +134,36 @@ def _population(units) -> tuple[int, int]:
     return len(items), len(annotators)
 
 
+def unit_agreement(labels: Sequence[str]) -> float:
+    """Fraction of agreeing unordered label pairs within one unit (>= 2 labels)."""
+    m = len(labels)
+    agreeing = sum(c * (c - 1) for c in Counter(labels).values()) / 2
+    return agreeing / (m * (m - 1) / 2)
+
+
+def _chance_corrected(observed: float, expected: float) -> float | None:
+    """(observed - expected) / (1 - expected), the kappa family's correction.
+
+    Expected agreement 1 is the chance-degenerate corner: 1.0 when observed
+    agreement is perfect too, None otherwise (callers decide whether that
+    raises).
+    """
+    if expected >= 1.0 - 1e-15:
+        return 1.0 if observed >= 1.0 - 1e-15 else None
+    return (observed - expected) / (1.0 - expected)
+
+
+def pair_kappa(pairs: Sequence[tuple[str, str]]) -> float | None:
+    """Cohen's kappa of (rater 1, rater 2) label pairs, Pe from each rater's
+    own marginals; None in the chance-degenerate corner."""
+    n = len(pairs)
+    po = sum(1 for a, b in pairs if a == b) / n
+    marg_a = Counter(a for a, _ in pairs)
+    marg_b = Counter(b for _, b in pairs)
+    pe = sum(marg_a[c] * marg_b[c] for c in marg_a) / (n * n)
+    return _chance_corrected(po, pe)
+
+
 def percent_agreement(aset: AnnotationSet, rounds: int | Sequence[int] | None = 1) -> AgreementResult:
     """Mean over units of (agreeing unordered annotator pairs / total pairs).
 
@@ -128,12 +174,7 @@ def percent_agreement(aset: AnnotationSet, rounds: int | Sequence[int] | None = 
     units, exclusions = _contributing_units(aset, resolved)
     if not units:
         raise DegenerateError("no unit with >= 2 labels in the selected rounds")
-    per_unit = []
-    for entries in units.values():
-        counts = Counter(lbl for _, lbl in entries)
-        m = len(entries)
-        agreeing = sum(c * (c - 1) for c in counts.values()) / 2
-        per_unit.append(agreeing / (m * (m - 1) / 2))
+    per_unit = [unit_agreement([lbl for _, lbl in entries]) for entries in units.values()]
     n_items, n_annotators = _population(units)
     return AgreementResult(
         metric_name="percent_agreement",
@@ -176,20 +217,9 @@ def cohens_kappa(
         raise NoOverlapError(
             f"annotators {annotator_a!r} and {annotator_b!r} share no labelled unit"
         )
-    n = len(pairs)
-    po = sum(1 for la, lb in pairs if la == lb) / n
-    marg_a = Counter(la for la, _ in pairs)
-    marg_b = Counter(lb for _, lb in pairs)
-    pe = sum(marg_a[c] * marg_b[c] for c in marg_a) / (n * n)
-    if pe >= 1.0 - 1e-15:
-        if po >= 1.0 - 1e-15:
-            value = 1.0
-        else:
-            raise ChanceDegenerateError(
-                "expected agreement is 1 but observed agreement is not"
-            )
-    else:
-        value = (po - pe) / (1.0 - pe)
+    value = pair_kappa(pairs)
+    if value is None:
+        raise ChanceDegenerateError("expected agreement is 1 but observed agreement is not")
     return AgreementResult(
         metric_name="cohens_kappa",
         value=value,
@@ -234,15 +264,9 @@ def fleiss_kappa(aset: AnnotationSet, rounds: int | Sequence[int] | None = 1) ->
     p_bar = float(np.mean(p_i))
     p_j = np.sum(counts, axis=0) / counts.sum()
     pe_bar = float(np.sum(p_j**2))
-    if pe_bar >= 1.0 - 1e-15:
-        if p_bar >= 1.0 - 1e-15:
-            value = 1.0
-        else:
-            raise ChanceDegenerateError(
-                "expected agreement is 1 but observed agreement is not"
-            )
-    else:
-        value = (p_bar - pe_bar) / (1.0 - pe_bar)
+    value = _chance_corrected(p_bar, pe_bar)
+    if value is None:
+        raise ChanceDegenerateError("expected agreement is 1 but observed agreement is not")
     n_items, n_annotators = _population(kept)
     return AgreementResult(
         metric_name="fleiss_kappa",
@@ -421,6 +445,55 @@ def resample_items(aset: AnnotationSet, item_ids: Sequence[str]) -> AnnotationSe
     return AnnotationSet(schema=aset.schema, records=tuple(records))
 
 
+def percentile_ci(
+    estimate: Callable[[], float],
+    replicate: Callable[[int, int], float],
+    replicates: int,
+    confidence: float,
+    seed: int | None,
+    what: str,
+) -> tuple[float, tuple[float, float]]:
+    """Point estimate plus percentile interval over resampled replicates.
+
+    ``replicate(seed, r)`` computes replicate ``r``, deriving its randomness
+    from (seed, r) only; replicates that raise DegenerateError are dropped,
+    and more than half dropped raises TooManyDegenerateError. The interval
+    is widened, when needed, to bracket the point estimate so that reported
+    (value, ci) pairs always nest.
+    """
+    if seed is None:
+        raise InvalidConfigError(f"{what} requires an explicit seed")
+    if replicates < 1:
+        raise InvalidConfigError("replicates must be >= 1")
+    if not 0.0 < confidence < 1.0:
+        raise InvalidConfigError("confidence must lie in (0, 1)")
+    point = estimate()
+    values = []
+    for r in range(replicates):
+        try:
+            values.append(replicate(int(seed), r))
+        except DegenerateError:
+            pass
+    degenerate = replicates - len(values)
+    if degenerate > replicates / 2:
+        raise TooManyDegenerateError(f"{degenerate}/{replicates} {what} replicates were degenerate")
+    tail = (1.0 - confidence) / 2.0 * 100.0
+    low, high = np.percentile(values, [tail, 100.0 - tail])
+    return point, (min(float(low), point), max(float(high), point))
+
+
+def resampler(aset: AnnotationSet) -> Callable[..., AnnotationSet]:
+    """``draw(*key)``: ``aset`` with its items resampled with replacement by
+    ``default_rng(key)``."""
+    items = aset.items()
+
+    def draw(*key: int) -> AnnotationSet:
+        rng = np.random.default_rng(list(key))
+        return resample_items(aset, [items[i] for i in rng.integers(0, len(items), size=len(items))])
+
+    return draw
+
+
 def bootstrap_ci(
     metric: Callable[[AnnotationSet], "AgreementResult | float"],
     aset: AnnotationSet,
@@ -430,38 +503,17 @@ def bootstrap_ci(
 ) -> tuple[float, float]:
     """Percentile bootstrap interval for ``metric`` by item resampling.
 
-    Each replicate draws items with replacement and derives its RNG substream
-    from (seed, replicate), so results are reproducible and order-independent.
-    Replicates where the metric degenerates are dropped; more than 50%
-    dropped raises TooManyDegenerateError. The interval is widened, when
-    needed, to bracket the full-set point estimate so that reported
-    (value, ci) pairs always nest.
+    Replicate ``r`` resamples items with the RNG stream (seed, r), so
+    results are reproducible and order-independent; see
+    :func:`percentile_ci` for dropped replicates and bracketing.
     """
-    if seed is None:
-        raise InvalidConfigError("bootstrap_ci requires an explicit seed")
-    if replicates < 1:
-        raise InvalidConfigError("replicates must be >= 1")
-    if not 0.0 < confidence < 1.0:
-        raise InvalidConfigError("confidence must lie in (0, 1)")
-    point = metric(aset)
-    point_value = point.value if isinstance(point, AgreementResult) else float(point)
-    items = aset.items()
-    values = []
-    degenerate = 0
-    for replicate in range(replicates):
-        rng = np.random.default_rng([int(seed), replicate])
-        chosen = [items[i] for i in rng.integers(0, len(items), size=len(items))]
-        resampled = resample_items(aset, chosen)
-        try:
-            result = metric(resampled)
-        except DegenerateError:
-            degenerate += 1
-            continue
-        values.append(result.value if isinstance(result, AgreementResult) else float(result))
-    if degenerate > replicates / 2:
-        raise TooManyDegenerateError(
-            f"{degenerate}/{replicates} bootstrap replicates were degenerate"
-        )
-    tail = (1.0 - confidence) / 2.0 * 100.0
-    low, high = np.percentile(values, [tail, 100.0 - tail])
-    return (min(float(low), point_value), max(float(high), point_value))
+
+    def value(s: AnnotationSet) -> float:
+        result = metric(s)
+        return result.value if isinstance(result, AgreementResult) else float(result)
+
+    draw = resampler(aset)
+    return percentile_ci(
+        lambda: value(aset), lambda seed_, r: value(draw(seed_, r)),
+        replicates, confidence, seed, "bootstrap",
+    )[1]

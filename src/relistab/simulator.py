@@ -24,7 +24,7 @@ output is identical however the cells are traversed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -49,22 +49,6 @@ BASE_TIMESTAMP = 1_600_000_000.0
 
 #: two weeks, the classic recall-study gap
 DEFAULT_ROUND_INTERVAL = 1_209_600.0
-
-
-@dataclass(frozen=True)
-class AnnotatorProfile:
-    annotator_id: str
-    perspective_group: int
-    base_error: float
-    drift_per_interval: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.base_error < 0.5:
-            raise InvalidConfigError("base_error must lie in [0, 0.5)")
-        if self.drift_per_interval < 0.0:
-            raise InvalidConfigError("drift_per_interval must be >= 0")
-        if self.perspective_group < 0:
-            raise InvalidConfigError("perspective_group must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -181,7 +165,6 @@ class SimTruth:
 
     causes: dict[str, str]
     labels: dict[str, object]
-    profiles: tuple[AnnotatorProfile, ...] = field(default=(), compare=False)
 
     def to_json(self) -> dict:
         return dict(sorted(self.causes.items()))
@@ -201,15 +184,6 @@ def simulate(config: SimConfig) -> tuple[AnnotationSet, SimTruth]:
     width = max(3, len(str(n_ann - 1)))
     annotator_ids = [f"a{j:0{width}d}" for j in range(n_ann)]
     groups = np.array([j % config.n_groups for j in range(n_ann)])
-    profiles = tuple(
-        AnnotatorProfile(
-            annotator_id=annotator_ids[j],
-            perspective_group=int(groups[j]),
-            base_error=config.base_error,
-            drift_per_interval=config.drift,
-        )
-        for j in range(n_ann)
-    )
     timestamps = BASE_TIMESTAMP + np.concatenate(
         ([0.0], np.cumsum(config.interval_per_round))
     )
@@ -290,7 +264,7 @@ def simulate(config: SimConfig) -> tuple[AnnotationSet, SimTruth]:
 
     schema = LabelSchema(task_id=config.task_id, categories=config.categories)
     aset = validate_dataset(records, schema)
-    return aset, SimTruth(causes=causes, labels=truth_labels, profiles=profiles)
+    return aset, SimTruth(causes=causes, labels=truth_labels)
 
 
 def recovery_accuracy(

@@ -10,7 +10,6 @@ elapsed time between rounds.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,6 +22,7 @@ from .errors import (
     NoRepeatsError,
     TooFewBucketsError,
 )
+from .reliability import pair_kappa
 
 #: bucket edges in seconds: same-session, < 1 day, < 1 week, < 1 month, rest
 DEFAULT_BUCKET_EDGES = (3600.0, 86400.0, 604800.0, 2592000.0)
@@ -121,14 +121,7 @@ def _self_kappa(pairs: Sequence[RepeatPair]) -> float | None:
     rounds constant on one category yet imperfect agreement), which cannot
     arise from real pairs but keeps the contract explicit.
     """
-    n = len(pairs)
-    po = sum(1 for p in pairs if p.consistent) / n
-    marg1 = Counter(p.first_label for p in pairs)
-    marg2 = Counter(p.second_label for p in pairs)
-    pe = sum(marg1[c] * marg2[c] for c in marg1) / (n * n)
-    if pe >= 1.0 - 1e-15:
-        return 1.0 if po >= 1.0 - 1e-15 else None
-    return (po - pe) / (1.0 - pe)
+    return pair_kappa([(p.first_label, p.second_label) for p in pairs])
 
 
 def self_agreement(
@@ -169,20 +162,27 @@ def annotator_stability(
     ]
 
 
+def item_votes(aset: AnnotationSet) -> dict[str, list[bool]]:
+    """Per item, one vote per annotator who labelled it in >= 2 rounds: True
+    iff all the labels they gave it (over every round) are identical.
+
+    Items nobody relabelled are absent.
+    """
+    votes: dict[str, list[bool]] = {}
+    for (item, _annotator), history in aset.cells().items():
+        if len(history) >= 2:
+            votes.setdefault(item, []).append(len({lbl for _, lbl, _ in history}) == 1)
+    return votes
+
+
 def item_stability_labels(aset: AnnotationSet) -> list[ItemStabilityLabel]:
     """Stable/unstable call per item that has at least one repeat pair.
 
-    An annotator counts as consistent on an item iff all the labels they gave
-    it (over every round) are identical; the item is stable iff every
-    repeating annotator is consistent. Items without repeats are omitted
-    (see :func:`items_without_repeats`).
+    The item is stable iff every repeating annotator is consistent (see
+    :func:`item_votes`). Items without repeats are omitted (see
+    :func:`items_without_repeats`).
     """
-    per_item: dict[str, list[bool]] = {}
-    for (item, _annotator), history in aset.cells().items():
-        if len(history) < 2:
-            continue
-        labels = {lbl for _, lbl, _ in history}
-        per_item.setdefault(item, []).append(len(labels) == 1)
+    per_item = item_votes(aset)
     if not per_item:
         raise NoRepeatsError("no item has a repeat pair")
     out = []
@@ -202,10 +202,7 @@ def item_stability_labels(aset: AnnotationSet) -> list[ItemStabilityLabel]:
 
 def items_without_repeats(aset: AnnotationSet) -> tuple[str, ...]:
     """Items omitted from stability labelling (nobody relabelled them)."""
-    repeating = {
-        item for (item, _ann), history in aset.cells().items() if len(history) >= 2
-    }
-    return tuple(sorted(set(aset.items()) - repeating))
+    return tuple(sorted(set(aset.items()) - set(item_votes(aset))))
 
 
 def dataset_stability(aset: AnnotationSet, pairing: str = "consecutive") -> StabilityResult:

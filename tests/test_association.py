@@ -244,6 +244,8 @@ class TestCompare:
             compare_item_scores([1.0], [0.5])
         with pytest.raises(EmptyInputError):
             compare_item_scores([], [0.5], seed=1)
+        with pytest.raises(InvalidConfigError):
+            compare_item_scores([1.0], [0.5], replicates=0, seed=1)
 
     def test_compare_item_scores_deterministic(self):
         args = ([0.4, 0.6, 0.7], [0.2, 0.5, 0.5])

@@ -311,6 +311,17 @@ class TestCompare:
         assert code == 3
         assert "seed" in error_of(err)["message"]
 
+    @pytest.mark.parametrize("replicates", ["0", "-5"])
+    def test_replicates_must_be_positive(self, capsys, workspace, replicates):
+        code, _, err = run(capsys, "compare",
+                           "--annotations-a", str(workspace / "annotations.csv"),
+                           "--annotations-b", str(workspace / "annotations.csv"),
+                           "--schema", str(workspace / "schema.json"),
+                           "--axis", "reliability", "--replicates", replicates,
+                           "--seed", "5")
+        assert code == 3
+        assert error_of(err)["code"] == "InvalidConfig"
+
     def test_bad_axis(self, capsys, workspace):
         code, _, err = run(capsys, "compare",
                            "--annotations-a", str(workspace / "annotations.csv"),
@@ -402,6 +413,23 @@ class TestReportBundle:
         path.write_text(json.dumps({"hello": 1}))
         code, _, err = run(capsys, "report", "--inputs", str(path))
         assert code == 3
+
+
+@pytest.mark.parametrize("flag, name", [("--annotations", "bad.csv"),
+                                        ("--annotations", "bad.jsonl"),
+                                        ("--rationalisations", "bad.csv")])
+def test_undecodable_input_is_validation_error(capsys, workspace, tmp_path, flag, name):
+    files = {"--annotations": workspace / "annotations.csv",
+             "--rationalisations": workspace / "rationalisations.csv"}
+    bad = tmp_path / name
+    bad.write_bytes(files[flag].read_bytes() + b"i9,r0,\xff\xfe\n")
+    files[flag] = bad
+    code, _, err = run(capsys, "phi", "--schema", str(workspace / "schema.json"),
+                       *(arg for pair in files.items() for arg in map(str, pair)))
+    assert code == 3
+    error = error_of(err)
+    assert error["code"] == "Validation"
+    assert str(bad) in error["message"]
 
 
 def test_module_entry_point(workspace):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,7 +20,7 @@ from relistab import (
     write_annotations_jsonl,
     write_rationalisations_csv,
 )
-from relistab.errors import ValidationError
+from relistab.errors import NonFiniteError, ValidationError
 
 
 class TestRfc3339:
@@ -96,16 +98,38 @@ def test_extension_dispatch(tmp_path):
     assert read_annotation_records(tmp_path / "ann.csv") == records
 
 
-def test_csv_timestamp_accepts_epoch_number(tmp_path):
-    path = tmp_path / "ann.csv"
-    path.write_text(
-        "task_id,item_id,annotator_id,round,label,timestamp\n"
-        "t,i0,a,1,x,1600000000.5\n"
-        "t,i0,b,1,y,2020-09-13T12:26:40Z\n"
-    )
-    records = read_annotation_records_csv(path)
-    assert records[0].timestamp == 1_600_000_000.5
-    assert records[1].timestamp == 1_600_000_000.0
+def _read_one(fmt, tmp_path, **fields):
+    """One record with ``fields`` overridden, read as CSV, JSONL or a mapping."""
+    row = {"task_id": "t", "item_id": "i0", "annotator_id": "a", "round": 1,
+           "label": "x", **fields}
+    if fmt == "mapping":
+        return validate_dataset([row], LabelSchema("t", ("x", "y"))).records[0]
+    path = tmp_path / f"ann.{fmt}"
+    if fmt == "csv":
+        path.write_text(",".join(row) + "\n" + ",".join(map(str, row.values())) + "\n")
+    else:
+        path.write_text(json.dumps(row) + "\n")
+    (record,) = read_annotation_records(path)
+    return record
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl", "mapping"])
+def test_field_forms_agree_across_formats(tmp_path, fmt):
+    assert _read_one(fmt, tmp_path, timestamp=1600000000.5).timestamp == 1_600_000_000.5
+    assert _read_one(fmt, tmp_path, timestamp="1700000000").timestamp == 1_700_000_000.0
+    stamp = _read_one(fmt, tmp_path, timestamp="2020-09-13T12:26:40Z").timestamp
+    assert stamp == 1_600_000_000.0
+    assert _read_one(fmt, tmp_path, timestamp="").timestamp is None
+    assert _read_one(fmt, tmp_path, round="2").round == 2
+    for bad_round in (1.5, "1.5"):
+        with pytest.raises(ValidationError, match="not an integer"):
+            _read_one(fmt, tmp_path, round=bad_round)
+    for bad_stamp in (float("nan"), "inf", "-inf"):
+        with pytest.raises(NonFiniteError):
+            _read_one(fmt, tmp_path, timestamp=bad_stamp)
+    where = "record 0" if fmt == "mapping" else f"ann.{fmt}:{2 if fmt == 'csv' else 1}"
+    with pytest.raises(ValidationError, match=where):
+        _read_one(fmt, tmp_path, timestamp="yesterday")
 
 
 def test_csv_header_errors(tmp_path):

@@ -136,14 +136,6 @@ class TestSimulate:
         assert truth.labels["ambiguous_0000"] is None
         assert truth.to_json() == {item: cause for item, cause in truth.causes.items()}
 
-    def test_profiles_cover_annotators(self):
-        cfg = config(n_groups=3, base_error=0.1, drift=0.2)
-        _, truth = simulate(cfg)
-        assert [p.annotator_id for p in truth.profiles] == ["a000", "a001", "a002", "a003"]
-        assert [p.perspective_group for p in truth.profiles] == [0, 1, 2, 0]
-        assert all(p.base_error == 0.1 and p.drift_per_interval == 0.2
-                   for p in truth.profiles)
-
 
 class TestNoiselessFidelity:
     def test_straightforward_all_ones(self):
