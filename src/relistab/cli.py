@@ -40,6 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .ingest import (
+    _open_text,
     load_schema,
     read_annotation_records,
     read_rationalisations_csv,
@@ -87,7 +88,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _read_config_file(path: str) -> dict:
-    with open(path, encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         try:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
@@ -511,9 +512,10 @@ def cmd_report(args) -> int:
         inputs = [inputs]
     out = opts.get("out")
     merged: dict = {}
+    section_source: dict[str, str] = {}
     seeds = []
     for path in inputs:
-        with open(path, encoding="utf-8") as handle:
+        with _open_text(path) as handle:
             try:
                 doc = json.load(handle)
             except json.JSONDecodeError as exc:
@@ -523,7 +525,12 @@ def cmd_report(args) -> int:
         seeds.append(doc["provenance"].get("seed"))
         for key in SECTION_KEYS:
             if key in doc:
+                if key in merged:
+                    raise ValidationError(
+                        f"section {key!r} appears in both {section_source[key]} and {path}"
+                    )
                 merged[key] = doc[key]
+                section_source[key] = path
     if not merged:
         raise ValidationError("input reports contain no sections to merge")
     distinct_seeds = sorted({s for s in seeds if s is not None})

@@ -127,22 +127,22 @@ class AnnotationSet:
     """Immutable, validated collection of annotation records.
 
     Construct through :func:`validate_dataset`; the constructor assumes the
-    invariants already hold and only builds the lookup structures.
+    invariants already hold and only builds the lookup structures:
+    ``_by_item_round`` maps (item, round) to its sorted (annotator, label)
+    entries and ``_by_cell`` maps (item, annotator) to its sorted (round,
+    label, timestamp) history, both in first-seen order of their keys.
     """
 
     schema: LabelSchema
     records: tuple[AnnotationRecord, ...]
-    _index: dict = field(repr=False, compare=False, default_factory=dict)
-    _by_item_round: dict = field(repr=False, compare=False, default_factory=dict)
-    _by_cell: dict = field(repr=False, compare=False, default_factory=dict)
+    _by_item_round: dict = field(repr=False, compare=False, init=False)
+    _by_cell: dict = field(repr=False, compare=False, init=False)
+    _blocks: dict | None = field(repr=False, compare=False, init=False, default=None)
 
     def __post_init__(self):
-        index = {}
         by_item_round = {}
         by_cell = {}
         for rec in self.records:
-            key = (rec.item_id, rec.annotator_id, rec.round)
-            index[key] = rec
             by_item_round.setdefault((rec.item_id, rec.round), []).append(
                 (rec.annotator_id, rec.label)
             )
@@ -153,9 +153,36 @@ class AnnotationSet:
             entries.sort()
         for entries in by_cell.values():
             entries.sort()
-        object.__setattr__(self, "_index", index)
         object.__setattr__(self, "_by_item_round", by_item_round)
         object.__setattr__(self, "_by_cell", by_cell)
+
+    @classmethod
+    def _from_indexes(cls, schema, records, by_item_round, by_cell) -> "AnnotationSet":
+        """A set over ``records`` with both indexes built by the caller, with
+        the contents and key order ``__post_init__`` would give them."""
+        aset = object.__new__(cls)
+        for name, value in (("schema", schema), ("records", records), ("_blocks", None),
+                            ("_by_item_round", by_item_round), ("_by_cell", by_cell)):
+            object.__setattr__(aset, name, value)
+        return aset
+
+    def _item_blocks(self) -> dict[str, tuple[tuple, tuple, tuple]]:
+        """item -> (its records, its rounds, its annotators), the rounds and
+        annotators in first-seen order; built on first use and kept."""
+        if self._blocks is None:
+            grouped: dict[str, list[AnnotationRecord]] = {}
+            for rec in self.records:
+                grouped.setdefault(rec.item_id, []).append(rec)
+            blocks = {
+                item: (
+                    tuple(recs),
+                    tuple(dict.fromkeys(rec.round for rec in recs)),
+                    tuple(dict.fromkeys(rec.annotator_id for rec in recs)),
+                )
+                for item, recs in grouped.items()
+            }
+            object.__setattr__(self, "_blocks", blocks)
+        return self._blocks
 
     def __len__(self) -> int:
         return len(self.records)
@@ -170,8 +197,10 @@ class AnnotationSet:
         return tuple(sorted({r.round for r in self.records}))
 
     def label(self, item_id: str, annotator_id: str, round: int) -> str | None:
-        rec = self._index.get((item_id, annotator_id, round))
-        return None if rec is None else rec.label
+        for rnd, lbl, _ in self._by_cell.get((item_id, annotator_id), ()):
+            if rnd == round:
+                return lbl
+        return None
 
     def unit_labels(self, rounds: Sequence[int]) -> dict[str, list[str]]:
         """Labels pooled per item over the given rounds (annotator-sorted)."""
@@ -300,6 +329,8 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
                 rec = coerce_record(rec)
             except ValidationError as exc:
                 raise type(exc)(f"record {position}: {exc}") from exc
+        elif type(rec.round) is not int:  # not bool
+            raise ValidationError(f"record {position}: round {rec.round!r} is not an integer")
         label = normalize_label(rec.label)
         if label != rec.label:
             rec = replace(rec, label=label)

@@ -149,7 +149,7 @@ def write_rationalisations_csv(records, path: str | Path) -> None:
 
 
 def load_schema(path: str | Path) -> LabelSchema:
-    with open(path, encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         try:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -425,24 +425,41 @@ def resample_items(aset: AnnotationSet, item_ids: Sequence[str]) -> AnnotationSe
     """Dataset restricted to ``item_ids`` with replacement.
 
     Repeated draws of an item are kept distinct by suffixing ``~k`` to the
-    k-th duplicate, so resampled sets stay valid AnnotationSets.
+    k-th duplicate (plus as many ``~`` as it takes to differ from every
+    source item id), so resampled sets stay valid AnnotationSets. The set is
+    assembled from ``aset``'s per-item blocks: a first draw reuses the
+    source's records and index entries, and only a duplicate draw makes new
+    records. The indexes come out as ``AnnotationSet(schema, records)``
+    would build them, key order included.
     """
-    by_item: dict[str, list[AnnotationRecord]] = {}
-    for rec in aset.records:
-        by_item.setdefault(rec.item_id, []).append(rec)
+    blocks = aset._item_blocks()
+    source_rounds, source_cells = aset._by_item_round, aset._by_cell
     seen: Counter = Counter()
     records: list[AnnotationRecord] = []
+    by_item_round: dict = {}
+    by_cell: dict = {}
     for item in item_ids:
         occurrence = seen[item]
         seen[item] += 1
-        new_id = item if occurrence == 0 else f"{item}~{occurrence}"
-        for rec in by_item[item]:
-            records.append(
+        block_records, rounds, annotators = blocks[item]
+        if occurrence == 0:
+            new_id = item
+            records.extend(block_records)
+        else:
+            new_id = f"{item}~{occurrence}"
+            while new_id in blocks:
+                new_id += "~"
+            records += [
                 AnnotationRecord(
                     rec.task_id, new_id, rec.annotator_id, rec.round, rec.label, rec.timestamp
                 )
-            )
-    return AnnotationSet(schema=aset.schema, records=tuple(records))
+                for rec in block_records
+            ]
+        for rnd in rounds:
+            by_item_round[(new_id, rnd)] = source_rounds[(item, rnd)]
+        for annotator in annotators:
+            by_cell[(new_id, annotator)] = source_cells[(item, annotator)]
+    return AnnotationSet._from_indexes(aset.schema, tuple(records), by_item_round, by_cell)
 
 
 def percentile_ci(

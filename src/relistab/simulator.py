@@ -32,6 +32,7 @@ import numpy as np
 from .association import RationalisationRecord
 from .core import AnnotationRecord, AnnotationSet, LabelSchema, validate_dataset
 from .errors import CoverageMismatchError, EmptyInputError, InvalidConfigError
+from .ingest import _open_text
 from .quadrant import Quadrant, QuadrantAssignment
 
 CAUSES = ("straightforward", "subjective", "ambiguous", "difficult", "value_shift")
@@ -311,7 +312,7 @@ def rationalisations_from_truth(truth: SimTruth, rater_id: str = "cause_oracle")
 
 
 def load_sim_config(path) -> SimConfig:
-    with open(path, encoding="utf-8") as handle:
+    with _open_text(path) as handle:
         try:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:

@@ -408,6 +408,17 @@ class TestReportBundle:
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.Draft202012Validator(load_report_schema()).validate(doc)
 
+    def test_refuses_repeated_section(self, capsys, workspace, tmp_path):
+        for name in ("r1", "r2"):
+            run(capsys, "reliability",
+                "--annotations", str(workspace / "annotations.csv"),
+                "--schema", str(workspace / "schema.json"), "--out", str(tmp_path / name))
+        paths = [str(tmp_path / name / "report.json") for name in ("r1", "r2")]
+        code, _, err = run(capsys, "report", "--inputs", *paths)
+        assert code == 3
+        message = error_of(err)["message"]
+        assert "'reliability'" in message and paths[0] in message and paths[1] in message
+
     def test_rejects_non_report(self, capsys, tmp_path):
         path = tmp_path / "notes.json"
         path.write_text(json.dumps({"hello": 1}))
@@ -426,6 +437,25 @@ def test_undecodable_input_is_validation_error(capsys, workspace, tmp_path, flag
     files[flag] = bad
     code, _, err = run(capsys, "phi", "--schema", str(workspace / "schema.json"),
                        *(arg for pair in files.items() for arg in map(str, pair)))
+    assert code == 3
+    error = error_of(err)
+    assert error["code"] == "Validation"
+    assert str(bad) in error["message"]
+
+
+@pytest.mark.parametrize("flag", ["--schema", "--config", "--sim-config", "--inputs"])
+def test_undecodable_side_file_is_validation_error(capsys, workspace, tmp_path, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"task_id": "\xff"}\n')
+    annotations, schema = str(workspace / "annotations.csv"), str(workspace / "schema.json")
+    argv = {
+        "--schema": ["validate", "--annotations", annotations, "--schema", str(bad)],
+        "--config": ["validate", "--annotations", annotations, "--schema", schema,
+                     "--config", str(bad)],
+        "--sim-config": ["simulate", "--sim-config", str(bad), "--out", str(tmp_path)],
+        "--inputs": ["report", "--inputs", str(bad)],
+    }[flag]
+    code, _, err = run(capsys, *argv)
     assert code == 3
     error = error_of(err)
     assert error["code"] == "Validation"

@@ -102,6 +102,14 @@ class TestValidateDataset:
         with pytest.raises(ValidationError):
             validate_dataset([AnnotationRecord("t", "i0", "a", 0, "x")], schema)
 
+    @pytest.mark.parametrize("rnd", ["1", 1.0, True])
+    def test_given_record_round_must_be_int(self, rnd):
+        schema = LabelSchema("t", ("x", "y"))
+        recs = [AnnotationRecord("t", "i0", "a", 1, "x"),
+                AnnotationRecord("t", "i0", "b", rnd, "x")]
+        with pytest.raises(ValidationError, match="record 1: round"):
+            validate_dataset(recs, schema)
+
     def test_missing_field_in_dict(self):
         schema = LabelSchema("t", ("x", "y"))
         with pytest.raises(ValidationError):

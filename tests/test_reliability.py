@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,6 +14,7 @@ from oracles import (
 from relistab import (
     AgreementResult,
     AnnotationRecord,
+    AnnotationSet,
     LabelSchema,
     bootstrap_ci,
     cohens_kappa,
@@ -416,3 +419,61 @@ class TestBootstrapCi:
 
         low, high = bootstrap_ci(metric, aset, replicates=100, seed=3)
         assert 0.0 <= low <= high <= 1.0
+
+
+ITEM_POOL = ("a", "b", "a~1", "c")
+
+
+@st.composite
+def sparse_sets(draw):
+    """A validated multi-round set with missing cells, optional timestamps,
+    records in random order, and an item id that a ``~k`` id can collide with."""
+    items = draw(st.lists(st.sampled_from(ITEM_POOL), min_size=1, max_size=4, unique=True))
+    cells = [(item, ann, rnd) for item in items for ann in ("p", "q", "r") for rnd in (1, 2, 3)]
+    kept = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    records = [
+        AnnotationRecord("t", item, ann, rnd, draw(st.sampled_from("xy")),
+                         draw(st.none() | st.floats(0, 1e9)))
+        for item, ann, rnd in kept
+    ]
+    return validate_dataset(records, LabelSchema("t", ("x", "y")))
+
+
+@given(sparse_sets(), st.data())
+def test_resample_matches_full_rebuild(aset, data):
+    ids = data.draw(st.lists(st.sampled_from(aset.items()), min_size=1, max_size=12))
+    resampled = resample_items(aset, ids)
+    # one block of records per draw, each under an id of its own
+    new_ids = list(dict.fromkeys(rec.item_id for rec in resampled.records))
+    assert len(new_ids) == len(ids)
+    expected = []
+    for k, (item, new_id) in enumerate(zip(ids, new_ids)):
+        repeat = ids[:k].count(item)
+        assert new_id == item if repeat == 0 else new_id.rstrip("~") == f"{item}~{repeat}"
+        expected += [replace(rec, item_id=new_id) for rec in aset.records if rec.item_id == item]
+    assert resampled.records == tuple(expected)
+    rebuilt = AnnotationSet(schema=aset.schema, records=resampled.records)
+    assert list(resampled._by_item_round.items()) == list(rebuilt._by_item_round.items())
+    assert list(resampled._by_cell.items()) == list(rebuilt._by_cell.items())
+
+
+@given(sparse_sets())
+def test_label_matches_record_scan(aset):
+    for item in (*aset.items(), "absent"):
+        for ann in ("p", "q", "r", "absent"):
+            for rnd in (0, 1, 2, 3):
+                found = [rec.label for rec in aset.records
+                         if (rec.item_id, rec.annotator_id, rec.round) == (item, ann, rnd)]
+                assert aset.label(item, ann, rnd) == (found[0] if found else None)
+
+
+def test_resample_duplicate_id_never_merges_with_a_source_item():
+    aset = validate_dataset(
+        [AnnotationRecord("t", item, ann, 1, lbl)
+         for item, ann, lbl in [("a", "p", "x"), ("a", "q", "x"),
+                                ("a~1", "p", "y"), ("a~1", "q", "x")]],
+        LabelSchema("t", ("x", "y")),
+    )
+    resampled = resample_items(aset, ["a", "a", "a~1"])
+    assert resampled.items() == ("a", "a~1", "a~1~")
+    assert percent_agreement(resampled).value == pytest.approx(2 / 3)
