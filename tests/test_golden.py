@@ -89,6 +89,10 @@ STDOUT_RUNS = {
                                "--schema", SCHEMA, "--axis", "stability",
                                "--metric", "self_kappa", "--replicates", "30",
                                "--seed", "7"],
+    "compare_stability_sparse.json": ["compare", "--annotations-a", SPARSE,
+                                      "--annotations-b", B, "--schema", SCHEMA,
+                                      "--axis", "stability", "--metric", "exact_rate",
+                                      "--replicates", "30", "--seed", "9"],
     "sparse_reliability.json": ["reliability", "--annotations", SPARSE, "--schema", SCHEMA,
                                 "--round", "1,2,3"],
     "sparse_stability.json": ["stability", "--annotations", SPARSE, "--schema", SCHEMA,
