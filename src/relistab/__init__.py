@@ -105,12 +105,14 @@ from .stability import (
     DEFAULT_BUCKET_EDGES,
     IntervalProfile,
     ItemStabilityLabel,
+    RepeatTable,
     StabilityResult,
     annotator_stability,
     dataset_stability,
     interval_profile,
     item_stability_labels,
     items_without_repeats,
+    repeat_table,
     self_agreement,
 )
 

@@ -20,11 +20,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AnnotationSet
+from .core import AnnotationSet, build_repeat_pairs
 from .errors import (
     DegenerateError,
     EmptyInputError,
@@ -33,8 +33,8 @@ from .errors import (
     ValidationError,
     ZeroMarginError,
 )
-from .reliability import METRICS, percentile_ci, resampler
-from .stability import ItemStabilityLabel, dataset_stability
+from .reliability import METRICS, draw_positions, percentile_ci, resampler
+from .stability import ItemStabilityLabel, dataset_stability, repeat_table
 
 RATIONALISATION_LABELS = ("subjective", "ambiguous", "difficult")
 RESOLVED_SUBJECTIVE = "subjective"
@@ -194,22 +194,6 @@ def permutation_p(table: ContingencyTable, replicates: int = 10000, seed: int | 
 COMPARE_RELIABILITY_METRICS = ("krippendorff_alpha", "fleiss_kappa", "percent_agreement")
 
 
-def _bootstrap_difference(
-    stat: Callable[[AnnotationSet], float],
-    set_a: AnnotationSet,
-    set_b: AnnotationSet,
-    replicates: int,
-    confidence: float,
-    seed: int | None,
-) -> tuple[float, tuple[float, float]]:
-    draw_a, draw_b = resampler(set_a), resampler(set_b)
-    return percentile_ci(
-        lambda: stat(set_a) - stat(set_b),
-        lambda seed_, r: stat(draw_a(seed_, r, 0)) - stat(draw_b(seed_, r, 1)),
-        replicates, confidence, seed, "comparison",
-    )
-
-
 def compare_stability(
     set_a: AnnotationSet,
     set_b: AnnotationSet,
@@ -222,20 +206,34 @@ def compare_stability(
 
     Items are resampled within each set independently; the interval is the
     percentile interval of the replicate differences (widened, if needed, to
-    bracket the point difference).
+    bracket the point difference). Each set is paired once: a replicate
+    reweights the rows of its repeat table by how often each item was drawn,
+    which gives the numbers a resampled and re-paired set would give.
     """
     if metric not in ("exact_rate", "self_kappa"):
         raise InvalidConfigError("stability metric must be exact_rate or self_kappa")
+    sets = (set_a, set_b)
+    tables = {}
 
-    def stat(aset: AnnotationSet) -> float:
-        result = dataset_stability(aset)
+    def stat(side: int, *key: int) -> float:
+        if side not in tables:
+            tables[side] = repeat_table(sets[side], build_repeat_pairs(sets[side]))
+        table = tables[side]
+        if key:
+            n = len(table.items)
+            table = table.reweighted(np.bincount(draw_positions(n, *key, side), minlength=n))
+        result = dataset_stability(table)
         if metric == "exact_rate":
             return result.exact_rate
         if result.self_kappa is None:
             raise DegenerateError("self_kappa undefined")
         return result.self_kappa
 
-    return _bootstrap_difference(stat, set_a, set_b, replicates, confidence, seed)
+    return percentile_ci(
+        lambda: stat(0) - stat(1),
+        lambda seed_, r: stat(0, seed_, r) - stat(1, seed_, r),
+        replicates, confidence, seed, "comparison",
+    )
 
 
 def compare_reliability(
@@ -259,7 +257,12 @@ def compare_reliability(
     def stat(aset: AnnotationSet) -> float:
         return kernel(aset, min(aset.rounds())).value
 
-    return _bootstrap_difference(stat, set_a, set_b, replicates, confidence, seed)
+    draw_a, draw_b = resampler(set_a), resampler(set_b)
+    return percentile_ci(
+        lambda: stat(set_a) - stat(set_b),
+        lambda seed_, r: stat(draw_a(seed_, r, 0)) - stat(draw_b(seed_, r, 1)),
+        replicates, confidence, seed, "comparison",
+    )
 
 
 def compare_item_scores(
@@ -280,8 +283,8 @@ def compare_item_scores(
     arr_b = np.asarray(scores_b, dtype=float)
 
     def replicate(seed_: int, r: int) -> float:
-        pick_a = np.random.default_rng([seed_, r, 0]).integers(0, len(arr_a), size=len(arr_a))
-        pick_b = np.random.default_rng([seed_, r, 1]).integers(0, len(arr_b), size=len(arr_b))
+        pick_a = draw_positions(len(arr_a), seed_, r, 0)
+        pick_b = draw_positions(len(arr_b), seed_, r, 1)
         return arr_a[pick_a].mean() - arr_b[pick_b].mean()
 
     return percentile_ci(

@@ -77,6 +77,7 @@ from .stability import (
     interval_profile,
     item_stability_labels,
     items_without_repeats,
+    repeat_table,
 )
 
 
@@ -295,9 +296,6 @@ def cmd_stability(args) -> int:
     out = opts.get("out")
 
     aset = _load_dataset(annotations, schema_path)
-    dataset = dataset_stability(aset, pairing)
-    annotators = annotator_stability(aset, pairing)
-    items = item_stability_labels(aset)
     pairs = build_repeat_pairs(aset, pairing)
     try:
         profile = interval_profile(
@@ -306,6 +304,11 @@ def cmd_stability(args) -> int:
         ).to_report()
     except (NoIntervalsError, TooFewBucketsError):
         profile = None
+    table = repeat_table(aset, pairs)
+    del pairs  # the table holds what the rest needs; free the pair objects
+    dataset = dataset_stability(table)
+    annotators = annotator_stability(table)
+    items = item_stability_labels(aset)
 
     report = {
         "report_kind": "stability",

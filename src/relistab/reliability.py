@@ -156,12 +156,19 @@ def _chance_corrected(observed: float, expected: float) -> float | None:
 def pair_kappa(pairs: Sequence[tuple[str, str]]) -> float | None:
     """Cohen's kappa of (rater 1, rater 2) label pairs, Pe from each rater's
     own marginals; None in the chance-degenerate corner."""
-    n = len(pairs)
-    po = sum(1 for a, b in pairs if a == b) / n
     marg_a = Counter(a for a, _ in pairs)
     marg_b = Counter(b for _, b in pairs)
-    pe = sum(marg_a[c] * marg_b[c] for c in marg_a) / (n * n)
-    return _chance_corrected(po, pe)
+    return counts_kappa(
+        len(pairs), sum(1 for a, b in pairs if a == b), sum(marg_a[c] * marg_b[c] for c in marg_a)
+    )
+
+
+def counts_kappa(n: int, agree: int, chance: int) -> float | None:
+    """Cohen's kappa from integer counts of ``n`` pairs: ``agree`` of them
+    equal, and ``chance`` the sum over labels of (rater 1's count) x (rater
+    2's count). Po and Pe are int / int, so any caller holding the same
+    counts gets the same float."""
+    return _chance_corrected(agree / n, chance / (n * n))
 
 
 def percent_agreement(aset: AnnotationSet, rounds: int | Sequence[int] | None = 1) -> AgreementResult:
@@ -499,14 +506,20 @@ def percentile_ci(
     return point, (min(float(low), point), max(float(high), point))
 
 
+def draw_positions(n: int, *key: int) -> np.ndarray:
+    """The positions of the ``n`` items that replicate ``key`` draws with
+    replacement: ``default_rng(key).integers(0, n, n)``. Every item
+    bootstrap draws through here, so all of them share one RNG stream."""
+    return np.random.default_rng(list(key)).integers(0, n, size=n)
+
+
 def resampler(aset: AnnotationSet) -> Callable[..., AnnotationSet]:
     """``draw(*key)``: ``aset`` with its items resampled with replacement by
     ``default_rng(key)``."""
     items = aset.items()
 
     def draw(*key: int) -> AnnotationSet:
-        rng = np.random.default_rng(list(key))
-        return resample_items(aset, [items[i] for i in rng.integers(0, len(items), size=len(items))])
+        return resample_items(aset, [items[i] for i in draw_positions(len(items), *key)])
 
     return draw
 

@@ -5,12 +5,17 @@ annotator's (first, second) labels for one item. Three scopes are reported —
 per annotator, per item (a binary stable/unstable call plus a graded rate),
 and pooled over the dataset — and consistency can be profiled against the
 elapsed time between rounds.
+
+The annotator and dataset scopes read a :class:`RepeatTable`, the pairs
+counted per (item, annotator, first label, second label). Every number they
+report is a ratio of integer counts, so a bootstrap replicate is the same
+table with each item's rows scaled by how often the item was drawn.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +26,9 @@ from .errors import (
     NoIntervalsError,
     NoRepeatsError,
     TooFewBucketsError,
+    ValidationError,
 )
-from .reliability import pair_kappa
+from .reliability import counts_kappa
 
 #: bucket edges in seconds: same-session, < 1 day, < 1 week, < 1 month, rest
 DEFAULT_BUCKET_EDGES = (3600.0, 86400.0, 604800.0, 2592000.0)
@@ -114,51 +120,104 @@ class IntervalProfile:
         }
 
 
-def _self_kappa(pairs: Sequence[RepeatPair]) -> float | None:
-    """Cohen's kappa treating first-round and second-round labels as raters.
+@dataclass(frozen=True, eq=False)
+class RepeatTable:
+    """Repeat pairs as integer counts.
 
-    Returns None in the chance-degenerate-with-disagreement corner (both
-    rounds constant on one category yet imperfect agreement), which cannot
-    arise from real pairs but keeps the contract explicit.
+    One row per (item, annotator, first label, second label) that occurs,
+    sorted by item, then annotator; ``count`` is how many pairs the row
+    stands for. ``item`` indexes ``items`` (the set's items in
+    ``aset.items()`` order, with or without pairs); ``joint`` is the row's
+    position in the flattened annotators x labels x labels count table,
+    annotators indexing ``annotators`` and labels ``schema.categories``
+    (``n_labels`` of them).
     """
-    return pair_kappa([(p.first_label, p.second_label) for p in pairs])
+
+    items: tuple[str, ...]
+    annotators: tuple[str, ...]
+    n_labels: int
+    item: np.ndarray
+    joint: np.ndarray
+    count: np.ndarray
+
+    def reweighted(self, weights: np.ndarray) -> "RepeatTable":
+        """The table of a replicate that holds item ``i`` ``weights[i]``
+        times: every duplicate of an item repeats all of its pairs."""
+        return replace(self, count=self.count * weights[self.item])
+
+
+def repeat_table(aset: AnnotationSet, pairs: Sequence[RepeatPair]) -> RepeatTable:
+    """The :class:`RepeatTable` of ``pairs``, which
+    :func:`~relistab.core.build_repeat_pairs` made from ``aset``."""
+    items, annotators = aset.items(), aset.annotators()
+    item_pos = {item: i for i, item in enumerate(items)}
+    annotator_pos = {annotator: i for i, annotator in enumerate(annotators)}
+    label_pos = aset.schema.category_index()
+    k = len(label_pos)
+    keys, count = np.unique(
+        np.fromiter(
+            (
+                ((item_pos[p.item_id] * len(annotators) + annotator_pos[p.annotator_id]) * k
+                 + label_pos[p.first_label]) * k + label_pos[p.second_label]
+                for p in pairs
+            ),
+            dtype=np.int64,
+            count=len(pairs),
+        ),
+        return_counts=True,
+    )
+    item, joint = np.divmod(keys, len(annotators) * k * k)
+    return RepeatTable(items, annotators, k, item, joint, count)
+
+
+def _as_table(source: "AnnotationSet | RepeatTable", pairing: str) -> RepeatTable:
+    if isinstance(source, RepeatTable):
+        return source
+    return repeat_table(source, build_repeat_pairs(source, pairing))
+
+
+def _annotator_counts(table: RepeatTable) -> list[tuple[str, int, int, float | None]]:
+    """(annotator, pairs, agreeing pairs, self-kappa) per annotator with a
+    pair, in the order of their first row: the order in which
+    ``sorted(aset.cells())`` first reaches them, also in a resampled set,
+    since a duplicate id ``x~k`` sorts after ``x``."""
+    k, n_annotators = table.n_labels, len(table.annotators)
+    joint = np.bincount(table.joint, weights=table.count, minlength=n_annotators * k * k)
+    joint = joint.astype(np.int64).reshape(n_annotators, k, k)
+    n = joint.sum(axis=(1, 2)).tolist()
+    agree = np.trace(joint, axis1=1, axis2=2).tolist()
+    chance = (joint.sum(axis=2) * joint.sum(axis=1)).sum(axis=1).tolist()
+    present, first_row = np.unique(table.joint[table.count > 0] // (k * k), return_index=True)
+    if not len(present):
+        raise NoRepeatsError("no annotator labelled any item in >= 2 rounds")
+    return [
+        (table.annotators[a], n[a], agree[a], counts_kappa(n[a], agree[a], chance[a]))
+        for a in present[np.argsort(first_row)].tolist()
+    ]
 
 
 def self_agreement(
     aset: AnnotationSet, annotator_id: str, pairing: str = "consecutive"
 ) -> StabilityResult:
     """One annotator's repeat consistency over their own RepeatPairs."""
-    all_pairs = build_repeat_pairs(aset, pairing)
-    pairs = [p for p in all_pairs if p.annotator_id == annotator_id]
-    if not pairs:
-        raise NoRepeatsError(f"annotator {annotator_id!r} has no repeat pair")
-    exact = sum(1 for p in pairs if p.consistent) / len(pairs)
-    return StabilityResult(
-        scope="annotator",
-        subject_id=annotator_id,
-        exact_rate=exact,
-        self_kappa=_self_kappa(pairs),
-        n_pairs=len(pairs),
-    )
+    for result in annotator_stability(aset, pairing):
+        if result.subject_id == annotator_id:
+            return result
+    raise NoRepeatsError(f"annotator {annotator_id!r} has no repeat pair")
 
 
 def annotator_stability(
-    aset: AnnotationSet, pairing: str = "consecutive"
+    source: "AnnotationSet | RepeatTable", pairing: str = "consecutive"
 ) -> list[StabilityResult]:
-    """Per-annotator results for every annotator with a repeat pair, from a
-    single pairing pass (cheaper than repeated :func:`self_agreement`)."""
-    by_annotator: dict[str, list[RepeatPair]] = {}
-    for p in build_repeat_pairs(aset, pairing):
-        by_annotator.setdefault(p.annotator_id, []).append(p)
+    """Per-annotator results for every annotator with a repeat pair, sorted
+    by annotator id. ``source`` is a set, paired under ``pairing``, or a
+    :class:`RepeatTable` already paired."""
     return [
         StabilityResult(
-            scope="annotator",
-            subject_id=annotator,
-            exact_rate=sum(1 for p in pairs if p.consistent) / len(pairs),
-            self_kappa=_self_kappa(pairs),
-            n_pairs=len(pairs),
+            scope="annotator", subject_id=annotator, exact_rate=agree / n,
+            self_kappa=kappa, n_pairs=n,
         )
-        for annotator, pairs in sorted(by_annotator.items())
+        for annotator, n, agree, kappa in sorted(_annotator_counts(_as_table(source, pairing)))
     ]
 
 
@@ -205,23 +264,23 @@ def items_without_repeats(aset: AnnotationSet) -> tuple[str, ...]:
     return tuple(sorted(set(aset.items()) - set(item_votes(aset))))
 
 
-def dataset_stability(aset: AnnotationSet, pairing: str = "consecutive") -> StabilityResult:
+def dataset_stability(
+    source: "AnnotationSet | RepeatTable", pairing: str = "consecutive"
+) -> StabilityResult:
     """Pooled repeat consistency: exact_rate over every pair in the dataset,
-    self_kappa as the mean per-annotator kappa where defined."""
-    pairs = build_repeat_pairs(aset, pairing)
-    exact = sum(1 for p in pairs if p.consistent) / len(pairs)
-    by_annotator: dict[str, list[RepeatPair]] = {}
-    for p in pairs:
-        by_annotator.setdefault(p.annotator_id, []).append(p)
-    kappas = [
-        k for k in (_self_kappa(v) for v in by_annotator.values()) if k is not None
-    ]
+    self_kappa as the mean per-annotator kappa where defined, taken in the
+    order annotators first appear in (item, annotator) order. ``source`` is
+    a set, paired under ``pairing``, or a :class:`RepeatTable` already
+    paired (and perhaps reweighted)."""
+    per_annotator = _annotator_counts(_as_table(source, pairing))
+    total = sum(n for _, n, _, _ in per_annotator)
+    kappas = [kappa for _, _, _, kappa in per_annotator if kappa is not None]
     return StabilityResult(
         scope="dataset",
         subject_id=None,
-        exact_rate=exact,
+        exact_rate=sum(agree for _, _, agree, _ in per_annotator) / total,
         self_kappa=float(np.mean(kappas)) if kappas else None,
-        n_pairs=len(pairs),
+        n_pairs=total,
     )
 
 
@@ -264,30 +323,35 @@ def interval_profile(
     edges = sorted(float(e) for e in bucket_edges)
     if len(edges) != len(set(edges)) or any(e <= 0 for e in edges):
         raise InvalidConfigError("bucket edges must be positive and distinct")
+    if seed is not None and permutation_replicates < 1:
+        raise InvalidConfigError("permutation replicates must be >= 1")
     bounds = [0.0, *edges, math.inf]
-    timed = [p for p in pairs if p.interval_seconds is not None]
-    if not timed:
+    timed = np.fromiter((p.interval_seconds is not None for p in pairs), dtype=bool,
+                        count=len(pairs))
+    if not timed.any():
         raise NoIntervalsError("no repeat pair carries an interval")
-    assigned: list[list[bool]] = [[] for _ in range(len(bounds) - 1)]
-    for p in timed:
-        idx = np.searchsorted(bounds, p.interval_seconds, side="right") - 1
-        assigned[idx].append(p.consistent)
-    buckets = []
-    flags: list[bool] = []
-    sizes: list[int] = []
-    for idx, flags_in_bucket in enumerate(assigned):
-        if not flags_in_bucket:
-            continue
-        buckets.append(
-            IntervalBucket(
-                low=bounds[idx],
-                high=bounds[idx + 1],
-                exact_rate=sum(flags_in_bucket) / len(flags_in_bucket),
-                n_pairs=len(flags_in_bucket),
-            )
+    intervals = np.fromiter((p.interval_seconds for p in pairs if p.interval_seconds is not None),
+                            dtype=float, count=int(timed.sum()))
+    if not (intervals >= 0).all():
+        raise ValidationError("repeat pair intervals must be non-negative numbers")
+    consistent = np.fromiter((p.consistent for p in pairs), dtype=bool, count=len(pairs))[timed]
+    bucket_of = np.searchsorted(bounds, intervals, side="right") - 1
+    per_bucket = np.bincount(bucket_of, minlength=len(bounds) - 1)
+    occupied = np.flatnonzero(per_bucket)
+    sizes = per_bucket[occupied]
+    starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    # consistency flags grouped by bucket, in pair order within a bucket
+    flags = np.concatenate([consistent[bucket_of == b] for b in occupied]).astype(float)
+    hits_per_bucket = np.add.reduceat(flags, starts)
+    buckets = [
+        IntervalBucket(
+            low=bounds[idx],
+            high=bounds[idx + 1],
+            exact_rate=int(hit) / int(size),
+            n_pairs=int(size),
         )
-        flags.extend(flags_in_bucket)
-        sizes.append(len(flags_in_bucket))
+        for idx, hit, size in zip(occupied.tolist(), hits_per_bucket, sizes)
+    ]
     if len(buckets) < 2:
         raise TooFewBucketsError(
             f"interval profile needs >= 2 non-empty buckets, got {len(buckets)}"
@@ -296,16 +360,11 @@ def interval_profile(
     rates = np.array([b.exact_rate for b in buckets])
     rho = _spearman(order, rates)
     p_value = None
-    if seed is not None and permutation_replicates > 0:
-        flag_array = np.array(flags, dtype=float)
-        boundaries = np.cumsum(sizes)[:-1]
+    if seed is not None:
         hits = 0
         for replicate in range(permutation_replicates):
             rng = np.random.default_rng([int(seed), replicate])
-            shuffled = rng.permutation(flag_array)
-            perm_rates = np.array(
-                [chunk.mean() for chunk in np.split(shuffled, boundaries)]
-            )
+            perm_rates = np.add.reduceat(rng.permutation(flags), starts) / sizes
             if abs(_spearman(order, perm_rates)) >= abs(rho) - 1e-12:
                 hits += 1
         p_value = (1 + hits) / (1 + permutation_replicates)

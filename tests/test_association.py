@@ -3,17 +3,25 @@ import math
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import relistab.association
+import relistab.core
+import relistab.stability
+from relistab import reliability
+
 from oracles import pearson_phi
 from relistab import (
     ContingencyTable,
+    SimConfig,
     RationalisationRecord,
     build_contingency,
     compare_item_scores,
     compare_reliability,
     compare_stability,
+    dataset_stability,
     permutation_p,
     phi,
     resolve_rationalisation,
+    simulate,
 )
 from relistab.association import (
     PHI_CONVENTION,
@@ -28,6 +36,8 @@ from relistab.errors import (
     ValidationError,
     ZeroMarginError,
 )
+from relistab.reliability import percentile_ci, resampler
+from relistab.simulator import CAUSES
 from relistab.stability import ItemStabilityLabel
 
 from conftest import make_rounds
@@ -231,6 +241,43 @@ class TestCompare:
         set_a = make_rounds(STABLE_ROUNDS)
         with pytest.raises(InvalidConfigError):
             compare_stability(set_a, set_a)
+
+    @pytest.mark.parametrize("metric", ["exact_rate", "self_kappa"])
+    def test_stability_matches_resampled_and_repaired_sets(self, metric):
+        set_a, set_b = (simulate(SimConfig(
+            n_annotators=4, items_per_cause=dict.fromkeys(CAUSES, mix), categories=("x", "y", "z"),
+            rounds=3, base_error=0.2, seed=seed))[0] for seed, mix in ((1, 3), (2, 2)))
+
+        def stat(aset):
+            return getattr(dataset_stability(aset), metric)
+
+        draw_a, draw_b = resampler(set_a), resampler(set_b)
+        expected = percentile_ci(
+            lambda: stat(set_a) - stat(set_b),
+            lambda seed_, r: stat(draw_a(seed_, r, 0)) - stat(draw_b(seed_, r, 1)),
+            60, 0.9, 11, "comparison",
+        )
+        assert compare_stability(set_a, set_b, replicates=60, seed=11, metric=metric,
+                                 confidence=0.9) == expected
+
+    def test_stability_pairs_each_set_once(self, monkeypatch):
+        calls = {"pairs": 0, "resample": 0}
+        real_pairs, real_resample = relistab.core.build_repeat_pairs, reliability.resample_items
+
+        def counted_pairs(*args, **kwargs):
+            calls["pairs"] += 1
+            return real_pairs(*args, **kwargs)
+
+        def counted_resample(*args, **kwargs):
+            calls["resample"] += 1
+            return real_resample(*args, **kwargs)
+
+        for module in (relistab.association, relistab.stability):
+            monkeypatch.setattr(module, "build_repeat_pairs", counted_pairs, raising=False)
+        monkeypatch.setattr(reliability, "resample_items", counted_resample)
+        compare_stability(make_rounds(STABLE_ROUNDS), make_rounds(FLIPPING_ROUNDS),
+                          replicates=40, seed=4)
+        assert calls == {"pairs": 2, "resample": 0}
 
     def test_compare_item_scores(self):
         diff, (low, high) = compare_item_scores(

@@ -235,6 +235,48 @@ class TestStability:
         assert code == 3
 
 
+    @pytest.mark.parametrize("replicates", ["0", "-5"])
+    def test_permutation_must_be_positive_with_seed(self, capsys, workspace, replicates):
+        code, _, err = run(capsys, "stability",
+                           "--annotations", str(workspace / "annotations.csv"),
+                           "--schema", str(workspace / "schema.json"),
+                           "--permutation", replicates, "--seed", "1")
+        assert code == 3
+        assert error_of(err)["code"] == "InvalidConfig"
+
+
+@pytest.fixture(scope="module")
+def reversed_round(tmp_path_factory, workspace):
+    """The workspace data with b's round 2 of i1 stamped before its round 1."""
+    path = tmp_path_factory.mktemp("reversed") / "annotations.csv"
+    lines = (workspace / "annotations.csv").read_text(encoding="utf-8").splitlines()
+    header = lines[0].split(",")
+    item, ann, rnd, stamp = (header.index(k) for k in ("item_id", "annotator_id", "round",
+                                                       "timestamp"))
+    out = [lines[0]]
+    for line in lines[1:]:
+        row = line.split(",")
+        if (row[item], row[ann], row[rnd]) == ("i1", "b", "2"):
+            row[stamp] = "1500000000"
+        out.append(",".join(row))
+    path.write_text("\n".join(out) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability", "--annotations", "{data}"],
+    ["matrix", "--annotations", "{data}"],
+    ["compare", "--annotations-a", "{data}", "--annotations-b", "{data}",
+     "--axis", "stability", "--seed", "2", "--replicates", "5"],
+], ids=["stability", "matrix", "compare"])
+def test_time_reversed_round_names_the_cell(capsys, workspace, reversed_round, argv):
+    code, _, err = run(capsys, *(a.format(data=reversed_round) for a in argv),
+                       "--schema", str(workspace / "schema.json"))
+    assert code == 3
+    message = error_of(err)["message"]
+    assert "'i1'" in message and "'b'" in message and "predates" in message
+
+
 class TestMatrix:
     def test_writes_report_and_svg(self, capsys, workspace, tmp_path):
         out = tmp_path / "out"

@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from relistab import (
     AnnotationRecord,
@@ -13,13 +14,17 @@ from relistab import (
     interval_profile,
     item_stability_labels,
     items_without_repeats,
+    repeat_table,
+    resample_items,
     self_agreement,
     validate_dataset,
 )
+from relistab.core import PAIRING_POLICIES
 from relistab.errors import (
     InvalidConfigError,
     NoIntervalsError,
     NoRepeatsError,
+    RelistabError,
     TooFewBucketsError,
 )
 from relistab.stability import DEFAULT_BUCKET_EDGES
@@ -256,3 +261,93 @@ def test_profile_from_simulated_timestamps():
     profile = interval_profile(build_repeat_pairs(aset))
     assert [b.n_pairs for b in profile.buckets] == [2, 2]
     assert [b.exact_rate for b in profile.buckets] == [0.5, 0.5]
+
+
+@st.composite
+def repeat_sets(draw):
+    """A validated set of 2-5 rounds with missing cells, an item ``a~1`` that
+    a duplicate id can collide with, per-round stamps or none, and some
+    annotators who only ever give one label (chance-degenerate self-kappa)."""
+    n_rounds = draw(st.integers(2, 5))
+    items = draw(st.lists(st.sampled_from(("a", "b", "a~1", "c")),
+                          min_size=1, max_size=4, unique=True))
+    alphabet = {ann: draw(st.sampled_from(("x", "xy", "xyz"))) for ann in ("p", "q", "r")}
+    cells = [(item, ann, rnd) for item in items for ann in alphabet
+             for rnd in range(1, n_rounds + 1)]
+    kept = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    stamped = draw(st.booleans())
+    records = [
+        AnnotationRecord("t", item, ann, rnd, draw(st.sampled_from(alphabet[ann])),
+                         rnd * 3600.0 if stamped else None)
+        for item, ann, rnd in kept
+    ]
+    return validate_dataset(records, LabelSchema("t", ("x", "y", "z")))
+
+
+def outcome(fn):
+    """fn()'s value, or the type of the RelistabError it raised."""
+    try:
+        return fn()
+    except RelistabError as exc:
+        return type(exc)
+
+
+@given(repeat_sets(), st.sampled_from(PAIRING_POLICIES), st.data())
+def test_reweighted_table_equals_resampled_set(aset, pairing, data):
+    try:
+        table = repeat_table(aset, build_repeat_pairs(aset, pairing))
+    except NoRepeatsError:
+        assume(False)
+    items = aset.items()
+    drawn = data.draw(st.lists(st.integers(0, len(items) - 1),
+                               min_size=1, max_size=3 * len(items) + 3))
+    weighted = table.reweighted(np.bincount(drawn, minlength=len(items)))
+    resampled = resample_items(aset, [items[i] for i in drawn])
+    # exact equality: every number is a ratio of the same integer counts
+    assert outcome(lambda: dataset_stability(weighted)) == outcome(
+        lambda: dataset_stability(resampled, pairing))
+    assert outcome(lambda: annotator_stability(weighted)) == outcome(
+        lambda: annotator_stability(resampled, pairing))
+
+
+def test_table_counts_pairs_per_item_annotator_and_labels():
+    aset = make_rounds({
+        "a": {1: ["x", "y", "x"], 2: ["x", "y", "y"], 3: ["x", "x", "y"]},
+        "b": {1: ["x", None, "y"], 2: ["x", None, "y"]},
+    })
+    table = repeat_table(aset, build_repeat_pairs(aset, "all_pairs"))
+    assert table.items == ("i0", "i1", "i2") and table.annotators == ("a", "b")
+    x, y = (aset.schema.category_index()[c] for c in "xy")
+
+    def row(item, annotator, first, second, count):
+        return item, (annotator * 2 + first) * 2 + second, count
+
+    assert list(zip(table.item.tolist(), table.joint.tolist(), table.count.tolist())) == [
+        row(0, 0, x, x, 3), row(0, 1, x, x, 1),
+        row(1, 0, y, x, 2), row(1, 0, y, y, 1),
+        row(2, 0, x, y, 2), row(2, 0, y, y, 1), row(2, 1, y, y, 1),
+    ]
+    assert dataset_stability(table) == dataset_stability(aset, "all_pairs")
+    assert annotator_stability(table) == annotator_stability(aset, "all_pairs")
+
+
+def test_self_kappa_mean_follows_first_appearance_order():
+    # np.mean sums in list order, and these three kappas give a different last
+    # bit in a different order. c's first pair (item i0) comes before a's and
+    # b's (i1), so the set averages c, a, b; a replicate without i0 reaches
+    # all three at i1 and averages them in id order, a, b, c.
+    aset = make_rounds({
+        "a": {1: [None, "x", "y", None], 2: [None, "y", "x", None]},
+        "b": {1: [None, "x", "y", None], 2: [None, "y", "x", None]},
+        "c": {1: ["y", "x", "y", "y"], 2: ["y", "y", "x", "y"]},
+    })
+    kappa = {r.subject_id: r.self_kappa for r in annotator_stability(aset)}
+    first_seen = float(np.mean([kappa["c"], kappa["a"], kappa["b"]]))
+    by_id = float(np.mean([kappa["a"], kappa["b"], kappa["c"]]))
+    assert first_seen != by_id
+    assert dataset_stability(aset).self_kappa == first_seen
+    table = repeat_table(aset, build_repeat_pairs(aset))
+    drawn = [1, 2, 3, 3]
+    replicate = dataset_stability(table.reweighted(np.bincount(drawn, minlength=4)))
+    assert replicate == dataset_stability(resample_items(aset, [f"i{i}" for i in drawn]))
+    assert replicate.self_kappa == by_id
