@@ -213,7 +213,7 @@ def compare_stability(
     if metric not in ("exact_rate", "self_kappa"):
         raise InvalidConfigError("stability metric must be exact_rate or self_kappa")
     sets = (set_a, set_b)
-    tables = {}
+    tables = {}  # paired on first use, after percentile_ci has checked its arguments
 
     def stat(side: int, *key: int) -> float:
         if side not in tables:

@@ -11,8 +11,8 @@ from relistab import reliability
 from oracles import pearson_phi
 from relistab import (
     ContingencyTable,
-    SimConfig,
     RationalisationRecord,
+    SimConfig,
     build_contingency,
     compare_item_scores,
     compare_reliability,
@@ -273,7 +273,7 @@ class TestCompare:
             return real_resample(*args, **kwargs)
 
         for module in (relistab.association, relistab.stability):
-            monkeypatch.setattr(module, "build_repeat_pairs", counted_pairs, raising=False)
+            monkeypatch.setattr(module, "build_repeat_pairs", counted_pairs)
         monkeypatch.setattr(reliability, "resample_items", counted_resample)
         compare_stability(make_rounds(STABLE_ROUNDS), make_rounds(FLIPPING_ROUNDS),
                           replicates=40, seed=4)
