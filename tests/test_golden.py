@@ -105,6 +105,29 @@ STDOUT_RUNS = {
 
 MATRIX_FILES = ("report.json", "report.md", "matrix.svg")
 
+#: config documents the ``--config`` runs read, written next to the data
+CONFIGS = {
+    "reliability.cfg.json": {"annotations": A, "schema": SCHEMA, "round": [1, 2],
+                             "bootstrap": 20, "seed": 11},
+    "report.cfg.json": {"inputs": "a/report.json"},
+}
+
+#: golden file -> argv whose standard output it holds, for runs that read a
+#: config (their provenance records what the file gave, in its JSON types)
+CONFIG_RUNS = {
+    "validate.json": ["validate", "--annotations", A, "--schema", SCHEMA],
+    "reliability_config.json": ["reliability", "--config", "reliability.cfg.json"],
+    "report_config.json": ["report", "--config", "report.cfg.json"],
+}
+
+#: golden file -> file a run writes: ``simulate`` records the threshold
+#: options only when it analyses its data (``--end-to-end``)
+FILE_RUNS = {
+    "simulate.json": "a/report.json",
+    "simulate_end_to_end.json": "e2e/report.json",
+    "simulate_end_to_end.svg": "e2e/matrix.svg",
+}
+
 
 def _run(argv) -> str:
     out = io.StringIO()
@@ -130,10 +153,15 @@ def produce() -> dict[str, str]:
         "".join(json.dumps({**row, "round": int(row["round"])}) + "\n" for row in kept),
         encoding="utf-8",
     )
-    texts = {name: _run(argv) for name, argv in STDOUT_RUNS.items()}
+    for name, config in CONFIGS.items():
+        Path(name).write_text(json.dumps(config), encoding="utf-8")
+    texts = {name: _run(argv) for name, argv in {**STDOUT_RUNS, **CONFIG_RUNS}.items()}
     _run(["matrix", "--annotations", A, "--schema", SCHEMA, "--out", "matrix"])
     for name in MATRIX_FILES:
         texts[f"matrix/{name}"] = Path("matrix", name).read_text(encoding="utf-8")
+    _run(["simulate", "--sim-config", "a.sim.json", "--out", "e2e", "--end-to-end"])
+    for name, path in FILE_RUNS.items():
+        texts[name] = Path(path).read_text(encoding="utf-8")
     return texts
 
 
@@ -144,7 +172,8 @@ def fresh(tmp_path_factory):
         return produce()
 
 
-@pytest.mark.parametrize("name", [*STDOUT_RUNS, *(f"matrix/{n}" for n in MATRIX_FILES)])
+@pytest.mark.parametrize("name", [*STDOUT_RUNS, *CONFIG_RUNS, *FILE_RUNS,
+                                  *(f"matrix/{n}" for n in MATRIX_FILES)])
 def test_report_bytes_match_golden(fresh, name):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert fresh[name] == expected
