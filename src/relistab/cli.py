@@ -2,8 +2,9 @@
 
 Subcommands: validate, reliability, stability, matrix, phi, compare,
 simulate, report. Every long flag mirrors a key in an optional JSON config
-document (``--config run.json``, dashes becoming underscores); explicit
-flags win on conflict. Any subcommand that resamples (bootstrap,
+document (``--config run.json``, dashes becoming underscores) and goes
+through that flag's converter and choices; explicit flags win on
+conflict. Any subcommand that resamples (bootstrap,
 permutation, comparison, simulation) requires a seed so runs are
 reproducible.
 
@@ -30,7 +31,7 @@ from .association import (
     phi,
     resolve_rationalisation,
 )
-from .core import AnnotationSet, build_repeat_pairs, validate_dataset
+from .core import AnnotationSet, as_integer, as_number, as_text, build_repeat_pairs, validate_dataset
 from .errors import (
     DegenerateError,
     InvalidConfigError,
@@ -43,6 +44,7 @@ from .ingest import (
     _open_text,
     load_schema,
     read_annotation_records,
+    read_json_object,
     read_rationalisations_csv,
     save_schema,
     write_annotations_csv,
@@ -76,80 +78,93 @@ from .stability import (
     dataset_stability,
     interval_profile,
     item_stability_labels,
-    items_without_repeats,
     repeat_table,
 )
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse with usage errors routed through the config-error path."""
+    """argparse with usage errors routed through the config-error path.
+
+    A subcommand's parser keeps its options by dest, so that a ``--config``
+    value goes through the same converter and choices as its flag, and
+    checks ``required`` only once either source may have given the value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self.options: dict[str, argparse.Action] = {}
+        self.required_options: list[str] = []
+        super().__init__(*args, **kwargs)
 
     def error(self, message):
         raise InvalidConfigError(message)
 
+    def add_argument(self, *args, required=False, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.default is not argparse.SUPPRESS:  # not --help or --version
+            self.options[action.dest] = action
+        if required:
+            self.required_options.append(action.dest)
+        return action
 
-def _read_config_file(path: str) -> dict:
-    with _open_text(path) as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfigError(f"{path}: config is not valid JSON") from exc
-    if not isinstance(obj, dict):
-        raise InvalidConfigError(f"{path}: config must be a JSON object")
-    return obj
-
-
-class _Options:
-    """Flag/config merger: flags win, then config file, then defaults."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.config = _read_config_file(args.config) if args.config else {}
-        # every key the subcommand has a flag for, and no other
-        allowed_keys = set(vars(args)) - {"config", "func", "subcommand"}
-        unknown = sorted(set(self.config) - allowed_keys)
+    def config_defaults(self, config: dict) -> dict:
+        """``config``'s values, converted and checked as their flags would be:
+        a switch takes a JSON boolean, an option that takes several values
+        one value or a list, any other option one value through its
+        ``type`` (text when it has none). A null is the same as no key."""
+        allowed = sorted(set(self.options) - {"config"})
+        unknown = sorted(set(config) - set(allowed))
         if unknown:
-            raise InvalidConfigError(
-                f"unknown config key(s) {unknown}; allowed: {sorted(allowed_keys)}"
-            )
-        self.resolved: dict = {}
-
-    def get(self, key: str, default=None, cast=None, required=False):
-        value = getattr(self.args, key, None)
-        if value is None:
-            value = self.config.get(key, default)
-        if value is not None and cast is not None:
+            raise InvalidConfigError(f"unknown config key(s) {unknown}; allowed: {allowed}")
+        defaults = {}
+        for key, value in config.items():
+            if value is None:
+                continue
+            action = self.options[key]
+            convert = action.type or as_text
             try:
-                value = cast(value)
+                if action.nargs == 0:
+                    if not isinstance(value, bool):
+                        raise TypeError("expected true or false")
+                    converted = value
+                elif action.nargs == "+" and isinstance(value, list) and value:
+                    converted = [convert(v) for v in value]
+                else:
+                    converted = convert(value)
+                if action.choices is not None and converted not in action.choices:
+                    raise ValueError(f"choose from {list(action.choices)}")
             except (TypeError, ValueError) as exc:
-                raise InvalidConfigError(f"bad value for {key!r}: {value!r}") from exc
-        if required and value is None:
-            raise InvalidConfigError(f"missing required option {key!r}")
-        self.resolved[key] = value
-        return value
+                raise InvalidConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
+            defaults[key] = converted
+        return defaults
 
 
-def _parse_rounds(value):
-    if isinstance(value, int):
-        return value
-    if isinstance(value, (list, tuple)):
-        return [int(v) for v in value]
-    text = str(value)
-    if "," in text:
-        return [int(part) for part in text.split(",") if part.strip()]
-    return int(text)
+# --- option converters: each takes a flag's text or a config's JSON value ----
 
 
-def _parse_edges(value):
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    return [float(part) for part in str(value).split(",") if part.strip()]
+def nonnegative(value) -> int:
+    result = as_integer(value)
+    if result < 0:
+        raise ValueError(f"{value!r} is negative")
+    return result
 
 
-def _require_seed(seed, what: str) -> int:
-    if seed is None:
-        raise InvalidConfigError(f"{what} resamples; a --seed is required")
-    return int(seed)
+def number(value) -> float:
+    """:func:`core.as_number`, by the name flag errors show."""
+    return as_number(value)
+
+
+def rounds(value):
+    """One round, or a list of them given as comma text or a JSON list."""
+    if isinstance(value, str) and "," in value:
+        value = [part for part in value.split(",") if part.strip()]
+    return [as_integer(v) for v in value] if isinstance(value, list) else as_integer(value)
+
+
+def edges(value) -> list[float]:
+    """Bucket edges in seconds: comma text, a JSON list or one number."""
+    if isinstance(value, str):
+        value = [part for part in value.split(",") if part.strip()]
+    return [as_number(v) for v in (value if isinstance(value, list) else [value])]
 
 
 def _load_dataset(annotations_path: str, schema_path: str) -> AnnotationSet:
@@ -169,29 +184,39 @@ def _emit(report: dict, out_dir: str | None, svg: str | None = None) -> None:
         (out / "matrix.svg").write_text(svg, encoding="utf-8")
 
 
-def _provenance(opts: _Options, subcommand: str, inputs: dict, seed) -> dict:
-    config = {"subcommand": subcommand}
+def _provenance(args, inputs: dict, seed, omit=()) -> dict:
     # output routing doesn't affect the computation, so it stays out of the
     # provenance: the same analysis gives the same report bytes wherever it
     # is written
-    config.update({k: v for k, v in opts.resolved.items() if k != "out"})
+    config = {k: v for k, v in vars(args).items() if k not in ("config", "func", "out", *omit)}
     return build_provenance(inputs, config, seed)
+
+
+def _inputs(args, *keys) -> dict:
+    return {key: getattr(args, key) for key in keys}
+
+
+#: the options that ``matrix`` and ``simulate --end-to-end`` place items by
+THRESHOLD_OPTIONS = tuple(field.name for field in dataclasses.fields(QuadrantThresholds))
+
+
+def _place(aset: AnnotationSet, args):
+    """The dataset's and each item's quadrant under the threshold options,
+    the items left unplaced, and the matrix SVG."""
+    thresholds = QuadrantThresholds(**{name: getattr(args, name) for name in THRESHOLD_OPTIONS})
+    dataset = classify_dataset(aset, thresholds)
+    items, excluded = classify_items(aset, thresholds)
+    return dataset, items, excluded, render_svg_quadrant([dataset, *items], thresholds)
 
 
 # --- subcommands ------------------------------------------------------------
 
 
 def cmd_validate(args) -> int:
-    opts = _Options(args)
-    annotations = opts.get("annotations", required=True)
-    schema_path = opts.get("schema", required=True)
-    out = opts.get("out")
-    aset = _load_dataset(annotations, schema_path)
+    aset = _load_dataset(args.annotations, args.schema)
     report = {
         "report_kind": "validate",
-        "provenance": _provenance(
-            opts, "validate", {"annotations": annotations, "schema": schema_path}, None
-        ),
+        "provenance": _provenance(args, _inputs(args, "annotations", "schema"), None),
         "validation": {
             "n_records": len(aset),
             "n_items": len(aset.items()),
@@ -199,7 +224,7 @@ def cmd_validate(args) -> int:
             "rounds": list(aset.rounds()),
         },
     }
-    _emit(report, out)
+    _emit(report, args.out)
     return 0
 
 
@@ -218,26 +243,14 @@ def _reliability_battery(aset: AnnotationSet) -> list[str]:
 
 
 def cmd_reliability(args) -> int:
-    opts = _Options(args)
-    annotations = opts.get("annotations", required=True)
-    schema_path = opts.get("schema", required=True)
-    metric = opts.get("metric")
-    rounds = opts.get("round", default=1, cast=_parse_rounds)
-    annotator_a = opts.get("annotator_a")
-    annotator_b = opts.get("annotator_b")
-    icc_model = opts.get("icc_model", default="oneway_random")
-    distance = opts.get("distance")
-    replicates = opts.get("bootstrap", cast=int)
-    confidence = opts.get("confidence", default=0.95, cast=float)
-    seed = opts.get("seed", cast=int)
-    out = opts.get("out")
-
-    aset = _load_dataset(annotations, schema_path)
-    names = [metric] if metric else _reliability_battery(aset)
+    if args.bootstrap and args.seed is None:
+        raise InvalidConfigError("bootstrap resamples; a --seed is required")
+    aset = _load_dataset(args.annotations, args.schema)
+    names = [args.metric] if args.metric else _reliability_battery(aset)
 
     def _pair() -> tuple[str, str]:
-        if annotator_a and annotator_b:
-            return annotator_a, annotator_b
+        if args.annotator_a and args.annotator_b:
+            return args.annotator_a, args.annotator_b
         annotators = aset.annotators()
         if len(annotators) == 2:
             return annotators[0], annotators[1]
@@ -247,60 +260,43 @@ def cmd_reliability(args) -> int:
         )
 
     def kernel_for(name: str):
-        if name not in RELIABILITY_CHOICES:
-            raise InvalidConfigError(f"unknown reliability metric {name!r}")
         options = {}
         if name == "icc":
-            if icc_model not in ICC_MODELS:
-                raise InvalidConfigError(f"model must be one of {ICC_MODELS}, got {icc_model!r}")
-            name = f"icc_{icc_model}"
+            name = f"icc_{args.icc_model}"
         elif name == "cohens_kappa":
             ann_a, ann_b = _pair()
             options = {"annotator_a": ann_a, "annotator_b": ann_b}
         elif name == "krippendorff_alpha":
-            options = {"distance": distance}
+            options = {"distance": args.distance}
         kernel = METRICS[name].kernel
-        return lambda s: kernel(s, rounds, **options)
+        return lambda s: kernel(s, args.round, **options)
 
     results = []
     for name in names:
         fn = kernel_for(name)
         result = fn(aset)
-        if replicates:
-            ci = bootstrap_ci(
-                fn, aset, replicates=replicates, confidence=confidence,
-                seed=_require_seed(seed, "bootstrap"),
-            )
+        if args.bootstrap:
+            ci = bootstrap_ci(fn, aset, replicates=args.bootstrap,
+                              confidence=args.confidence, seed=args.seed)
             result = result.with_ci(ci)
         results.append(result)
 
     report = {
         "report_kind": "reliability",
-        "provenance": _provenance(
-            opts, "reliability", {"annotations": annotations, "schema": schema_path}, seed
-        ),
+        "provenance": _provenance(args, _inputs(args, "annotations", "schema"), args.seed),
         "reliability": [r.to_report() for r in results],
     }
-    _emit(report, out)
+    _emit(report, args.out)
     return 0
 
 
 def cmd_stability(args) -> int:
-    opts = _Options(args)
-    annotations = opts.get("annotations", required=True)
-    schema_path = opts.get("schema", required=True)
-    pairing = opts.get("pairing", default="consecutive")
-    edges = opts.get("bucket_edges", default=list(DEFAULT_BUCKET_EDGES), cast=_parse_edges)
-    replicates = opts.get("permutation", default=1000, cast=int)
-    seed = opts.get("seed", cast=int)
-    out = opts.get("out")
-
-    aset = _load_dataset(annotations, schema_path)
-    pairs = build_repeat_pairs(aset, pairing)
+    aset = _load_dataset(args.annotations, args.schema)
+    pairs = build_repeat_pairs(aset, args.pairing)
     try:
         profile = interval_profile(
-            pairs, bucket_edges=edges, permutation_replicates=replicates,
-            seed=None if seed is None else int(seed),
+            pairs, bucket_edges=args.bucket_edges,
+            permutation_replicates=args.permutation, seed=args.seed,
         ).to_report()
     except (NoIntervalsError, TooFewBucketsError):
         profile = None
@@ -312,157 +308,100 @@ def cmd_stability(args) -> int:
 
     report = {
         "report_kind": "stability",
-        "provenance": _provenance(
-            opts, "stability", {"annotations": annotations, "schema": schema_path}, seed
-        ),
+        "provenance": _provenance(args, _inputs(args, "annotations", "schema"), args.seed),
         "stability": {
             "dataset": dataset.to_report(),
             "annotators": [a.to_report() for a in annotators],
             "items": [i.to_report() for i in items],
-            "excluded_items": list(items_without_repeats(aset)),
+            # nobody relabelled the items without a label
+            "excluded_items": sorted(set(aset.items()) - {i.item_id for i in items}),
             "intervals": profile,
         },
     }
-    _emit(report, out)
+    _emit(report, args.out)
     return 0
 
 
-def _thresholds_from(opts: _Options) -> QuadrantThresholds:
-    return QuadrantThresholds(
-        reliability_cut=opts.get("reliability_cut", cast=float),
-        stability_cut=opts.get("stability_cut", cast=float),
-        reliability_metric=opts.get("reliability_metric", default="krippendorff_alpha"),
-        stability_metric=opts.get("stability_metric", default="self_kappa"),
-    )
-
-
 def cmd_matrix(args) -> int:
-    opts = _Options(args)
-    annotations = opts.get("annotations", required=True)
-    schema_path = opts.get("schema", required=True)
-    thresholds = _thresholds_from(opts)
-    out = opts.get("out")
-
-    aset = _load_dataset(annotations, schema_path)
-    dataset_assignment = classify_dataset(aset, thresholds)
-    item_assignments, excluded = classify_items(aset, thresholds)
-    svg = render_svg_quadrant([dataset_assignment, *item_assignments], thresholds)
+    aset = _load_dataset(args.annotations, args.schema)
+    dataset_assignment, item_assignments, excluded, svg = _place(aset, args)
 
     report = {
         "report_kind": "matrix",
-        "provenance": _provenance(
-            opts, "matrix", {"annotations": annotations, "schema": schema_path}, None
-        ),
+        "provenance": _provenance(args, _inputs(args, "annotations", "schema"), None),
         "matrix": {
             "dataset": dataset_assignment.to_report(),
             "items": [a.to_report() for a in item_assignments],
             "excluded": list(excluded),
         },
     }
-    _emit(report, out, svg=svg)
+    _emit(report, args.out, svg=svg)
     return 0
 
 
 def cmd_phi(args) -> int:
-    opts = _Options(args)
-    annotations = opts.get("annotations", required=True)
-    schema_path = opts.get("schema", required=True)
-    rationalisations_path = opts.get("rationalisations", required=True)
-    replicates = opts.get("permutation", default=10000, cast=int)
-    seed = opts.get("seed", cast=int)
-    out = opts.get("out")
-
-    aset = _load_dataset(annotations, schema_path)
+    aset = _load_dataset(args.annotations, args.schema)
     labels = item_stability_labels(aset)
-    records = read_rationalisations_csv(rationalisations_path)
+    records = read_rationalisations_csv(args.rationalisations)
     resolved, ties = resolve_rationalisation(records)
     table = build_contingency(labels, resolved)
     result = phi(table, n_excluded_ties=len(ties))
-    if seed is not None:
+    if args.seed is not None:
         result = dataclasses.replace(
-            result, p_value=permutation_p(table, replicates=replicates, seed=int(seed))
+            result, p_value=permutation_p(table, replicates=args.permutation, seed=args.seed)
         )
 
     report = {
         "report_kind": "phi",
         "provenance": _provenance(
-            opts,
-            "phi",
-            {
-                "annotations": annotations,
-                "schema": schema_path,
-                "rationalisations": rationalisations_path,
-            },
-            seed,
+            args, _inputs(args, "annotations", "schema", "rationalisations"), args.seed
         ),
         "association": result.to_report(),
     }
-    _emit(report, out)
+    _emit(report, args.out)
     return 0
 
 
 def cmd_compare(args) -> int:
-    opts = _Options(args)
-    annotations_a = opts.get("annotations_a", required=True)
-    annotations_b = opts.get("annotations_b", required=True)
-    schema_path = opts.get("schema", required=True)
-    schema_b_path = opts.get("schema_b", default=schema_path)
-    axis = opts.get("axis", required=True)
-    if axis not in ("reliability", "stability"):
-        raise InvalidConfigError("axis must be 'reliability' or 'stability'")
-    metric = opts.get(
-        "metric", default="krippendorff_alpha" if axis == "reliability" else "exact_rate"
-    )
-    replicates = opts.get("replicates", default=1000, cast=int)
-    seed = _require_seed(opts.get("seed", cast=int), "compare")
-    confidence = opts.get("confidence", default=0.95, cast=float)
-    out = opts.get("out")
+    # the two defaults that depend on other options
+    if args.schema_b is None:
+        args.schema_b = args.schema
+    if args.metric is None:
+        args.metric = "krippendorff_alpha" if args.axis == "reliability" else "exact_rate"
 
-    set_a = _load_dataset(annotations_a, schema_path)
-    set_b = _load_dataset(annotations_b, schema_b_path)
-    fn = compare_reliability if axis == "reliability" else compare_stability
+    set_a = _load_dataset(args.annotations_a, args.schema)
+    set_b = _load_dataset(args.annotations_b, args.schema_b)
+    fn = compare_reliability if args.axis == "reliability" else compare_stability
     difference, ci = fn(
-        set_a, set_b, replicates=replicates, seed=seed, metric=metric, confidence=confidence
+        set_a, set_b, replicates=args.replicates, seed=args.seed, metric=args.metric,
+        confidence=args.confidence,
     )
 
     report = {
         "report_kind": "compare",
         "provenance": _provenance(
-            opts,
-            "compare",
-            {
-                "annotations_a": annotations_a,
-                "annotations_b": annotations_b,
-                "schema": schema_path,
-                "schema_b": schema_b_path,
-            },
-            seed,
+            args, _inputs(args, "annotations_a", "annotations_b", "schema", "schema_b"), args.seed
         ),
         "comparison": {
-            "axis": axis,
-            "metric": metric,
+            "axis": args.axis,
+            "metric": args.metric,
             "difference": difference,
             "ci": list(ci),
-            "replicates": replicates,
-            "confidence": confidence,
+            "replicates": args.replicates,
+            "confidence": args.confidence,
         },
     }
-    _emit(report, out)
+    _emit(report, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    opts = _Options(args)
-    config_path = opts.get("sim_config", required=True)
-    out = opts.get("out", required=True)
-    end_to_end = bool(opts.get("end_to_end", default=False))
-    config = load_sim_config(config_path)
-    seed = opts.get("seed", cast=int)
-    if seed is not None:
-        config = dataclasses.replace(config, seed=seed)
+    config = load_sim_config(args.sim_config)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
 
     aset, truth = simulate(config)
-    out_dir = Path(out)
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_annotations_csv(aset, out_dir / "annotations.csv")
     (out_dir / "truth.json").write_text(
@@ -475,27 +414,25 @@ def cmd_simulate(args) -> int:
 
     recovery = None
     svg = None
-    if end_to_end:
-        thresholds = _thresholds_from(opts)
-        dataset_assignment = classify_dataset(aset, thresholds)
-        item_assignments, _excluded = classify_items(aset, thresholds)
-        svg = render_svg_quadrant([dataset_assignment, *item_assignments], thresholds)
+    if args.end_to_end:
+        dataset_assignment, item_assignments, _excluded, svg = _place(aset, args)
+        quadrant = dataset_assignment.quadrant.value
         causes = sorted(set(truth.causes.values()))
         expected = DEFAULT_CAUSE_QUADRANT[causes[0]].value if len(causes) == 1 else None
         recovery = {
             "accuracy": recovery_accuracy(item_assignments, truth),
             "n_items": len(item_assignments),
-            "dataset_quadrant": dataset_assignment.quadrant.value,
+            "dataset_quadrant": quadrant,
             "expected_quadrant": expected,
-            "dataset_match": None
-            if expected is None
-            else dataset_assignment.quadrant.value == expected,
+            "dataset_match": None if expected is None else expected == quadrant,
         }
 
     report = {
         "report_kind": "simulate",
+        # the thresholds count only when the data is placed in the matrix
         "provenance": _provenance(
-            opts, "simulate", {"sim_config": config_path}, config.seed
+            args, _inputs(args, "sim_config"), config.seed,
+            omit=() if args.end_to_end else THRESHOLD_OPTIONS,
         ),
         "simulation": {
             "config": config.to_json(),
@@ -504,16 +441,13 @@ def cmd_simulate(args) -> int:
             "recovery": recovery,
         },
     }
-    _emit(report, out, svg=svg)
+    _emit(report, args.out, svg=svg)
     return 0
 
 
 def cmd_report(args) -> int:
-    opts = _Options(args)
-    inputs = opts.get("inputs", required=True)
-    if isinstance(inputs, str):
-        inputs = [inputs]
-    out = opts.get("out")
+    # a config may give one path as a string; the provenance keeps it so
+    inputs = [args.inputs] if isinstance(args.inputs, str) else args.inputs
     merged: dict = {}
     section_source: dict[str, str] = {}
     seeds = []
@@ -540,14 +474,13 @@ def cmd_report(args) -> int:
     report = {
         "report_kind": "bundle",
         "provenance": _provenance(
-            opts,
-            "report",
+            args,
             {f"report_{i}": path for i, path in enumerate(inputs)},
             distinct_seeds[0] if len(distinct_seeds) == 1 else None,
         ),
         **merged,
     }
-    _emit(report, out)
+    _emit(report, args.out)
     return 0
 
 
@@ -555,81 +488,103 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser; ``parser.commands`` maps each subcommand to its own."""
     parser = _Parser(prog="relistab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"relistab {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    parser.commands = sub.choices
 
-    def add(name, func, helptext):
+    def add(name, func, helptext, dataset=True, out_required=False):
         p = sub.add_parser(name, help=helptext, description=helptext)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file mirroring the flags")
-        p.add_argument("--out", help="output directory (default: JSON to stdout)")
+        p.add_argument("--out", required=out_required,
+                       help="output directory (default: JSON to stdout)")
+        if dataset:
+            p.add_argument("--annotations", required=True)
+            p.add_argument("--schema", required=True)
         return p
 
-    p = add("validate", cmd_validate, "ingest a dataset and check every invariant")
-    p.add_argument("--annotations")
-    p.add_argument("--schema")
+    def add_thresholds(p):
+        p.add_argument("--reliability-metric", choices=list(RELIABILITY_METRICS),
+                       default="krippendorff_alpha")
+        p.add_argument("--stability-metric", choices=list(STABILITY_METRICS),
+                       default="self_kappa")
+        p.add_argument("--reliability-cut", type=number)
+        p.add_argument("--stability-cut", type=number)
+
+    add("validate", cmd_validate, "ingest a dataset and check every invariant")
 
     p = add("reliability", cmd_reliability, "between-annotator agreement metrics")
-    p.add_argument("--annotations")
-    p.add_argument("--schema")
     p.add_argument("--metric", choices=RELIABILITY_CHOICES)
-    p.add_argument("--round", help="round selector: an integer or comma list")
-    p.add_argument("--annotator-a", dest="annotator_a")
-    p.add_argument("--annotator-b", dest="annotator_b")
-    p.add_argument("--icc-model", dest="icc_model", choices=list(ICC_MODELS))
+    p.add_argument("--round", type=rounds, default=1,
+                   help="round selector: an integer or comma list")
+    p.add_argument("--annotator-a")
+    p.add_argument("--annotator-b")
+    p.add_argument("--icc-model", choices=list(ICC_MODELS), default="oneway_random")
     p.add_argument("--distance", choices=["nominal", "ordinal", "interval"])
-    p.add_argument("--bootstrap", type=int, help="bootstrap replicates for CIs")
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--bootstrap", type=nonnegative, help="bootstrap replicates for CIs")
+    p.add_argument("--confidence", type=number, default=0.95)
+    p.add_argument("--seed", type=nonnegative)
 
     p = add("stability", cmd_stability, "within-annotator consistency across rounds")
-    p.add_argument("--annotations")
-    p.add_argument("--schema")
-    p.add_argument("--pairing", choices=["consecutive", "first_last", "all_pairs"])
-    p.add_argument("--bucket-edges", dest="bucket_edges", help="comma list of seconds")
-    p.add_argument("--permutation", type=int, help="trend permutation replicates")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--pairing", choices=["consecutive", "first_last", "all_pairs"],
+                   default="consecutive")
+    p.add_argument("--bucket-edges", type=edges, default=list(DEFAULT_BUCKET_EDGES),
+                   help="comma list of seconds")
+    p.add_argument("--permutation", type=nonnegative, default=1000,
+                   help="trend permutation replicates")
+    p.add_argument("--seed", type=nonnegative)
 
     p = add("matrix", cmd_matrix, "dataset + item quadrant placement and SVG")
-    p.add_argument("--annotations")
-    p.add_argument("--schema")
-    p.add_argument("--reliability-metric", dest="reliability_metric", choices=list(RELIABILITY_METRICS))
-    p.add_argument("--stability-metric", dest="stability_metric", choices=list(STABILITY_METRICS))
-    p.add_argument("--reliability-cut", dest="reliability_cut", type=float)
-    p.add_argument("--stability-cut", dest="stability_cut", type=float)
+    add_thresholds(p)
 
     p = add("phi", cmd_phi, "stability x rationalisation contingency and phi")
-    p.add_argument("--annotations")
-    p.add_argument("--schema")
-    p.add_argument("--rationalisations", help="CSV: item_id,rater_id,label")
-    p.add_argument("--permutation", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--rationalisations", required=True, help="CSV: item_id,rater_id,label")
+    p.add_argument("--permutation", type=nonnegative, default=10000)
+    p.add_argument("--seed", type=nonnegative)
 
-    p = add("compare", cmd_compare, "two-dataset difference with bootstrap CI")
-    p.add_argument("--annotations-a", dest="annotations_a")
-    p.add_argument("--annotations-b", dest="annotations_b")
-    p.add_argument("--schema")
-    p.add_argument("--schema-b", dest="schema_b")
-    p.add_argument("--axis", choices=["reliability", "stability"])
-    p.add_argument("--metric")
-    p.add_argument("--replicates", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--confidence", type=float)
+    p = add("compare", cmd_compare, "two-dataset difference with bootstrap CI", dataset=False)
+    p.add_argument("--annotations-a", required=True)
+    p.add_argument("--annotations-b", required=True)
+    p.add_argument("--schema", required=True)
+    p.add_argument("--schema-b", help="schema of B (default: --schema)")
+    p.add_argument("--axis", required=True, choices=["reliability", "stability"])
+    p.add_argument("--metric", help="default: krippendorff_alpha or exact_rate, by axis")
+    p.add_argument("--replicates", type=nonnegative, default=1000)
+    p.add_argument("--seed", type=nonnegative, required=True)
+    p.add_argument("--confidence", type=number, default=0.95)
 
-    p = add("simulate", cmd_simulate, "generate a synthetic dataset with ground truth")
-    p.add_argument("--sim-config", dest="sim_config", help="JSON simulation config")
-    p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--end-to-end", dest="end_to_end", action=argparse.BooleanOptionalAction, default=None)
-    p.add_argument("--reliability-metric", dest="reliability_metric", choices=list(RELIABILITY_METRICS))
-    p.add_argument("--stability-metric", dest="stability_metric", choices=list(STABILITY_METRICS))
-    p.add_argument("--reliability-cut", dest="reliability_cut", type=float)
-    p.add_argument("--stability-cut", dest="stability_cut", type=float)
+    p = add("simulate", cmd_simulate, "generate a synthetic dataset with ground truth",
+            dataset=False, out_required=True)
+    p.add_argument("--sim-config", required=True, help="JSON simulation config")
+    p.add_argument("--seed", type=nonnegative, help="override the config seed")
+    p.add_argument("--end-to-end", action=argparse.BooleanOptionalAction, default=False)
+    add_thresholds(p)
 
-    p = add("report", cmd_report, "merge prior report JSONs into one bundle")
-    p.add_argument("--inputs", nargs="+", help="report.json files to merge")
+    p = add("report", cmd_report, "merge prior report JSONs into one bundle", dataset=False)
+    p.add_argument("--inputs", nargs="+", required=True, help="report.json files to merge")
 
     return parser
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """Flags win over ``--config`` values, which win over the defaults.
+
+    The config's values, converted and checked like flags, become the
+    subcommand's defaults, and the flags are parsed again over them.
+    Required options are checked last, as either source may give them.
+    """
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    command = parser.commands[args.subcommand]
+    if args.config:
+        command.set_defaults(**command.config_defaults(read_json_object(args.config, "config")))
+        args = parser.parse_args(argv)
+    missing = [dest for dest in command.required_options if getattr(args, dest) is None]
+    if missing:
+        raise InvalidConfigError(f"missing required option {missing[0]!r}")
+    return args
 
 
 def _fail(code: str, exc: Exception, status: int) -> int:
@@ -643,9 +598,8 @@ def _fail(code: str, exc: Exception, status: int) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
         return args.func(args)
     except ValidationError as exc:
         return _fail(exc.code, exc, 3)

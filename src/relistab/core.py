@@ -246,7 +246,12 @@ RECORD_FIELDS = ("task_id", "item_id", "annotator_id", "round", "label", "timest
 _REQUIRED_FIELDS = RECORD_FIELDS[:5]
 
 
-def _as_round(value) -> int:
+def as_integer(value) -> int:
+    """An int, an integral float or the text of an integer, as an int.
+
+    A bool or a fractional float raises ValueError. This is the one rule for
+    integers read from data or configs: rounds, seeds and counts.
+    """
     if type(value) is int:  # not bool
         return value
     if isinstance(value, str):
@@ -254,8 +259,25 @@ def _as_round(value) -> int:
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, (bool, float)):
-        raise ValueError(value)
+        raise ValueError(f"{value!r} is not an integer")
     return operator.index(value)
+
+
+def as_number(value) -> float:
+    """A finite number or the text of one, as a float; a bool is refused."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    result = float(value)
+    if not math.isfinite(result):
+        raise ValueError(f"{value!r} is not finite")
+    return result
+
+
+def as_text(value) -> str:
+    """``value`` if it is a string (a path or a name); nothing is coerced."""
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a string")
+    return value
 
 
 def _as_timestamp(value) -> float | None:
@@ -292,7 +314,7 @@ def coerce_record(raw: Mapping) -> AnnotationRecord:
         raise ValidationError(f"missing field(s) {missing}")
     task_id, item_id, annotator_id, rnd, label = values
     try:
-        rnd = _as_round(rnd)
+        rnd = as_integer(rnd)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"round {rnd!r} is not an integer") from exc
     try:

@@ -148,14 +148,21 @@ def write_rationalisations_csv(records, path: str | Path) -> None:
             writer.writerow([rec.item_id, rec.rater_id, rec.label])
 
 
-def load_schema(path: str | Path) -> LabelSchema:
+def read_json_object(path: str | Path, what: str) -> dict:
+    """The JSON object in ``path``, a schema or config file; anything else
+    is an InvalidConfigError naming the file."""
     with _open_text(path) as handle:
         try:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise InvalidConfigError(f"{path}: invalid JSON") from exc
     if not isinstance(obj, dict):
-        raise InvalidConfigError(f"{path}: schema document must be an object")
+        raise InvalidConfigError(f"{path}: {what} must be a JSON object")
+    return obj
+
+
+def load_schema(path: str | Path) -> LabelSchema:
+    obj = read_json_object(path, "schema")
     try:
         return LabelSchema(
             task_id=str(obj["task_id"]),

@@ -23,16 +23,23 @@ output is identical however the cells are traversed.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .association import RationalisationRecord
-from .core import AnnotationRecord, AnnotationSet, LabelSchema, validate_dataset
+from .core import (
+    AnnotationRecord,
+    AnnotationSet,
+    LabelSchema,
+    as_integer,
+    as_number,
+    as_text,
+    validate_dataset,
+)
 from .errors import CoverageMismatchError, EmptyInputError, InvalidConfigError
-from .ingest import _open_text
+from .ingest import read_json_object
 from .quadrant import Quadrant, QuadrantAssignment
 
 CAUSES = ("straightforward", "subjective", "ambiguous", "difficult", "value_shift")
@@ -50,6 +57,24 @@ BASE_TIMESTAMP = 1_600_000_000.0
 
 #: two weeks, the classic recall-study gap
 DEFAULT_ROUND_INTERVAL = 1_209_600.0
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a list")
+    return value
+
+
+#: how a :class:`SimConfig` field of each annotated type reads from JSON
+_FROM_JSON = {
+    "int": as_integer,
+    "float": as_number,
+    "str": as_text,
+    "Mapping[str, int]": lambda obj: {as_text(k): as_integer(v) for k, v in obj.items()},
+    "tuple[str, ...]": lambda obj: tuple(map(as_text, _list(obj))),
+    "tuple[float, ...] | None":
+        lambda obj: None if obj is None else tuple(map(as_number, _list(obj))),
+}
 
 
 @dataclass(frozen=True)
@@ -103,41 +128,32 @@ class SimConfig:
             raise InvalidConfigError("drift must be >= 0")
         if not 0.0 <= self.difficult_latent_error <= 1.0:
             raise InvalidConfigError("difficult_latent_error must lie in [0, 1]")
+        if self.seed < 0:
+            raise InvalidConfigError("seed must be >= 0")
 
     @classmethod
     def from_json(cls, obj: Mapping) -> "SimConfig":
+        """Build from a JSON object keyed by field name; an absent key takes
+        the field's default. Integers follow :func:`core.as_integer` (2.7 or
+        true is refused, not truncated) and lists must be JSON lists."""
         if not isinstance(obj, Mapping):
             raise InvalidConfigError("simulation config must be a JSON object")
-        known = {
-            "n_annotators", "items_per_cause", "categories", "n_groups", "rounds",
-            "interval_per_round", "base_error", "drift", "difficult_latent_error",
-            "seed", "task_id",
-        }
-        unknown = sorted(set(obj) - known)
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(set(obj) - set(known))
         if unknown:
             raise InvalidConfigError(f"unknown simulation config key(s) {unknown}")
-        try:
-            return cls(
-                n_annotators=int(obj["n_annotators"]),
-                items_per_cause={str(k): int(v) for k, v in obj["items_per_cause"].items()},
-                categories=tuple(str(c) for c in obj["categories"]),
-                n_groups=int(obj.get("n_groups", 2)),
-                rounds=int(obj.get("rounds", 2)),
-                interval_per_round=(
-                    None
-                    if obj.get("interval_per_round") is None
-                    else tuple(float(v) for v in obj["interval_per_round"])
-                ),
-                base_error=float(obj.get("base_error", 0.0)),
-                drift=float(obj.get("drift", 0.0)),
-                difficult_latent_error=float(obj.get("difficult_latent_error", 0.4)),
-                seed=int(obj.get("seed", 0)),
-                task_id=str(obj.get("task_id", "sim")),
-            )
-        except KeyError as exc:
-            raise InvalidConfigError(f"simulation config missing key {exc.args[0]!r}") from exc
-        except (TypeError, ValueError, AttributeError) as exc:
-            raise InvalidConfigError(f"bad simulation config: {exc}") from exc
+        for name, f in known.items():
+            if f.default is MISSING and name not in obj:
+                raise InvalidConfigError(f"simulation config missing key {name!r}")
+        values = {}
+        for name, value in obj.items():
+            try:
+                values[name] = _FROM_JSON[known[name].type](value)
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise InvalidConfigError(
+                    f"bad simulation config value for {name!r}: {value!r}"
+                ) from exc
+        return cls(**values)
 
     def to_json(self) -> dict:
         return {
@@ -312,9 +328,4 @@ def rationalisations_from_truth(truth: SimTruth, rater_id: str = "cause_oracle")
 
 
 def load_sim_config(path) -> SimConfig:
-    with _open_text(path) as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidConfigError(f"{path}: invalid JSON") from exc
-    return SimConfig.from_json(obj)
+    return SimConfig.from_json(read_json_object(path, "simulation config"))

@@ -321,8 +321,8 @@ def interval_profile(
     buckets (bucket sizes fixed) and is only computed when a seed is given.
     """
     edges = sorted(float(e) for e in bucket_edges)
-    if len(edges) != len(set(edges)) or any(e <= 0 for e in edges):
-        raise InvalidConfigError("bucket edges must be positive and distinct")
+    if len(edges) != len(set(edges)) or any(not 0 < e < math.inf for e in edges):
+        raise InvalidConfigError("bucket edges must be positive, finite and distinct")
     if seed is not None and permutation_replicates < 1:
         raise InvalidConfigError("permutation replicates must be >= 1")
     bounds = [0.0, *edges, math.inf]

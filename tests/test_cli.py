@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from relistab import (
     LabelSchema,
@@ -13,7 +16,7 @@ from relistab import (
     write_annotations_csv,
     write_rationalisations_csv,
 )
-from relistab.cli import main
+from relistab.cli import build_parser, main
 
 from conftest import make_rounds
 
@@ -195,6 +198,58 @@ class TestConfigFile:
         cfg.write_text("{nope")
         code, _, err = run(capsys, "reliability", "--config", str(cfg))
         assert code == 3
+
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("validate", "out", 5),
+        ("validate", "annotations", 5),
+        ("report", "inputs", 5),
+        ("report", "inputs", [5]),
+        ("reliability", "seed", 7.9),
+        ("reliability", "seed", True),
+        ("reliability", "seed", -1),
+        ("stability", "permutation", True),
+        ("reliability", "round", True),
+        ("reliability", "confidence", "inf"),
+        ("stability", "bucket_edges", [float("nan"), 3600]),
+        ("simulate", "end_to_end", "no"),
+    ])
+    def test_bad_value_is_config_error(self, capsys, workspace, tmp_path, subcommand, key,
+                                       value):
+        sim = tmp_path / "sim.json"
+        sim.write_text(json.dumps(SimConfig(
+            n_annotators=2, items_per_cause={"straightforward": 2}, categories=("x", "y"),
+        ).to_json()))
+        dataset = {"annotations": str(workspace / "annotations.csv"),
+                   "schema": str(workspace / "schema.json")}
+        base = {
+            "validate": dataset,
+            "reliability": {**dataset, "bootstrap": 3, "seed": 1},
+            "stability": {**dataset, "seed": 1},
+            "simulate": {"sim_config": str(sim), "out": str(tmp_path / "sim")},
+            "report": {},
+        }[subcommand]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**base, key: value}))
+        code, out, err = run(capsys, subcommand, "--config", str(cfg))
+        assert (code, out) == (3, "")
+        error = error_of(err)
+        assert error["code"] == "InvalidConfig"
+        assert f"bad value for {key!r}" in error["message"]
+        assert not (tmp_path / "sim").exists()
+
+    def test_config_and_flag_values_convert_alike(self, capsys, workspace, tmp_path):
+        dataset = ["--annotations", str(workspace / "annotations.csv"),
+                   "--schema", str(workspace / "schema.json")]
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"round": "1,2", "bootstrap": 5.0, "seed": "3",
+                                   "confidence": 0.9, "metric": "percent_agreement"}))
+        from_config = run_json(capsys, "reliability", *dataset, "--config", str(cfg))
+        from_flags = run_json(capsys, "reliability", *dataset, "--round", "1,2",
+                              "--bootstrap", "5", "--seed", "3", "--confidence", "0.9",
+                              "--metric", "percent_agreement")
+        assert from_config["reliability"] == from_flags["reliability"]
+        assert from_config["provenance"]["config"] == from_flags["provenance"]["config"]
+        assert from_config["provenance"]["config"]["round"] == [1, 2]
 
     def test_config_recorded_in_provenance(self, capsys, workspace, tmp_path):
         doc = run_json(capsys, "stability",
@@ -502,6 +557,108 @@ def test_undecodable_side_file_is_validation_error(capsys, workspace, tmp_path, 
     error = error_of(err)
     assert error["code"] == "Validation"
     assert str(bad) in error["message"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory, workspace):
+    """Per config key, the three path values the fuzz draws: a file that
+    holds what the key names, a missing file and a directory."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "dir").mkdir()
+    (root / "sim.json").write_text(json.dumps(SimConfig(
+        n_annotators=3, items_per_cause={"straightforward": 2, "ambiguous": 2},
+        categories=("x", "y"), rounds=3, seed=4,
+    ).to_json()))
+    assert main(["validate", "--annotations", str(workspace / "annotations.csv"),
+                 "--schema", str(workspace / "schema.json"), "--out", str(root / "rep")]) == 0
+    valid = {
+        "annotations": workspace / "annotations.csv",
+        "schema": workspace / "schema.json",
+        "rationalisations": workspace / "rationalisations.csv",
+        "sim_config": root / "sim.json",
+        "inputs": root / "rep" / "report.json",
+        "out": root / "dir",
+    }
+    valid.update(annotations_a=valid["annotations"], annotations_b=valid["annotations"],
+                 schema_b=valid["schema"])
+    return {key: (str(path), str(root / "missing" / key), str(root / "dir"))
+            for key, path in valid.items()}
+
+
+#: JSON values any key may get; numbers stay small so that no run asks for
+#: a large replicate count
+JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 50), st.floats(-5, 50), st.just(float("nan")),
+    st.sampled_from(["", "7", "7.9", "-1", "1,2", "x", "true", "interval"]),
+    st.lists(st.integers(-5, 50), max_size=3),
+)
+
+#: config key -> values that may well run, for keys without choices
+WORKABLE = {
+    "seed": st.integers(0, 50),
+    "bootstrap": st.integers(0, 50),
+    "permutation": st.integers(0, 50),
+    "replicates": st.integers(0, 50),
+    "round": st.integers(1, 3) | st.lists(st.integers(1, 3), min_size=1, max_size=3),
+    "confidence": st.floats(0.01, 0.99),
+    "reliability_cut": st.floats(0.01, 0.99),
+    "stability_cut": st.floats(0.01, 0.99),
+    "bucket_edges": st.lists(st.floats(60, 1e7), min_size=1, max_size=4),
+    "end_to_end": st.booleans(),
+    "annotator_a": st.sampled_from(["a", "b", "zz"]),
+    "annotator_b": st.sampled_from(["a", "b", "zz"]),
+    "metric": st.sampled_from(["krippendorff_alpha", "fleiss_kappa", "exact_rate",
+                               "self_kappa", "icc"]),
+}
+
+
+def config_strategy(subcommand: str, fuzz_files: dict):
+    """Every option of the subcommand, each mostly workable and now and then
+    any JSON value. The required options, the seed and the counts with a
+    large default are always keys, though their value may be null or junk."""
+    command = build_parser().commands[subcommand]
+    always, sometimes = {}, {}
+    for key, action in command.options.items():
+        if key == "config":
+            continue
+        if key in fuzz_files:
+            valid, missing, directory = fuzz_files[key]
+            workable = st.just(valid)
+            if action.nargs == "+":
+                workable |= st.lists(workable, min_size=1, max_size=2)
+            junk = st.sampled_from([missing, directory]) | JSON_VALUES.filter(
+                lambda v: not isinstance(v, str))
+        else:
+            workable = (WORKABLE[key] if action.choices is None
+                        else st.sampled_from(list(action.choices)))
+            junk = JSON_VALUES
+        values = st.integers(0, 7).flatmap(lambda r, w=workable, j=junk: j if r == 0 else w)
+        if key in command.required_options or key in ("seed", "permutation", "replicates"):
+            always[key] = values
+        else:
+            sometimes[key] = values
+    return st.fixed_dictionaries(always, optional=sometimes)
+
+
+@pytest.mark.parametrize("subcommand", ["validate", "reliability", "stability", "matrix",
+                                        "phi", "compare", "simulate", "report"])
+def test_any_config_ends_in_a_report_or_typed_error(workspace, fuzz_files, tmp_path,
+                                                    monkeypatch, subcommand):
+    monkeypatch.chdir(tmp_path)  # where any relative path a value names lands
+    cfg = tmp_path / "run.json"
+
+    @settings(max_examples=30)
+    @given(config_strategy(subcommand, fuzz_files))
+    def check(config):
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([subcommand, "--config", str(cfg)])
+        assert code in (0, 2, 3, 4), err.getvalue()
+        if code:
+            assert error_of(err.getvalue())["code"] != "Unexpected"
+
+    check()
 
 
 def test_module_entry_point(workspace):

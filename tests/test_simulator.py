@@ -74,6 +74,27 @@ class TestSimConfig:
         cfg = config(rounds=3, interval_per_round=(60.0, 120.0), drift=0.1)
         assert SimConfig.from_json(cfg.to_json()) == cfg
 
+    @pytest.mark.parametrize("key, value", [
+        ("seed", 3.5),
+        ("seed", True),
+        ("seed", -1),
+        ("n_annotators", 2.7),
+        ("items_per_cause", {"straightforward": 2.5}),
+        ("items_per_cause", {"straightforward": True}),
+        ("categories", "xy"),
+        ("interval_per_round", "5"),
+        ("drift", True),
+        ("task_id", 5),
+    ])
+    def test_from_json_refuses_rather_than_truncates(self, key, value):
+        with pytest.raises(InvalidConfigError, match=key):
+            SimConfig.from_json({**config().to_json(), key: value})
+
+    def test_from_json_takes_integral_forms_and_field_defaults(self):
+        payload = {"n_annotators": "4", "items_per_cause": {"straightforward": 3.0},
+                   "categories": ["x", "y"], "seed": 5.0}
+        assert SimConfig.from_json(payload) == config()
+
     def test_from_json_rejects_unknown_keys(self):
         payload = config().to_json()
         payload["flavour"] = "spicy"

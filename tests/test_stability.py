@@ -225,6 +225,9 @@ class TestIntervalProfile:
             interval_profile([pair(60.0, True)], bucket_edges=(0.0, 60.0))
         with pytest.raises(InvalidConfigError):
             interval_profile([pair(60.0, True)], bucket_edges=(60.0, 60.0))
+        for edges in [(float("nan"), 60.0), (60.0, float("inf"))]:
+            with pytest.raises(InvalidConfigError):
+                interval_profile([pair(60.0, True)], bucket_edges=edges)
 
     def test_permutation_p_deterministic_and_small_for_strong_trend(self):
         # five strictly decreasing buckets: a permuted profile is this
