@@ -93,8 +93,16 @@ STDOUT_RUNS = {
                                       "--annotations-b", B, "--schema", SCHEMA,
                                       "--axis", "stability", "--metric", "exact_rate",
                                       "--replicates", "30", "--seed", "9"],
+    "compare_reliability_sparse.json": ["compare", "--annotations-a", SPARSE,
+                                        "--annotations-b", B, "--schema", SCHEMA,
+                                        "--axis", "reliability", "--replicates", "30",
+                                        "--seed", "12"],
     "sparse_reliability.json": ["reliability", "--annotations", SPARSE, "--schema", SCHEMA,
                                 "--round", "1,2,3"],
+    "sparse_alpha_bootstrap.json": ["reliability", "--annotations", SPARSE,
+                                    "--schema", SCHEMA, "--metric", "krippendorff_alpha",
+                                    "--distance", "ordinal", "--round", "1,2,3",
+                                    "--bootstrap", "30", "--seed", "10"],
     "sparse_stability.json": ["stability", "--annotations", SPARSE, "--schema", SCHEMA,
                               "--pairing", "all_pairs", "--permutation", "200",
                               "--seed", "8"],
