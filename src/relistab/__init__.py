@@ -77,6 +77,7 @@ from .quadrant import (
 )
 from .reliability import (
     AgreementResult,
+    MetricCall,
     bootstrap_ci,
     cohens_kappa,
     fleiss_kappa,

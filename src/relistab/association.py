@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     ZeroMarginError,
 )
-from .reliability import METRICS, draw_positions, percentile_ci, resampler
+from .reliability import FIRST_ROUND, MetricCall, draw_positions, percentile_ci, replicate_value
 from .stability import ItemStabilityLabel, dataset_stability, repeat_table
 
 RATIONALISATION_LABELS = ("subjective", "ambiguous", "difficult")
@@ -246,21 +246,19 @@ def compare_reliability(
 ) -> tuple[float, tuple[float, float]]:
     """Reliability difference between two datasets with a bootstrap CI.
 
-    The metric runs on each set's first present round.
+    The metric runs on each set's first present round (a replicate's own
+    first round); items are resampled within each set independently, see
+    :func:`replicate_value`.
     """
     if metric not in COMPARE_RELIABILITY_METRICS:
         raise InvalidConfigError(
             f"reliability metric must be one of {sorted(COMPARE_RELIABILITY_METRICS)}"
         )
-    kernel = METRICS[metric].kernel
-
-    def stat(aset: AnnotationSet) -> float:
-        return kernel(aset, min(aset.rounds())).value
-
-    draw_a, draw_b = resampler(set_a), resampler(set_b)
+    call = MetricCall(metric, FIRST_ROUND)
+    value_a, value_b = replicate_value(set_a, call), replicate_value(set_b, call)
     return percentile_ci(
-        lambda: stat(set_a) - stat(set_b),
-        lambda seed_, r: stat(draw_a(seed_, r, 0)) - stat(draw_b(seed_, r, 1)),
+        lambda: call(set_a).value - call(set_b).value,
+        lambda seed_, r: value_a(seed_, r, 0) - value_b(seed_, r, 1),
         replicates, confidence, seed, "comparison",
     )
 

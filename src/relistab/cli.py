@@ -57,7 +57,7 @@ from .quadrant import (
     classify_dataset,
     classify_items,
 )
-from .reliability import ICC_MODELS, METRICS, bootstrap_ci
+from .reliability import ICC_MODELS, METRICS, MetricCall, bootstrap_ci
 from .reporting import (
     SECTION_KEYS,
     build_provenance,
@@ -259,7 +259,7 @@ def cmd_reliability(args) -> int:
             "has exactly 2 annotators"
         )
 
-    def kernel_for(name: str):
+    def call_for(name: str) -> MetricCall:
         options = {}
         if name == "icc":
             name = f"icc_{args.icc_model}"
@@ -268,15 +268,14 @@ def cmd_reliability(args) -> int:
             options = {"annotator_a": ann_a, "annotator_b": ann_b}
         elif name == "krippendorff_alpha":
             options = {"distance": args.distance}
-        kernel = METRICS[name].kernel
-        return lambda s: kernel(s, args.round, **options)
+        return MetricCall(name, args.round, options)
 
     results = []
     for name in names:
-        fn = kernel_for(name)
-        result = fn(aset)
+        call = call_for(name)
+        result = call(aset)
         if args.bootstrap:
-            ci = bootstrap_ci(fn, aset, replicates=args.bootstrap,
+            ci = bootstrap_ci(call, aset, replicates=args.bootstrap,
                               confidence=args.confidence, seed=args.seed)
             result = result.with_ci(ci)
         results.append(result)

@@ -433,30 +433,44 @@ def build_repeat_pairs(aset: AnnotationSet, pairing: str = "consecutive") -> lis
     return pairs
 
 
-def coincidence_counts(
+def coincidence_blocks(
     aset: AnnotationSet, rounds: int | Sequence[int] | None = 1
-) -> np.ndarray:
-    """Krippendorff coincidence matrix over the selected rounds.
+) -> dict[str, np.ndarray]:
+    """Each item's share of the coincidence matrix over the selected rounds.
 
-    Each item with m >= 2 labels contributes 1/(m-1) per ordered label pair;
-    rows/columns follow ``schema.categories``.
+    An item with m >= 2 labels and per-category counts c contributes
+    ``outer(c, c)``, with ``c(c-1)`` on the diagonal, divided by m-1; items
+    with fewer labels are left out. Keys follow :meth:`AnnotationSet.unit_labels`
+    order, the order :func:`coincidence_counts` adds the blocks in.
     """
     resolved = resolve_rounds(aset, rounds)
     cat_index = aset.schema.category_index()
     k = len(aset.schema.categories)
-    matrix = np.zeros((k, k), dtype=float)
-    contributed = False
-    for labels in aset.unit_labels(resolved).values():
+    blocks = {}
+    for item, labels in aset.unit_labels(resolved).items():
         m = len(labels)
         if m < 2:
             continue
-        contributed = True
         counts = np.zeros(k, dtype=float)
         for lbl in labels:
             counts[cat_index[lbl]] += 1
         pair_counts = np.outer(counts, counts)
         np.fill_diagonal(pair_counts, counts * (counts - 1))
-        matrix += pair_counts / (m - 1)
-    if not contributed:
+        blocks[item] = pair_counts / (m - 1)
+    return blocks
+
+
+def coincidence_counts(
+    aset: AnnotationSet, rounds: int | Sequence[int] | None = 1
+) -> np.ndarray:
+    """Krippendorff coincidence matrix over the selected rounds: the sum of
+    the :func:`coincidence_blocks`, added one after another in their order.
+
+    Each item with m >= 2 labels contributes 1/(m-1) per ordered label pair;
+    rows/columns follow ``schema.categories``.
+    """
+    blocks = coincidence_blocks(aset, rounds)
+    if not blocks:
         raise DegenerateError("no item has >= 2 labels in the selected rounds")
-    return matrix
+    # a reduce over axis 0 adds the blocks in sequence, as ``matrix += block``
+    return np.add.reduce(np.stack(list(blocks.values())), axis=0)

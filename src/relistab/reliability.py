@@ -20,12 +20,20 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from dataclasses import dataclass, field, replace
+from functools import cache
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .core import AnnotationRecord, AnnotationSet, coincidence_counts, resolve_rounds
+from .core import (
+    AnnotationRecord,
+    AnnotationSet,
+    LabelSchema,
+    coincidence_blocks,
+    coincidence_counts,
+    resolve_rounds,
+)
 from .errors import (
     ChanceDegenerateError,
     DegenerateError,
@@ -43,12 +51,16 @@ ICC_MODELS = ("oneway_random", "twoway_random_single")
 
 @dataclass(frozen=True)
 class Metric:
-    """A registered coefficient: ``kernel(aset, rounds, **options)`` and the
-    closed range its value must lie in."""
+    """A registered coefficient: ``kernel(aset, rounds, **options)``, the
+    closed range its value must lie in and, optionally, its gather:
+    ``gather(aset, call)`` returns ``value(positions)``, the kernel's value
+    on the replicate of ``aset`` that draws ``aset.items()[positions]``,
+    computed without building that replicate."""
 
     kernel: Callable[..., "AgreementResult"]
     low: float
     high: float
+    gather: Callable[[AnnotationSet, "MetricCall"], Callable[[np.ndarray], float]] | None = None
 
 
 #: every coefficient by the name its results carry. Kernels are looked up as
@@ -60,11 +72,31 @@ METRICS: dict[str, Metric] = {
         s, annotator_a, annotator_b, r), -1.0, 1.0),
     "fleiss_kappa": Metric(lambda s, r: fleiss_kappa(s, r), -1.0, 1.0),
     "krippendorff_alpha": Metric(
-        lambda s, r, distance=None: krippendorff_alpha(s, r, distance), -1.0, 1.0),
+        lambda s, r, distance=None: krippendorff_alpha(s, r, distance), -1.0, 1.0,
+        gather=lambda s, call: _alpha_gather(s, call)),
     "icc_oneway_random": Metric(lambda s, r: icc(s, r, "oneway_random"), -math.inf, 1.0),
     "icc_twoway_random_single": Metric(
         lambda s, r: icc(s, r, "twoway_random_single"), -math.inf, 1.0),
 }
+
+#: ``MetricCall.rounds`` that selects the lowest round of the set the metric
+#: runs on; a replicate missing that round's items falls to its own lowest
+FIRST_ROUND = "first"
+
+
+@dataclass(frozen=True)
+class MetricCall:
+    """A registered metric bound to its round selector and options:
+    ``call(aset)`` runs ``METRICS[name].kernel`` on ``aset``."""
+
+    name: str
+    rounds: int | Sequence[int] | str | None = 1
+    options: Mapping = field(default_factory=dict)
+
+    def __call__(self, aset: AnnotationSet) -> "AgreementResult":
+        rounds = min(aset.rounds()) if self.rounds == FIRST_ROUND else self.rounds
+        return METRICS[self.name].kernel(aset, rounds, **self.options)
+
 
 _RANGE_TOL = 1e-9
 
@@ -285,8 +317,8 @@ def fleiss_kappa(aset: AnnotationSet, rounds: int | Sequence[int] | None = 1) ->
     )
 
 
-def _distance_matrix(aset: AnnotationSet, distance: str, coincidence: np.ndarray) -> np.ndarray:
-    k = len(aset.schema.categories)
+def _distance_matrix(schema: LabelSchema, distance: str, coincidence: np.ndarray) -> np.ndarray:
+    k = len(schema.categories)
     if distance == "nominal":
         return 1.0 - np.eye(k)
     if distance == "ordinal":
@@ -300,12 +332,30 @@ def _distance_matrix(aset: AnnotationSet, distance: str, coincidence: np.ndarray
                 delta2[c, kk] = delta2[kk, c] = span**2
         return delta2
     if distance == "interval":
-        if aset.schema.numeric_values is None:
+        if schema.numeric_values is None:
             raise NotIntervalError("interval distance needs schema numeric_values")
-        values = np.array([aset.schema.numeric_value(c) for c in aset.schema.categories])
+        values = np.array([schema.numeric_value(c) for c in schema.categories])
         diff = values[:, None] - values[None, :]
         return diff**2
     raise InvalidConfigError(f"distance must be one of {DISTANCES}, got {distance!r}")
+
+
+def alpha_from_coincidence(
+    schema: LabelSchema, coincidence: np.ndarray, distance: str | None = None
+) -> float:
+    """Krippendorff's alpha of a coincidence matrix, 1 - D_o / D_e, snapped
+    into [-1, 1]; ``distance`` defaults to the schema's scale_kind."""
+    if distance is None:
+        distance = schema.scale_kind
+    delta2 = _distance_matrix(schema, distance, coincidence)
+    n_total = coincidence.sum()
+    marginals = coincidence.sum(axis=1)
+    d_observed = float((coincidence * delta2).sum()) / n_total
+    d_expected = float((np.outer(marginals, marginals) * delta2).sum()) / (
+        n_total * (n_total - 1.0)
+    )
+    value = 1.0 if d_expected == 0.0 else 1.0 - d_observed / d_expected
+    return _snap("krippendorff_alpha", float(value))
 
 
 def krippendorff_alpha(
@@ -321,23 +371,13 @@ def krippendorff_alpha(
     value is identical and yields 1.0.
     """
     resolved = resolve_rounds(aset, rounds)
-    if distance is None:
-        distance = aset.schema.scale_kind
     pooled = aset.unit_labels(resolved)
     exclusions = tuple(
         f"item {item!r}: fewer than 2 labels in selected rounds"
         for item in sorted(pooled)
         if len(pooled[item]) < 2
     )
-    coincidence = coincidence_counts(aset, resolved)
-    delta2 = _distance_matrix(aset, distance, coincidence)
-    n_total = coincidence.sum()
-    marginals = coincidence.sum(axis=1)
-    d_observed = float((coincidence * delta2).sum()) / n_total
-    d_expected = float((np.outer(marginals, marginals) * delta2).sum()) / (
-        n_total * (n_total - 1.0)
-    )
-    value = 1.0 if d_expected == 0.0 else 1.0 - d_observed / d_expected
+    value = alpha_from_coincidence(aset.schema, coincidence_counts(aset, resolved), distance)
     contributing = {item for item, labels in pooled.items() if len(labels) >= 2}
     annotators = {
         rec.annotator_id
@@ -352,6 +392,50 @@ def krippendorff_alpha(
         rounds=resolved,
         exclusions=exclusions,
     )
+
+
+def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray], float]:
+    """Alpha's gather (see :class:`Metric`).
+
+    A rebuilt replicate pools its draws in :meth:`AnnotationSet.unit_labels`
+    order: by the lowest selected round each draw has, then in draw order.
+    So each item's :func:`coincidence_blocks` block is computed once per
+    round selection, and a replicate adds the drawn blocks in that order,
+    one after another as :func:`coincidence_counts` does: the same float.
+    """
+    items = aset.items()
+    item_rounds = [aset._item_blocks()[item][1] for item in items]
+    first_rounds = np.array([min(rounds) for rounds in item_rounds])
+    selected = cache(lambda: resolve_rounds(aset, call.rounds))
+
+    @cache
+    def table(resolved: tuple[int, ...]):
+        """Each item's block and its lowest selected round, by position in
+        ``items``; an item with < 2 labels has a zero block and round 0."""
+        blocks = coincidence_blocks(aset, resolved)
+        k = len(aset.schema.categories)
+        stacked = np.zeros((len(items), k, k))
+        lowest = np.zeros(len(items), dtype=np.int64)
+        for i, item in enumerate(items):
+            if item in blocks:
+                stacked[i] = blocks[item]
+                lowest[i] = min(rnd for rnd in item_rounds[i] if rnd in resolved)
+        return stacked, lowest
+
+    def value(positions: np.ndarray) -> float:
+        if call.rounds == FIRST_ROUND:
+            resolved = (int(first_rounds[positions].min()),)
+        else:
+            resolved = selected()
+        stacked, lowest = table(resolved)
+        drawn = positions[lowest[positions] > 0]
+        if not drawn.size:
+            raise DegenerateError("no item has >= 2 labels in the selected rounds")
+        order = drawn[np.argsort(lowest[drawn], kind="stable")]
+        coincidence = np.add.reduce(stacked[order], axis=0)
+        return alpha_from_coincidence(aset.schema, coincidence, call.options.get("distance"))
+
+    return value
 
 
 def icc(
@@ -524,8 +608,32 @@ def resampler(aset: AnnotationSet) -> Callable[..., AnnotationSet]:
     return draw
 
 
+Measure = Callable[[AnnotationSet], "AgreementResult | float"]
+
+
+def _value_of(result: "AgreementResult | float") -> float:
+    return result.value if isinstance(result, AgreementResult) else float(result)
+
+
+def replicate_value(aset: AnnotationSet, metric: MetricCall | Measure) -> Callable[..., float]:
+    """``value(*key)``: ``metric``'s value on the replicate of ``aset`` whose
+    items :func:`draw_positions` draws for ``key``.
+
+    A :class:`MetricCall` of a metric registered with a gather (alpha) is
+    evaluated from per-item statistics of ``aset`` without building the
+    replicate; any other metric or callable runs on the replicate that
+    :func:`resample_items` builds. Both give the same float.
+    """
+    gather = METRICS[metric.name].gather if isinstance(metric, MetricCall) else None
+    if gather is None:
+        draw = resampler(aset)
+        return lambda *key: _value_of(metric(draw(*key)))
+    value, n = gather(aset, metric), len(aset.items())
+    return lambda *key: value(draw_positions(n, *key))
+
+
 def bootstrap_ci(
-    metric: Callable[[AnnotationSet], "AgreementResult | float"],
+    metric: MetricCall | Measure,
     aset: AnnotationSet,
     replicates: int = 1000,
     confidence: float = 0.95,
@@ -535,15 +643,10 @@ def bootstrap_ci(
 
     Replicate ``r`` resamples items with the RNG stream (seed, r), so
     results are reproducible and order-independent; see
+    :func:`replicate_value` for how a replicate is evaluated and
     :func:`percentile_ci` for dropped replicates and bracketing.
     """
-
-    def value(s: AnnotationSet) -> float:
-        result = metric(s)
-        return result.value if isinstance(result, AgreementResult) else float(result)
-
-    draw = resampler(aset)
     return percentile_ci(
-        lambda: value(aset), lambda seed_, r: value(draw(seed_, r)),
+        lambda: _value_of(metric(aset)), replicate_value(aset, metric),
         replicates, confidence, seed, "bootstrap",
     )[1]

@@ -23,6 +23,7 @@ output is identical however the cells are traversed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import MISSING, dataclass, fields
 from typing import Mapping, Sequence
 
@@ -114,18 +115,23 @@ class SimConfig:
         intervals = self.interval_per_round
         if intervals is None:
             intervals = (DEFAULT_ROUND_INTERVAL,) * (self.rounds - 1)
-        intervals = tuple(float(v) for v in intervals)
+        try:
+            if isinstance(intervals, str):
+                raise TypeError(intervals)
+            intervals = tuple(float(v) for v in intervals)
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigError("interval_per_round must be a sequence of numbers") from exc
         if len(intervals) != self.rounds - 1:
             raise InvalidConfigError(
                 f"interval_per_round needs {self.rounds - 1} entries, got {len(intervals)}"
             )
-        if any(v <= 0 for v in intervals):
-            raise InvalidConfigError("intervals must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in intervals):
+            raise InvalidConfigError("intervals must be positive and finite")
         object.__setattr__(self, "interval_per_round", intervals)
         if not 0.0 <= self.base_error < 0.5:
             raise InvalidConfigError("base_error must lie in [0, 0.5)")
-        if self.drift < 0.0:
-            raise InvalidConfigError("drift must be >= 0")
+        if not (math.isfinite(self.drift) and self.drift >= 0.0):
+            raise InvalidConfigError("drift must be finite and >= 0")
         if not 0.0 <= self.difficult_latent_error <= 1.0:
             raise InvalidConfigError("difficult_latent_error must lie in [0, 1]")
         if self.seed < 0:

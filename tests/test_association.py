@@ -279,6 +279,42 @@ class TestCompare:
                           replicates=40, seed=4)
         assert calls == {"pairs": 2, "resample": 0}
 
+    @pytest.mark.parametrize("metric", ["krippendorff_alpha", "fleiss_kappa"])
+    def test_reliability_matches_resampled_sets(self, metric):
+        set_a, set_b = (simulate(SimConfig(
+            n_annotators=4, items_per_cause=dict.fromkeys(CAUSES, mix), categories=("x", "y", "z"),
+            rounds=3, base_error=0.2, seed=seed))[0] for seed, mix in ((1, 3), (2, 2)))
+        kernel = reliability.METRICS[metric].kernel
+
+        def stat(aset):
+            return kernel(aset, min(aset.rounds())).value
+
+        draw_a, draw_b = resampler(set_a), resampler(set_b)
+        expected = percentile_ci(
+            lambda: stat(set_a) - stat(set_b),
+            lambda seed_, r: stat(draw_a(seed_, r, 0)) - stat(draw_b(seed_, r, 1)),
+            60, 0.9, 11, "comparison",
+        )
+        assert compare_reliability(set_a, set_b, replicates=60, seed=11, metric=metric,
+                                   confidence=0.9) == expected
+
+    @pytest.mark.parametrize("metric, resamples", [("krippendorff_alpha", 0),
+                                                   ("fleiss_kappa", 80)])
+    def test_reliability_rebuilds_only_without_a_gather(self, monkeypatch, metric, resamples):
+        calls = {"resample": 0}
+        real_resample = reliability.resample_items
+
+        def counted_resample(*args, **kwargs):
+            calls["resample"] += 1
+            return real_resample(*args, **kwargs)
+
+        monkeypatch.setattr(reliability, "resample_items", counted_resample)
+        set_a, set_b = (simulate(SimConfig(
+            n_annotators=4, items_per_cause=dict.fromkeys(CAUSES, 2), categories=("x", "y", "z"),
+            rounds=2, base_error=0.2, seed=seed))[0] for seed in (5, 6))
+        compare_reliability(set_a, set_b, replicates=40, seed=4, metric=metric)
+        assert calls == {"resample": resamples}
+
     def test_compare_item_scores(self):
         diff, (low, high) = compare_item_scores(
             [0.9, 1.0, 0.8], [0.1, 0.2, 0.0], replicates=400, seed=9)

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import (
     brute_cohens_kappa,
@@ -16,6 +16,8 @@ from relistab import (
     AnnotationRecord,
     AnnotationSet,
     LabelSchema,
+    MetricCall,
+    SimConfig,
     bootstrap_ci,
     cohens_kappa,
     fleiss_kappa,
@@ -23,6 +25,7 @@ from relistab import (
     krippendorff_alpha,
     percent_agreement,
     resample_items,
+    simulate,
     validate_dataset,
 )
 from relistab.errors import (
@@ -35,6 +38,8 @@ from relistab.errors import (
     RelistabError,
     TooManyDegenerateError,
 )
+from relistab.core import coincidence_blocks
+from relistab.reliability import DISTANCES, FIRST_ROUND, METRICS, alpha_from_coincidence
 
 from conftest import make_rounds, make_set
 
@@ -397,6 +402,18 @@ class TestBootstrapCi:
         low, high = bootstrap_ci(percent_agreement, aset, replicates=50, seed=seed)
         assert low <= point <= high
 
+    @pytest.mark.parametrize("distance", DISTANCES)
+    def test_gathered_alpha_interval_equals_the_rebuilt_one(self, distance):
+        aset = simulate(SimConfig(n_annotators=4, items_per_cause={
+            "straightforward": 4, "ambiguous": 4, "difficult": 4}, categories=("x", "y", "z"),
+            rounds=3, base_error=0.2, seed=3))[0]
+        aset = replace(aset, schema=LabelSchema(
+            aset.schema.task_id, ("x", "y", "z"), numeric_values={"x": 0, "y": 1, "z": 3}))
+        call = MetricCall("krippendorff_alpha", (2, 3), {"distance": distance})
+        rebuilt = bootstrap_ci(lambda s: krippendorff_alpha(s, (2, 3), distance), aset,
+                               replicates=60, confidence=0.9, seed=8)
+        assert bootstrap_ci(call, aset, replicates=60, confidence=0.9, seed=8) == rebuilt
+
     def test_too_many_degenerate(self):
         aset = make_set({"a": ["x", "y", "x", "y"], "b": ["x", "y", "y", "y"]})
 
@@ -477,3 +494,77 @@ def test_resample_duplicate_id_never_merges_with_a_source_item():
     resampled = resample_items(aset, ["a", "a", "a~1"])
     assert resampled.items() == ("a", "a~1", "a~1~")
     assert percent_agreement(resampled).value == pytest.approx(2 / 3)
+
+
+#: ordinal labels with numeric values, so every alpha distance applies
+ALPHA_SCHEMA = LabelSchema("t", ("x", "y", "z"), "ordinal", {"x": 1.0, "y": 2.0, "z": 4.0})
+ALPHA_ROUNDS = (None, 1, 2, (1, 2), (1, 3), (2, 3, 4), (4,), FIRST_ROUND)
+
+
+@st.composite
+def sparse_round_sets(draw):
+    """A validated 1-4-round set with missing cells and records in random
+    order, so items can lack the lowest selected round or hold one label.
+    Up to 6 annotators give label counts whose blocks (divided by m - 1)
+    sum to different floats in different orders."""
+    n_rounds = draw(st.integers(1, 4))
+    items = draw(st.lists(st.sampled_from(ITEM_POOL + ("d", "e")), min_size=1, max_size=6,
+                          unique=True))
+    annotators = "pqrstu"[:draw(st.integers(2, 6))]
+    cells = [(item, ann, rnd) for item in items for ann in annotators
+             for rnd in range(1, n_rounds + 1)]
+    kept = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    records = [AnnotationRecord("t", item, ann, rnd, draw(st.sampled_from("xyz")))
+               for item, ann, rnd in kept]
+    return validate_dataset(records, ALPHA_SCHEMA)
+
+
+@settings(max_examples=400, deadline=None)
+@given(sparse_round_sets(), st.sampled_from(ALPHA_ROUNDS),
+       st.sampled_from((None,) + DISTANCES), st.data())
+def test_alpha_gather_equals_alpha_of_rebuilt_replicate(aset, rounds, distance, data):
+    items = aset.items()
+    positions = data.draw(st.lists(st.integers(0, len(items) - 1), min_size=1,
+                                   max_size=3 * len(items) + 3))
+    call = MetricCall("krippendorff_alpha", rounds, {"distance": distance})
+    gathered = METRICS["krippendorff_alpha"].gather(aset, call)
+    rebuilt = resample_items(aset, [items[i] for i in positions])
+    selector = min(rebuilt.rounds()) if rounds == FIRST_ROUND else rounds
+    try:
+        expected = krippendorff_alpha(rebuilt, selector, distance).value
+    except DegenerateError:
+        with pytest.raises(DegenerateError):
+            gathered(np.array(positions))
+        return
+    assert gathered(np.array(positions)) == expected
+
+
+#: i0 is labelled in round 2 only, i1 mostly in round 1: a rebuilt replicate
+#: of draws (i0 x 4, i1 x 2) pools the i1 copies first, and summing the
+#: blocks in draw order instead changes alpha in its last bits
+ORDER_SENSITIVE = [("i0", "p", 2, "x"), ("i0", "r", 2, "y"), ("i0", "s", 2, "y"),
+                   ("i0", "t", 2, "y"), ("i1", "p", 2, "y"), ("i1", "r", 1, "z"),
+                   ("i1", "s", 1, "x"), ("i1", "t", 1, "x")]
+
+
+def _order_sensitive_set():
+    return validate_dataset([AnnotationRecord("t", *rec) for rec in ORDER_SENSITIVE],
+                            LabelSchema("t", ("x", "y", "z")))
+
+
+def test_alpha_gather_adds_blocks_in_unit_labels_order():
+    aset = _order_sensitive_set()
+    positions = np.array([0, 0, 0, 0, 1, 1])
+    expected = krippendorff_alpha(resample_items(aset, ["i0"] * 4 + ["i1"] * 2), (1, 2)).value
+    call = MetricCall("krippendorff_alpha", (1, 2))
+    assert METRICS["krippendorff_alpha"].gather(aset, call)(positions) == expected
+    blocks = coincidence_blocks(aset, (1, 2))
+    in_draw_order = np.add.reduce(np.stack([blocks[aset.items()[i]] for i in positions]), axis=0)
+    assert alpha_from_coincidence(aset.schema, in_draw_order) != expected
+
+
+def test_alpha_gather_first_round_is_the_replicates_own():
+    aset = _order_sensitive_set()
+    call = MetricCall("krippendorff_alpha", FIRST_ROUND)
+    expected = krippendorff_alpha(resample_items(aset, ["i0", "i0"]), 2).value
+    assert METRICS["krippendorff_alpha"].gather(aset, call)(np.array([0, 0])) == expected

@@ -70,6 +70,19 @@ class TestSimConfig:
         with pytest.raises(InvalidConfigError):
             config(**overrides)
 
+    @pytest.mark.parametrize("overrides", [
+        dict(drift=float("nan")),
+        dict(drift=float("inf")),
+        dict(interval_per_round=(float("nan"), 5.0)),
+        dict(interval_per_round=(float("inf"), 5.0)),
+        dict(interval_per_round=float("nan")),
+        dict(interval_per_round="55"),
+    ], ids=["drift-nan", "drift-inf", "interval-nan", "interval-inf", "interval-scalar",
+            "interval-text"])
+    def test_rejects_non_finite_or_non_sequence_values(self, overrides):
+        with pytest.raises(InvalidConfigError):
+            config(rounds=3, **overrides)
+
     def test_json_round_trip(self):
         cfg = config(rounds=3, interval_per_round=(60.0, 120.0), drift=0.1)
         assert SimConfig.from_json(cfg.to_json()) == cfg
