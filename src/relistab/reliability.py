@@ -403,8 +403,8 @@ def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray
     round selection, and a replicate adds the drawn blocks in that order,
     one after another as :func:`coincidence_counts` does: the same float.
     """
-    items = aset.items()
-    item_rounds = [aset._item_blocks()[item][1] for item in items]
+    items, item_blocks = aset.items(), aset._item_blocks()
+    item_rounds = [item_blocks[item][1] for item in items]
     first_rounds = np.array([min(rounds) for rounds in item_rounds])
     selected = cache(lambda: resolve_rounds(aset, call.rounds))
 
@@ -426,6 +426,8 @@ def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray
         if call.rounds == FIRST_ROUND:
             resolved = (int(first_rounds[positions].min()),)
         else:
+            # ``None`` resolves against the source's rounds: the ones a
+            # replicate lacks hold none of its labels, so they change nothing
             resolved = selected()
         stacked, lowest = table(resolved)
         drawn = positions[lowest[positions] > 0]

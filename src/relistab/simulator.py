@@ -117,16 +117,18 @@ class SimConfig:
             intervals = (DEFAULT_ROUND_INTERVAL,) * (self.rounds - 1)
         try:
             if isinstance(intervals, str):
-                raise TypeError(intervals)
-            intervals = tuple(float(v) for v in intervals)
+                raise TypeError(f"{intervals!r} is text")
+            intervals = tuple(map(as_number, intervals))
         except (TypeError, ValueError) as exc:
-            raise InvalidConfigError("interval_per_round must be a sequence of numbers") from exc
+            raise InvalidConfigError(
+                f"interval_per_round must be a sequence of finite numbers: {exc}"
+            ) from exc
         if len(intervals) != self.rounds - 1:
             raise InvalidConfigError(
                 f"interval_per_round needs {self.rounds - 1} entries, got {len(intervals)}"
             )
-        if not all(math.isfinite(v) and v > 0 for v in intervals):
-            raise InvalidConfigError("intervals must be positive and finite")
+        if any(v <= 0 for v in intervals):
+            raise InvalidConfigError("intervals must be positive")
         object.__setattr__(self, "interval_per_round", intervals)
         if not 0.0 <= self.base_error < 0.5:
             raise InvalidConfigError("base_error must lie in [0, 0.5)")
