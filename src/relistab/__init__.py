@@ -25,6 +25,7 @@ from .core import (
     AnnotationRecord,
     AnnotationSet,
     LabelSchema,
+    RecordColumns,
     RepeatPair,
     build_repeat_pairs,
     coincidence_counts,

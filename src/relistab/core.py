@@ -2,8 +2,10 @@
 
 The central object is :class:`AnnotationSet`: an immutable, indexed
 collection of ``(item, annotator, round) -> label`` records against a
-:class:`LabelSchema`. Stability analyses consume :class:`RepeatPair` objects
-built from it; Krippendorff-style reliability consumes the coincidence
+:class:`LabelSchema`. Records are stored as :class:`RecordColumns`, one
+column per field; :class:`AnnotationRecord` objects are built only when a
+caller asks for them. Stability analyses consume :class:`RepeatPair` objects
+built from a set; Krippendorff-style reliability consumes the coincidence
 matrix.
 """
 
@@ -12,9 +14,10 @@ from __future__ import annotations
 import math
 import operator
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -105,6 +108,73 @@ class AnnotationRecord:
     timestamp: float | None = None
 
 
+RECORD_FIELDS = ("task_id", "item_id", "annotator_id", "round", "label", "timestamp")
+_REQUIRED_FIELDS = RECORD_FIELDS[:5]
+_fields_of = operator.attrgetter(*RECORD_FIELDS)
+
+
+class RecordColumns(Sequence):
+    """Annotation records held as six parallel field columns.
+
+    Each column is a tuple with one field of every record; the attributes
+    are named as in :data:`RECORD_FIELDS`. Indexing or iterating builds
+    :class:`AnnotationRecord` objects on demand, and ``==`` compares
+    records, so a list or tuple of the same records is equal to it. The
+    readers return one and an :class:`AnnotationSet` stores one.
+    """
+
+    __slots__ = RECORD_FIELDS
+
+    def __init__(self, task_id, item_id, annotator_id, round, label, timestamp):
+        columns = tuple(map(tuple, (task_id, item_id, annotator_id, round, label, timestamp)))
+        if len(set(map(len, columns))) > 1:
+            raise ValueError("record columns differ in length")
+        for name, column in zip(RECORD_FIELDS, columns):
+            object.__setattr__(self, name, column)
+
+    @classmethod
+    def of(cls, records: Iterable[AnnotationRecord]) -> "RecordColumns":
+        """The fields of ``records``, taken as they are."""
+        if isinstance(records, cls):
+            return records
+        rows = list(map(_fields_of, records))
+        return cls(*zip(*rows)) if rows else cls(*((),) * len(RECORD_FIELDS))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return type(self), self.fields()
+
+    def fields(self) -> tuple[tuple, ...]:
+        """The six columns in :data:`RECORD_FIELDS` order."""
+        return _fields_of(self)
+
+    def __len__(self) -> int:
+        return len(self.item_id)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return RecordColumns(*(column[index] for column in self.fields()))
+        return AnnotationRecord(*(column[index] for column in self.fields()))
+
+    def __iter__(self):
+        return map(AnnotationRecord, *self.fields())
+
+    def __eq__(self, other):
+        if isinstance(other, RecordColumns):
+            return self.fields() == other.fields()
+        if not isinstance(other, (list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self):
+        return hash(self.fields())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self)!r})"
+
+
 @dataclass(frozen=True)
 class RepeatPair:
     """One annotator's labels for the same item from two rounds."""
@@ -122,79 +192,93 @@ class RepeatPair:
         return self.first_label == self.second_label
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AnnotationSet:
     """Immutable, validated collection of annotation records.
 
     Construct through :func:`validate_dataset`; the constructor assumes the
-    invariants already hold and only builds the lookup structures:
+    invariants already hold. ``AnnotationSet(schema, records)`` takes
+    :class:`AnnotationRecord` objects, ``AnnotationSet(schema,
+    columns=...)`` takes :class:`RecordColumns`; either way the set stores
+    columns and builds, on first use, ``records`` and the lookup structures:
     ``_by_item_round`` maps (item, round) to its sorted (annotator, label)
     entries and ``_by_cell`` maps (item, annotator) to its sorted (round,
     label, timestamp) history, both in first-seen order of their keys.
     """
 
     schema: LabelSchema
-    records: tuple[AnnotationRecord, ...]
-    _by_item_round: dict = field(repr=False, compare=False, init=False)
-    _by_cell: dict = field(repr=False, compare=False, init=False)
-    _blocks: dict | None = field(repr=False, compare=False, init=False, default=None)
+    columns: RecordColumns
 
-    def __post_init__(self):
-        by_item_round = {}
-        by_cell = {}
-        for rec in self.records:
-            by_item_round.setdefault((rec.item_id, rec.round), []).append(
-                (rec.annotator_id, rec.label)
-            )
-            by_cell.setdefault((rec.item_id, rec.annotator_id), []).append(
-                (rec.round, rec.label, rec.timestamp)
-            )
+    def __init__(self, schema: LabelSchema, records: Iterable[AnnotationRecord] = (),
+                 columns: RecordColumns | None = None):
+        object.__setattr__(self, "schema", schema)
+        columns = RecordColumns.of(records if columns is None else columns)
+        object.__setattr__(self, "columns", columns)
+
+    @classmethod
+    def _from_indexes(cls, schema, columns, by_item_round, by_cell) -> "AnnotationSet":
+        """A set over ``columns`` with both indexes built by the caller, with
+        the contents and key order the set would give them."""
+        aset = cls(schema, columns=columns)
+        aset.__dict__["_indexes"] = (by_item_round, by_cell)
+        return aset
+
+    @cached_property
+    def records(self) -> tuple[AnnotationRecord, ...]:
+        return tuple(self.columns)
+
+    @cached_property
+    def _indexes(self) -> tuple[dict, dict]:
+        by_item_round: dict = {}
+        by_cell: dict = {}
+        c = self.columns
+        for item, annotator, rnd, label, stamp in zip(
+            c.item_id, c.annotator_id, c.round, c.label, c.timestamp
+        ):
+            by_item_round.setdefault((item, rnd), []).append((annotator, label))
+            by_cell.setdefault((item, annotator), []).append((rnd, label, stamp))
         for entries in by_item_round.values():
             entries.sort()
         for entries in by_cell.values():
             entries.sort()
-        object.__setattr__(self, "_by_item_round", by_item_round)
-        object.__setattr__(self, "_by_cell", by_cell)
+        return by_item_round, by_cell
 
-    @classmethod
-    def _from_indexes(cls, schema, records, by_item_round, by_cell) -> "AnnotationSet":
-        """A set over ``records`` with both indexes built by the caller, with
-        the contents and key order ``__post_init__`` would give them."""
-        aset = object.__new__(cls)
-        for name, value in (("schema", schema), ("records", records), ("_blocks", None),
-                            ("_by_item_round", by_item_round), ("_by_cell", by_cell)):
-            object.__setattr__(aset, name, value)
-        return aset
+    @property
+    def _by_item_round(self) -> dict:
+        return self._indexes[0]
 
-    def _item_blocks(self) -> dict[str, tuple[tuple, tuple, tuple]]:
-        """item -> (its records, its rounds, its annotators), the rounds and
-        annotators in first-seen order; built on first use and kept."""
-        if self._blocks is None:
-            grouped: dict[str, list[AnnotationRecord]] = {}
-            for rec in self.records:
-                grouped.setdefault(rec.item_id, []).append(rec)
-            blocks = {
-                item: (
-                    tuple(recs),
-                    tuple(dict.fromkeys(rec.round for rec in recs)),
-                    tuple(dict.fromkeys(rec.annotator_id for rec in recs)),
-                )
-                for item, recs in grouped.items()
-            }
-            object.__setattr__(self, "_blocks", blocks)
-        return self._blocks
+    @property
+    def _by_cell(self) -> dict:
+        return self._indexes[1]
+
+    @cached_property
+    def _item_blocks(self) -> dict[str, tuple[list[int], tuple[int, ...], tuple[str, ...]]]:
+        """item -> (its record positions, its rounds, its annotators), the
+        rounds and annotators in first-seen order."""
+        positions: dict[str, list[int]] = {}
+        for position, item in enumerate(self.columns.item_id):
+            positions.setdefault(item, []).append(position)
+        rounds, annotators = self.columns.round, self.columns.annotator_id
+        return {
+            item: (
+                where,
+                tuple(dict.fromkeys(map(rounds.__getitem__, where))),
+                tuple(dict.fromkeys(map(annotators.__getitem__, where))),
+            )
+            for item, where in positions.items()
+        }
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns)
 
     def items(self) -> tuple[str, ...]:
-        return tuple(sorted({r.item_id for r in self.records}))
+        return tuple(sorted(set(self.columns.item_id)))
 
     def annotators(self) -> tuple[str, ...]:
-        return tuple(sorted({r.annotator_id for r in self.records}))
+        return tuple(sorted(set(self.columns.annotator_id)))
 
     def rounds(self) -> tuple[int, ...]:
-        return tuple(sorted({r.round for r in self.records}))
+        return tuple(sorted(set(self.columns.round)))
 
     def label(self, item_id: str, annotator_id: str, round: int) -> str | None:
         for rnd, lbl, _ in self._by_cell.get((item_id, annotator_id), ()):
@@ -240,10 +324,6 @@ def parse_rfc3339(text: str) -> float:
     if parsed.tzinfo is None:
         parsed = parsed.replace(tzinfo=timezone.utc)
     return parsed.timestamp()
-
-
-RECORD_FIELDS = ("task_id", "item_id", "annotator_id", "round", "label", "timestamp")
-_REQUIRED_FIELDS = RECORD_FIELDS[:5]
 
 
 def as_integer(value) -> int:
@@ -295,9 +375,26 @@ def _as_timestamp(value) -> float | None:
     return None if value is None else float(value)
 
 
-def coerce_record(raw: Mapping) -> AnnotationRecord:
-    """The one conversion of raw fields (a CSV row, a JSON object or any
-    mapping) into an :class:`AnnotationRecord`.
+def _coerce_round(value) -> int:
+    try:
+        return as_integer(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"round {value!r} is not an integer") from exc
+
+
+def _coerce_timestamp(value) -> float | None:
+    try:
+        stamp = _as_timestamp(value)
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
+        raise ValidationError(f"bad timestamp {value!r}") from exc
+    if stamp is not None and not math.isfinite(stamp):
+        raise NonFiniteError(f"timestamp {value!r} is not finite")
+    return stamp
+
+
+def coerce_fields(task_id, item_id, annotator_id, round, label, timestamp=None) -> tuple:
+    """The one conversion of raw record fields (from a CSV row, a JSON
+    object or any mapping) into the fields of an :class:`AnnotationRecord`.
 
     The ids and the label are required and non-empty and become strings.
     ``round`` is an integer, an integral float or the text of an integer.
@@ -305,73 +402,171 @@ def coerce_record(raw: Mapping) -> AnnotationRecord:
     epoch seconds as a number or as text, or RFC 3339 text, and finite.
     Labels are kept as given; :func:`validate_dataset` normalises them.
     """
+    required = (task_id, item_id, annotator_id, round, label)
+    if None in required or "" in required:
+        missing = [f for f, v in zip(_REQUIRED_FIELDS, required) if v is None or v == ""]
+        raise ValidationError(f"missing field(s) {missing}")
+    return (str(task_id), str(item_id), str(annotator_id), _coerce_round(round), str(label),
+            _coerce_timestamp(timestamp))
+
+
+def raw_fields(raw) -> tuple:
+    """The six raw fields of a field mapping (a CSV row, a JSON object) or
+    of an :class:`AnnotationRecord`, whose round must already be an int."""
+    if isinstance(raw, AnnotationRecord):
+        if type(raw.round) is not int:  # not bool
+            raise ValidationError(f"round {raw.round!r} is not an integer")
+        return _fields_of(raw)
     # dict first: the Mapping ABC check alone costs a sizeable share of a row
     if not isinstance(raw, (dict, Mapping)):
         raise ValidationError(f"expected a mapping of record fields, got {type(raw).__name__}")
-    values = tuple(map(raw.get, _REQUIRED_FIELDS))
-    if None in values or "" in values:
-        missing = [f for f, v in zip(_REQUIRED_FIELDS, values) if v is None or v == ""]
-        raise ValidationError(f"missing field(s) {missing}")
-    task_id, item_id, annotator_id, rnd, label = values
+    return tuple(map(raw.get, RECORD_FIELDS))
+
+
+def coerce_record(raw: Mapping) -> AnnotationRecord:
+    """A field mapping as an :class:`AnnotationRecord`; see :func:`coerce_fields`."""
+    return AnnotationRecord(*coerce_fields(*raw_fields(raw)))
+
+
+#: value types no two of which compare equal, except numbers with numbers
+_HASHED_TYPES = {str, type(None), bool, int, float}
+
+
+def _convert_column(column: Sequence, convert: Callable) -> tuple[list, int]:
+    """``convert`` applied to the values of ``column`` up to the first one
+    it refuses, and that value's position (``len(column)`` if none is).
+    Text, None and at most one type of number convert once per distinct
+    value; ``1``, ``1.0`` and ``True`` are equal keys, so a mix of them
+    converts value by value."""
+    types = set(map(type, column))
+    if types <= _HASHED_TYPES and len(types & {bool, int, float}) <= 1:
+        table, refused = {}, set()
+        for value in set(column):
+            try:
+                table[value] = convert(value)
+            except ValidationError:
+                refused.add(value)
+        first = _first_in(column, refused)
+        return list(map(table.__getitem__, column[:first])), first
+    converted = []
+    for value in column:
+        try:
+            converted.append(convert(value))
+        except ValidationError:
+            break
+    return converted, len(converted)
+
+
+def coerce_columns(task_id, item_id, annotator_id, round, label, timestamp):
+    """Raw field columns converted as :func:`coerce_fields` converts each
+    row, checked a column at a time.
+
+    Returns ``(columns, error)``. With no refused row, ``columns`` holds
+    every row and ``error`` is None. Otherwise ``columns`` holds the rows
+    before the first refused one and ``error`` is ``(its position, the
+    ValidationError coerce_fields raises for it)``.
+    """
+    raw = (task_id, item_id, annotator_id, round, label, timestamp)
+    n = len(item_id)
+    first = n
+    texts = []
+    for column in (task_id, item_id, annotator_id, label):
+        types = set(map(type, column))
+        if type(None) in types:
+            first = min(first, column.index(None))
+        if str in types and "" in column:
+            first = min(first, column.index(""))
+        texts.append(column if types <= {str} else list(map(str, column)))
+    rounds, refused = _convert_column(round, _coerce_round)
+    first = min(first, refused)
+    stamps, refused = _convert_column(timestamp, _coerce_timestamp)
+    first = min(first, refused)
+    converted = (*texts[:3], rounds, texts[3], stamps)
+    if first == n:
+        return RecordColumns(*converted), None
     try:
-        rnd = as_integer(rnd)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"round {rnd!r} is not an integer") from exc
-    try:
-        stamp = _as_timestamp(raw.get("timestamp"))
-    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
-        raise ValidationError(f"bad timestamp {raw['timestamp']!r}") from exc
-    if stamp is not None and not math.isfinite(stamp):
-        raise NonFiniteError(f"timestamp {raw['timestamp']!r} is not finite")
-    return AnnotationRecord(
-        task_id=str(task_id),
-        item_id=str(item_id),
-        annotator_id=str(annotator_id),
-        round=rnd,
-        label=str(label),
-        timestamp=stamp,
-    )
+        coerce_fields(*(column[first] for column in raw))
+    except ValidationError as exc:
+        return RecordColumns(*(column[:first] for column in converted)), (first, exc)
+    raise AssertionError(f"row {first} refused by a column check but not by coerce_fields")
+
+
+def _first_in(column: Sequence, refused: set) -> int:
+    """Position of the first value of ``column`` in ``refused``, or
+    ``len(column)``."""
+    if not refused:
+        return len(column)
+    return next(i for i, value in enumerate(column) if value in refused)
+
+
+def _first_repeat(*columns: Sequence) -> int:
+    """Position of the first row of ``columns`` equal to an earlier row, or
+    the number of rows."""
+    if len(set(zip(*columns))) == len(columns[0]):
+        return len(columns[0])
+    seen: set = set()
+    for position, key in enumerate(zip(*columns)):
+        if key in seen:
+            return position
+        seen.add(key)
+    return len(seen)
 
 
 def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
     """Check all invariants and build an :class:`AnnotationSet`.
 
-    Records are :class:`AnnotationRecord` objects or field mappings, which
-    go through :func:`coerce_record`; labels are normalised. Raises
-    :class:`DuplicateCellError`, :class:`UnknownLabelError` or
-    :class:`SchemaMismatchError` on the first violating record; the record
-    count is preserved on success.
+    ``records`` is :class:`RecordColumns` as the readers return them, or an
+    iterable of :class:`AnnotationRecord` objects or field mappings, which
+    :func:`coerce_columns` converts first. Labels are normalised. Raises
+    :class:`DuplicateCellError`, :class:`UnknownLabelError`,
+    :class:`SchemaMismatchError` or :class:`ValidationError` for the first
+    violating record; the record count is preserved on success.
     """
-    categories = set(schema.categories)
-    seen: set[tuple[str, str, int]] = set()
-    validated: list[AnnotationRecord] = []
-    for position, rec in enumerate(records):
-        if not isinstance(rec, AnnotationRecord):
+    if isinstance(records, RecordColumns):
+        columns, error = records, None
+        if set(map(type, columns.round)) - {int}:  # not bool
+            bad_round = next(i for i, r in enumerate(columns.round) if type(r) is not int)
+            value = columns.round[bad_round]
+            columns = columns[:bad_round]
+            error = (bad_round, ValidationError(f"round {value!r} is not an integer"))
+    else:
+        rows, error = [], None
+        for position, rec in enumerate(records):
             try:
-                rec = coerce_record(rec)
+                rows.append(raw_fields(rec))
             except ValidationError as exc:
-                raise type(exc)(f"record {position}: {exc}") from exc
-        elif type(rec.round) is not int:  # not bool
-            raise ValidationError(f"record {position}: round {rec.round!r} is not an integer")
-        label = normalize_label(rec.label)
-        if label != rec.label:
-            rec = replace(rec, label=label)
-        if rec.task_id != schema.task_id:
-            raise SchemaMismatchError(
-                f"record task_id {rec.task_id!r} != schema task_id {schema.task_id!r}"
-            )
-        if rec.label not in categories:
-            raise UnknownLabelError(
-                f"label {rec.label!r} not in schema categories for item {rec.item_id!r}"
-            )
-        if rec.round < 1:
-            raise ValidationError(f"round must be >= 1, got {rec.round}")
-        key = (rec.item_id, rec.annotator_id, rec.round)
-        if key in seen:
-            raise DuplicateCellError(f"duplicate record for (item, annotator, round) {key}")
-        seen.add(key)
-        validated.append(rec)
-    return AnnotationSet(schema=schema, records=tuple(validated))
+                error = (position, exc)
+                break
+        columns, coerce_error = coerce_columns(*(zip(*rows) if rows else ((),) * 6))
+        error = coerce_error or error
+    normal = {label: normalize_label(label) for label in set(columns.label)}
+    labels = columns.label
+    if any(label != normal[label] for label in normal):
+        labels = tuple(map(normal.__getitem__, labels))
+    categories = set(schema.categories)
+    task_ids, items, annotators, rounds = (
+        columns.task_id, columns.item_id, columns.annotator_id, columns.round)
+    # the first faulty record wins; within a record, the checks run in this order
+    faults = [
+        (_first_in(task_ids, set(task_ids) - {schema.task_id}), lambda p: SchemaMismatchError(
+            f"record task_id {task_ids[p]!r} != schema task_id {schema.task_id!r}")),
+        (_first_in(labels, set(labels) - categories), lambda p: UnknownLabelError(
+            f"label {labels[p]!r} not in schema categories for item {items[p]!r}")),
+        (_first_in(rounds, {r for r in set(rounds) if r < 1}), lambda p: ValidationError(
+            f"round must be >= 1, got {rounds[p]}")),
+        (_first_repeat(items, annotators, rounds), lambda p: DuplicateCellError(
+            "duplicate record for (item, annotator, round) "
+            f"{(items[p], annotators[p], rounds[p])}")),
+    ]
+    position, fault = min(faults, key=operator.itemgetter(0))
+    if position < len(columns):
+        raise fault(position)
+    if error is not None:
+        position, exc = error
+        raise type(exc)(f"record {position}: {exc}") from exc
+    if labels is not columns.label:
+        columns = RecordColumns(task_ids, items, annotators, rounds, labels, columns.timestamp)
+    return AnnotationSet(schema, columns=columns)
 
 
 def resolve_rounds(aset: AnnotationSet, rounds: int | Sequence[int] | None) -> tuple[int, ...]:

@@ -11,12 +11,20 @@ from __future__ import annotations
 import contextlib
 import csv
 import json
+import operator
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .core import RECORD_FIELDS as CSV_FIELDS
-from .core import AnnotationRecord, AnnotationSet, LabelSchema, coerce_record
+from .core import (
+    AnnotationRecord,
+    AnnotationSet,
+    LabelSchema,
+    RecordColumns,
+    coerce_columns,
+    raw_fields,
+)
 from .core import parse_rfc3339  # noqa: F401 - part of this module's API
 from .errors import InvalidConfigError, ValidationError
 
@@ -40,73 +48,131 @@ def _open_text(path: str | Path, **kwargs):
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def read_annotation_records_csv(path: str | Path) -> list[AnnotationRecord]:
+def _checked(raw: Sequence[list], line_of: Callable[[int], int], path) -> RecordColumns:
+    """``raw`` field columns through :func:`~relistab.core.coerce_columns`;
+    a refused row raises its error prefixed with ``path`` and its line."""
+    columns, error = coerce_columns(*raw)
+    if error is not None:
+        position, exc = error
+        raise type(exc)(f"{path}:{line_of(position)}: {exc}") from exc
+    return columns
+
+
+def read_annotation_records_csv(path: str | Path) -> RecordColumns:
+    """The records of a CSV file with a header row, as columns.
+
+    Blank rows are skipped and not counted in line numbers; a short row
+    leaves its last fields missing and extra trailing values are ignored.
+    """
+    raw = tuple([] for _ in CSV_FIELDS)
+    add_task, add_item, add_annotator, add_round, add_label, add_stamp = (
+        column.append for column in raw)
+
+    def line_of(position: int) -> int:
+        return position + 2
+
     with _open_text(path, newline="") as handle:
-        reader = csv.DictReader(handle)
-        header = reader.fieldnames or []
-        required = set(CSV_FIELDS[:5])
-        if not required.issubset(header):
-            raise ValidationError(
-                f"{path}: CSV header must contain {sorted(required)}, got {header}"
-            )
-        unknown = set(header) - set(CSV_FIELDS)
-        if unknown:
-            raise ValidationError(f"{path}: unknown CSV column(s) {sorted(unknown)}")
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                records.append(coerce_record(row))
-            except ValidationError as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-    return records
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, [])
+            required = set(CSV_FIELDS[:5])
+            if not required.issubset(header):
+                raise ValidationError(
+                    f"{path}: CSV header must contain {sorted(required)}, got {header}"
+                )
+            unknown = set(header) - set(CSV_FIELDS)
+            if unknown:
+                raise ValidationError(f"{path}: unknown CSV column(s) {sorted(unknown)}")
+            # a repeated column name reads its last column
+            at = {name: i for i, name in enumerate(header)}
+            # without a timestamp column, read the task id in its place and
+            # clear that column after the loop
+            positions = [at.get(name, at["task_id"]) for name in CSV_FIELDS]
+            pick = operator.itemgetter(*positions)
+            width = max(positions) + 1
+            for row in reader:
+                if len(row) < width:
+                    if not row:
+                        continue
+                    row += [None] * (width - len(row))
+                task, item, annotator, rnd, label, stamp = pick(row)
+                add_task(task)
+                add_item(item)
+                add_annotator(annotator)
+                add_round(rnd)
+                add_label(label)
+                add_stamp(stamp)
+        except csv.Error as exc:
+            _checked(raw, line_of, path)  # a fault on an earlier row comes first
+            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
+    if "timestamp" not in at:
+        raw[5][:] = [None] * len(raw[5])
+    return _checked(raw, line_of, path)
+
+
+def _columns_of(records: Iterable[AnnotationRecord] | AnnotationSet) -> RecordColumns:
+    return records.columns if isinstance(records, AnnotationSet) else RecordColumns.of(records)
+
+
+def _stamp_texts(stamps: Sequence[float | None], blank) -> dict:
+    """Each distinct timestamp's RFC 3339 text, and ``blank`` for None."""
+    return {s: blank if s is None else format_rfc3339(s) for s in set(stamps)}
 
 
 def write_annotations_csv(records: Iterable[AnnotationRecord] | AnnotationSet, path: str | Path) -> None:
-    if isinstance(records, AnnotationSet):
-        records = records.records
+    columns = _columns_of(records)
+    texts = _stamp_texts(columns.timestamp, "")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_FIELDS)
-        for rec in records:
-            stamp = "" if rec.timestamp is None else format_rfc3339(rec.timestamp)
-            writer.writerow(
-                [rec.task_id, rec.item_id, rec.annotator_id, rec.round, rec.label, stamp]
-            )
+        writer.writerows(zip(*columns.fields()[:5], map(texts.__getitem__, columns.timestamp)))
 
 
-def read_annotation_records_jsonl(path: str | Path) -> list[AnnotationRecord]:
-    records = []
+def read_annotation_records_jsonl(path: str | Path) -> RecordColumns:
+    """The records of a JSON Lines file, one object a line, as columns;
+    blank lines are skipped."""
+    raw = tuple([] for _ in CSV_FIELDS)
+    add_task, add_item, add_annotator, add_round, add_label, add_stamp = (
+        column.append for column in raw)
+    lines: list[int] = []
     with _open_text(path) as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                records.append(coerce_record(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{path}:{lineno}: invalid JSON") from exc
-            except ValidationError as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
-    return records
+                task, item, annotator, rnd, label, stamp = raw_fields(json.loads(line))
+            except (json.JSONDecodeError, ValidationError) as exc:
+                _checked(raw, lines.__getitem__, path)  # a fault on an earlier line comes first
+                reason = "invalid JSON" if isinstance(exc, json.JSONDecodeError) else exc
+                raise ValidationError(f"{path}:{lineno}: {reason}") from exc
+            add_task(task)
+            add_item(item)
+            add_annotator(annotator)
+            add_round(rnd)
+            add_label(label)
+            add_stamp(stamp)
+            lines.append(lineno)
+    return _checked(raw, lines.__getitem__, path)
 
 
 def write_annotations_jsonl(records: Iterable[AnnotationRecord] | AnnotationSet, path: str | Path) -> None:
-    if isinstance(records, AnnotationSet):
-        records = records.records
+    columns = _columns_of(records)
+    texts = _stamp_texts(columns.timestamp, None)
     with open(path, "w", encoding="utf-8") as handle:
-        for rec in records:
+        for task, item, annotator, rnd, label, stamp in zip(*columns.fields()):
             obj = {
-                "task_id": rec.task_id,
-                "item_id": rec.item_id,
-                "annotator_id": rec.annotator_id,
-                "round": rec.round,
-                "label": rec.label,
+                "task_id": task,
+                "item_id": item,
+                "annotator_id": annotator,
+                "round": rnd,
+                "label": label,
             }
-            if rec.timestamp is not None:
-                obj["timestamp"] = format_rfc3339(rec.timestamp)
+            if stamp is not None:
+                obj["timestamp"] = texts[stamp]
             handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def read_annotation_records(path: str | Path) -> list[AnnotationRecord]:
+def read_annotation_records(path: str | Path) -> RecordColumns:
     """Dispatch on file extension: .jsonl/.ndjson -> JSON Lines, else CSV."""
     suffix = Path(path).suffix.lower()
     if suffix in (".jsonl", ".ndjson"):

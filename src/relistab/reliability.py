@@ -27,9 +27,9 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    AnnotationRecord,
     AnnotationSet,
     LabelSchema,
+    RecordColumns,
     coincidence_blocks,
     coincidence_counts,
     resolve_rounds,
@@ -379,10 +379,11 @@ def krippendorff_alpha(
     )
     value = alpha_from_coincidence(aset.schema, coincidence_counts(aset, resolved), distance)
     contributing = {item for item, labels in pooled.items() if len(labels) >= 2}
+    columns = aset.columns
     annotators = {
-        rec.annotator_id
-        for rec in aset.records
-        if rec.round in resolved and rec.item_id in contributing
+        annotator
+        for item, annotator, rnd in zip(columns.item_id, columns.annotator_id, columns.round)
+        if rnd in resolved and item in contributing
     }
     return AgreementResult(
         metric_name="krippendorff_alpha",
@@ -403,7 +404,7 @@ def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray
     round selection, and a replicate adds the drawn blocks in that order,
     one after another as :func:`coincidence_counts` does: the same float.
     """
-    items, item_blocks = aset.items(), aset._item_blocks()
+    items, item_blocks = aset.items(), aset._item_blocks
     item_rounds = [item_blocks[item][1] for item in items]
     first_rounds = np.array([min(rounds) for rounds in item_rounds])
     selected = cache(lambda: resolve_rounds(aset, call.rounds))
@@ -461,8 +462,9 @@ def icc(
     if len(resolved) != 1:
         raise InvalidConfigError("icc operates on exactly one round")
     (rnd,) = resolved
+    columns = aset.columns
     annotators = sorted(
-        {rec.annotator_id for rec in aset.records if rec.round == rnd}
+        {annotator for annotator, r in zip(columns.annotator_id, columns.round) if r == rnd}
     )
     if len(annotators) < 2:
         raise DegenerateError("icc needs >= 2 annotators in the round")
@@ -520,39 +522,42 @@ def resample_items(aset: AnnotationSet, item_ids: Sequence[str]) -> AnnotationSe
     Repeated draws of an item are kept distinct by suffixing ``~k`` to the
     k-th duplicate (plus as many ``~`` as it takes to differ from every
     source item id), so resampled sets stay valid AnnotationSets. The set is
-    assembled from ``aset``'s per-item blocks: a first draw reuses the
-    source's records and index entries, and only a duplicate draw makes new
-    records. The indexes come out as ``AnnotationSet(schema, records)``
-    would build them, key order included.
+    gathered from ``aset``'s columns at each drawn item's record positions,
+    and its indexes reuse the source's index entries; they come out as
+    ``AnnotationSet(schema, records)`` would build them, key order included.
     """
-    blocks = aset._item_blocks()
+    blocks = aset._item_blocks
     source_rounds, source_cells = aset._by_item_round, aset._by_cell
     seen: Counter = Counter()
-    records: list[AnnotationRecord] = []
+    positions: list[int] = []
+    item_column: list[str] = []
     by_item_round: dict = {}
     by_cell: dict = {}
     for item in item_ids:
         occurrence = seen[item]
         seen[item] += 1
-        block_records, rounds, annotators = blocks[item]
-        if occurrence == 0:
-            new_id = item
-            records.extend(block_records)
-        else:
+        where, rounds, annotators = blocks[item]
+        new_id = item
+        if occurrence:
             new_id = f"{item}~{occurrence}"
             while new_id in blocks:
                 new_id += "~"
-            records += [
-                AnnotationRecord(
-                    rec.task_id, new_id, rec.annotator_id, rec.round, rec.label, rec.timestamp
-                )
-                for rec in block_records
-            ]
+        positions += where
+        item_column += [new_id] * len(where)
         for rnd in rounds:
             by_item_round[(new_id, rnd)] = source_rounds[(item, rnd)]
         for annotator in annotators:
             by_cell[(new_id, annotator)] = source_cells[(item, annotator)]
-    return AnnotationSet._from_indexes(aset.schema, tuple(records), by_item_round, by_cell)
+    source = aset.columns
+
+    def gather(column: tuple) -> map:
+        return map(column.__getitem__, positions)
+
+    columns = RecordColumns(
+        gather(source.task_id), item_column, gather(source.annotator_id),
+        gather(source.round), gather(source.label), gather(source.timestamp),
+    )
+    return AnnotationSet._from_indexes(aset.schema, columns, by_item_round, by_cell)
 
 
 def percentile_ci(

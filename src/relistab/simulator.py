@@ -31,9 +31,9 @@ import numpy as np
 
 from .association import RationalisationRecord
 from .core import (
-    AnnotationRecord,
     AnnotationSet,
     LabelSchema,
+    RecordColumns,
     as_integer,
     as_number,
     as_text,
@@ -93,6 +93,12 @@ class SimConfig:
     task_id: str = "sim"
 
     def __post_init__(self):
+        for name in ("n_annotators", "n_groups", "rounds", "seed"):
+            value = getattr(self, name)
+            try:
+                object.__setattr__(self, name, as_integer(value))
+            except (TypeError, ValueError) as exc:
+                raise InvalidConfigError(f"{name} must be an integer, got {value!r}") from exc
         if self.n_annotators < 2:
             raise InvalidConfigError("n_annotators must be >= 2")
         if self.n_groups < 1:
@@ -101,7 +107,12 @@ class SimConfig:
         unknown = sorted(set(counts) - set(CAUSES))
         if unknown:
             raise InvalidConfigError(f"unknown cause(s) {unknown}; valid: {CAUSES}")
-        if any(not isinstance(v, int) or v < 0 for v in counts.values()):
+        try:
+            counts = {cause: as_integer(n) for cause, n in counts.items()}
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigError(
+                "items_per_cause counts must be non-negative integers") from exc
+        if any(n < 0 for n in counts.values()):
             raise InvalidConfigError("items_per_cause counts must be non-negative integers")
         if sum(counts.values()) < 1:
             raise InvalidConfigError("items_per_cause must total >= 1")
@@ -218,22 +229,8 @@ def simulate(config: SimConfig) -> tuple[AnnotationSet, SimTruth]:
 
     causes: dict[str, str] = {}
     truth_labels: dict[str, object] = {}
-    records: list[AnnotationRecord] = []
-
-    def emit(item_id: str, label_indices: np.ndarray) -> None:
-        """label_indices: (n_ann, n_rounds) category indices for one item."""
-        for j, ann in enumerate(annotator_ids):
-            for r in range(n_rounds):
-                records.append(
-                    AnnotationRecord(
-                        task_id=config.task_id,
-                        item_id=item_id,
-                        annotator_id=ann,
-                        round=r + 1,
-                        label=config.categories[label_indices[j, r]],
-                        timestamp=float(timestamps[r]),
-                    )
-                )
+    #: per cause, the (n_items, n_ann, n_rounds) category indices of its items
+    label_blocks: list[np.ndarray] = []
 
     for cause in CAUSES:
         n_items = config.items_per_cause.get(cause, 0)
@@ -285,10 +282,22 @@ def simulate(config: SimConfig) -> tuple[AnnotationSet, SimTruth]:
                 )
             else:
                 truth_labels[item_id] = None
-            emit(item_id, labels[i])
+        label_blocks.append(labels)
 
+    # records run item by item, then annotator, then round, as the blocks do
+    per_item = n_ann * n_rounds
+    n_records = len(causes) * per_item
+    columns = RecordColumns(
+        [config.task_id] * n_records,
+        [item for item in causes for _ in range(per_item)],
+        [ann for ann in annotator_ids for _ in range(n_rounds)] * len(causes),
+        list(range(1, n_rounds + 1)) * (n_ann * len(causes)),
+        map(config.categories.__getitem__,
+            np.concatenate([block.reshape(-1) for block in label_blocks]).tolist()),
+        timestamps.tolist() * (n_ann * len(causes)),
+    )
     schema = LabelSchema(task_id=config.task_id, categories=config.categories)
-    aset = validate_dataset(records, schema)
+    aset = validate_dataset(columns, schema)
     return aset, SimTruth(causes=causes, labels=truth_labels)
 
 

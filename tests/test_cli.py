@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from relistab import (
+    AnnotationRecord,
     LabelSchema,
     RationalisationRecord,
     SimConfig,
     load_report_schema,
     save_schema,
+    read_annotation_records,
     write_annotations_csv,
+    write_annotations_jsonl,
     write_rationalisations_csv,
 )
 from relistab.cli import build_parser, main
@@ -330,6 +333,39 @@ def test_time_reversed_round_names_the_cell(capsys, workspace, reversed_round, a
     assert code == 3
     message = error_of(err)["message"]
     assert "'i1'" in message and "'b'" in message and "predates" in message
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("argv", [
+    ("validate",),
+    ("reliability",),
+    ("stability", "--permutation", "20", "--seed", "1"),
+    ("matrix", "--out", "{out}"),
+    ("phi", "--rationalisations", "{why}"),
+])
+def test_subcommands_build_no_annotation_records(capsys, monkeypatch, workspace, tmp_path,
+                                                 fmt, argv):
+    """The readers, validation and every metric these runs use work on the
+    set's columns; an AnnotationRecord is built only when asked for."""
+    annotations = workspace / "annotations.csv"
+    if fmt == "jsonl":
+        annotations = tmp_path / "annotations.jsonl"
+        write_annotations_jsonl(read_annotation_records(workspace / "annotations.csv"),
+                                annotations)
+    built = []
+    real_init = AnnotationRecord.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(AnnotationRecord, "__init__", counted_init)
+    argv = [a.format(out=tmp_path / "out", why=workspace / "rationalisations.csv")
+            for a in argv]
+    code, _, err = run(capsys, *argv, "--annotations", str(annotations),
+                       "--schema", str(workspace / "schema.json"))
+    assert code == 0, err
+    assert built == []
 
 
 class TestMatrix:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from relistab import (
     AnnotationRecord,
     AnnotationSet,
     LabelSchema,
+    RecordColumns,
     build_repeat_pairs,
     coincidence_counts,
     normalize_label,
@@ -242,3 +245,121 @@ def test_annotation_set_equality_ignores_caches():
     schema = LabelSchema("t", ("x", "y"))
     recs = (AnnotationRecord("t", "i0", "a", 1, "x"),)
     assert AnnotationSet(schema, recs) == AnnotationSet(schema, recs)
+
+
+def brute_force_indexes(records):
+    """``_by_item_round`` and ``_by_cell`` built record by record, in the
+    records' order, as the set defines them."""
+    by_item_round, by_cell = {}, {}
+    for rec in records:
+        by_item_round.setdefault((rec.item_id, rec.round), []).append(
+            (rec.annotator_id, rec.label))
+        by_cell.setdefault((rec.item_id, rec.annotator_id), []).append(
+            (rec.round, rec.label, rec.timestamp))
+    for entries in (*by_item_round.values(), *by_cell.values()):
+        entries.sort()
+    return by_item_round, by_cell
+
+
+#: labels as files carry them: composed or not, padded or not
+LABEL_FORMS = {"x": ("x", " x", "x\t"), "\u00e9": ("\u00e9", "e\u0301", " e\u0301 ")}
+
+
+@st.composite
+def shuffled_sparse_records(draw):
+    """Records over some of the (item, annotator, round) cells, in random
+    order, with timestamps mixing None and numbers, label variants that
+    normalise alike, and an item id ``a~1`` that a resampled ``a`` takes."""
+    cells = [(item, ann, rnd) for item in ("a", "a~1", "b", "c")
+             for ann in ("p", "q", "r") for rnd in (1, 2, 3)]
+    kept = draw(st.lists(st.sampled_from(cells), max_size=len(cells), unique=True))
+    labels = st.sampled_from(sorted(LABEL_FORMS)).flatmap(
+        lambda label: st.sampled_from(LABEL_FORMS[label]))
+    return [
+        AnnotationRecord("t", item, ann, rnd, draw(labels),
+                         draw(st.none() | st.integers(0, 10**9) | st.floats(0, 1e9)))
+        for item, ann, rnd in draw(st.permutations(kept))
+    ]
+
+
+@given(shuffled_sparse_records())
+def test_column_set_matches_record_by_record_build(records):
+    aset = validate_dataset(records, LabelSchema("t", tuple(LABEL_FORMS)))
+    expected = [AnnotationRecord(r.task_id, r.item_id, r.annotator_id, r.round,
+                                 normalize_label(r.label), r.timestamp) for r in records]
+    assert aset.records == tuple(expected)
+    by_item_round, by_cell = brute_force_indexes(expected)
+    assert list(aset._by_item_round.items()) == list(by_item_round.items())
+    assert list(aset._by_cell.items()) == list(by_cell.items())
+    assert aset.items() == tuple(sorted({r.item_id for r in expected}))
+    assert aset.annotators() == tuple(sorted({r.annotator_id for r in expected}))
+    assert aset.rounds() == tuple(sorted({r.round for r in expected}))
+    assert len(aset) == len(expected)
+    assert aset == AnnotationSet(aset.schema, expected)
+
+
+def test_record_columns_read_as_records():
+    records = [AnnotationRecord("t", "i0", "a", 1, "x", 5.0),
+               AnnotationRecord("t", "i1", "b", 2, "y")]
+    columns = RecordColumns.of(records)
+    assert columns == records and records == columns
+    assert columns == tuple(records)
+    assert columns != records[:1]
+    assert len(columns) == 2 and list(columns) == records
+    assert columns[1] == records[1] and columns[-1] == records[-1]
+    assert columns[:1] == records[:1]
+    assert columns.item_id == ("i0", "i1") and columns.timestamp == (5.0, None)
+    with pytest.raises(AttributeError):
+        columns.item_id = ()
+    with pytest.raises(ValueError):
+        RecordColumns(("t",), (), (), (), (), ())
+
+
+def test_annotation_set_keeps_working_with_replace():
+    aset = make_rounds({"a": {1: ["x", "y"], 2: ["x", "x"]}}, timestamps={1: 1.0, 2: 2.0})
+    schema = LabelSchema("t", ("x", "y", "z"))
+    moved = replace(aset, schema=schema)
+    assert moved.schema == schema and moved.columns is aset.columns
+    assert moved.cell_history("i1", "a") == aset.cell_history("i1", "a")
+    assert moved != aset and replace(moved, schema=aset.schema) == aset
+
+
+class TestFirstFaultInRecordOrder:
+    """Every check runs a column at a time; the first faulty record still
+    decides the error, and within a record the checks keep their order."""
+
+    SCHEMA = LabelSchema("t", ("x", "y"))
+
+    def rec(self, item="i0", ann="a", rnd=1, label="x", task="t"):
+        return {"task_id": task, "item_id": item, "annotator_id": ann, "round": rnd,
+                "label": label}
+
+    @pytest.mark.parametrize("records, error, message", [
+        # a later fault of an earlier kind does not win over an earlier record
+        ([{"item_id": "i0"}, {"task_id": "u"}], ValidationError, "record 0: missing"),
+        (["rec", "bad label", "missing"], UnknownLabelError, "'z'"),
+        (["rec", "dup", "task"], DuplicateCellError, "'i0', 'a', 1"),
+        (["round 0", "dup"], ValidationError, "round must be >= 1, got 0"),
+        (["task", "bad label"], SchemaMismatchError, "'u'"),
+        (["rec", "bad round text"], ValidationError, "record 1: round '1.5'"),
+        (["rec", "not a mapping", "bad label"], ValidationError, "record 1: expected a mapping"),
+        # within one record: task before label before round before duplicate
+        (["rec", "all wrong"], SchemaMismatchError, "'u'"),
+        (["rec", "label and round"], UnknownLabelError, "'z'"),
+    ])
+    def test_first_fault_wins(self, records, error, message):
+        forms = {
+            "rec": self.rec(),
+            "bad label": self.rec(item="i1", label="z"),
+            "missing": {"item_id": "i2"},
+            "dup": self.rec(label="y"),
+            "task": self.rec(item="i3", task="u"),
+            "round 0": self.rec(item="i4", rnd=0),
+            "bad round text": self.rec(item="i5", rnd="1.5"),
+            "not a mapping": ["t", "i6", "a", 1, "x"],
+            "all wrong": self.rec(task="u", label="z", rnd=0),
+            "label and round": self.rec(item="i7", label="z", rnd=0),
+        }
+        records = [forms.get(r, r) if isinstance(r, str) else r for r in records]
+        with pytest.raises(error, match=message):
+            validate_dataset(records, self.SCHEMA)

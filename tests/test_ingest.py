@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from relistab import (
     AnnotationRecord,
     LabelSchema,
     RationalisationRecord,
+    RecordColumns,
     format_rfc3339,
     load_schema,
     parse_rfc3339,
@@ -20,6 +22,8 @@ from relistab import (
     write_annotations_jsonl,
     write_rationalisations_csv,
 )
+from relistab.core import RECORD_FIELDS as CSV_FIELDS
+from relistab.core import coerce_record
 from relistab.errors import NonFiniteError, ValidationError
 
 
@@ -182,3 +186,154 @@ def test_rationalisations_header_check(tmp_path):
     path.write_text("item,rater,label\ni0,r1,subjective\n")
     with pytest.raises(ValidationError):
         read_rationalisations_csv(path)
+
+
+def row_by_row_csv(path):
+    """The CSV rows as ``csv.DictReader`` yields them, each through
+    ``coerce_record``: the row-at-a-time reading the column reader must
+    match, line numbers and messages included."""
+    records = []
+    with open(path, newline="", encoding="utf-8") as handle:
+        for lineno, row in enumerate(csv.DictReader(handle), start=2):
+            try:
+                records.append(coerce_record(row))
+            except ValidationError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+    return records
+
+
+def row_by_row_jsonl(path):
+    records = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                records.append(coerce_record(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"{path}:{lineno}: invalid JSON") from exc
+            except ValidationError as exc:
+                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+    return records
+
+
+def outcome(read, path):
+    try:
+        return list(read(path))
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+#: field text a CSV cell may hold, good and bad
+CELL_TEXT = st.sampled_from(
+    ["t", "i0", "i1", "a", "b", "1", "2", "01", " 2 ", "1.5", "x", "", "nan", "1e3",
+     "2020-09-13T12:26:40Z", "2020-09-13T12:26:40", "1700000000", "inf", "yesterday"])
+
+#: values each field takes in a record that reads without error
+GOOD = {"task_id": ["t"], "item_id": ["i0", "i1", "i2"], "annotator_id": ["a", "b"],
+        "round": ["1", "2", "01", " 2 "], "label": ["x", "y", " x"],
+        "timestamp": ["", "1700000000", "2020-09-13T12:26:40Z", "2020-09-13T12:26:40"]}
+
+#: what happens to a row: mostly nothing, else one fault of a kind
+ROW_EDIT = st.sampled_from(["none", "none", "none", "value", "short", "long", "blank"])
+
+
+@st.composite
+def csv_files(draw):
+    """A header (any column order, with or without timestamps) and rows
+    that read cleanly but for the odd bad value, short, long or blank row."""
+    header = [f for f in draw(st.permutations(CSV_FIELDS))
+              if f != "timestamp" or draw(st.booleans())]
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(st.sampled_from(GOOD[f])) for f in header]
+        edit = draw(ROW_EDIT)
+        if edit == "value":
+            row[draw(st.integers(0, len(row) - 1))] = draw(CELL_TEXT)
+        elif edit == "short":
+            row = row[:draw(st.integers(1, len(row) - 1))]
+        elif edit == "long":
+            row += draw(st.lists(CELL_TEXT, min_size=1, max_size=2))
+        elif edit == "blank":
+            row = []
+        rows.append(row)
+    return [header, *rows]
+
+
+@given(csv_files())
+def test_csv_columns_match_row_by_row_reading(tmp_path_factory, table):
+    """Blank rows are skipped and not counted, a short row is missing its
+    last fields, extra trailing values are ignored; the first faulty row
+    raises the error row-by-row reading raises."""
+    path = tmp_path_factory.mktemp("csv") / "ann.csv"
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle).writerows(table)
+    assert outcome(read_annotation_records_csv, path) == outcome(row_by_row_csv, path)
+
+
+#: JSON values a field may hold; ``True``, ``1`` and ``1.0`` are equal keys
+JSON_VALUE = st.one_of(st.none(), st.booleans(), st.sampled_from([1, 2, 1.0, 2.5, -1]),
+                       st.floats(allow_nan=True), CELL_TEXT, st.lists(st.integers(), max_size=1))
+
+
+@st.composite
+def jsonl_lines(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        obj = {f: draw(st.sampled_from(GOOD[f])) for f in CSV_FIELDS}
+        edit = draw(ROW_EDIT)
+        if edit == "value":
+            obj[draw(st.sampled_from(CSV_FIELDS))] = draw(JSON_VALUE)
+        elif edit == "short":
+            del obj[draw(st.sampled_from(CSV_FIELDS))]
+        elif edit == "long":
+            obj = draw(st.sampled_from(["{", "[1]", "3", '"t"', "{}", "NaN"]))
+        lines.append("  " if edit == "blank" else obj if isinstance(obj, str) else json.dumps(obj))
+    return lines
+
+
+@given(jsonl_lines())
+def test_jsonl_columns_match_row_by_row_reading(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("jsonl") / "ann.jsonl"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    assert outcome(read_annotation_records_jsonl, path) == outcome(row_by_row_jsonl, path)
+
+
+def test_csv_reader_error_is_a_validation_error(tmp_path):
+    path = tmp_path / "ann.csv"
+    huge = "x" * (csv.field_size_limit() + 1)
+    path.write_text(f"{','.join(CSV_FIELDS)}\nt,i0,a,1,x,\nt,i1,a,1,{huge},\n")
+    with pytest.raises(ValidationError, match="ann.csv:3: field larger than field limit"):
+        read_annotation_records_csv(path)
+    path.write_text(f"{','.join(CSV_FIELDS)}\nt,i0,a,1.5,x,\nt,i1,a,1,{huge},\n")
+    with pytest.raises(ValidationError, match="ann.csv:2: round"):
+        read_annotation_records_csv(path)
+
+
+def test_readers_return_record_sequences(tmp_path):
+    records = [AnnotationRecord("t", "i0", "a", 1, "x", 100.0),
+               AnnotationRecord("t", "i0", "b", 1, "y")]
+    write_annotations_csv(records, tmp_path / "ann.csv")
+    write_annotations_jsonl(records, tmp_path / "ann.jsonl")
+    for read, name in ((read_annotation_records_csv, "ann.csv"),
+                       (read_annotation_records_jsonl, "ann.jsonl")):
+        columns = read(tmp_path / name)
+        assert isinstance(columns, RecordColumns)
+        assert len(columns) == 2 and columns[1] == records[1] and list(columns) == records
+        assert columns.annotator_id == ("a", "b")
+
+
+@pytest.mark.parametrize("rounds, bad", [([1, 1.0, True], "True"), ([2, 1, True], "True"),
+                                         ([1.0, 2, True], "True")])
+def test_bool_round_is_refused_beside_equal_numbers(tmp_path, rounds, bad):
+    """``True == 1 == 1.0`` as keys, so values converted once per distinct
+    value must not let a bool round through on an equal number's result."""
+    rows = [{"task_id": "t", "item_id": f"i{k}", "annotator_id": "a", "round": rnd,
+             "label": "x"} for k, rnd in enumerate(rounds)]
+    line = 1 + next(k for k, rnd in enumerate(rounds) if type(rnd) is bool)
+    path = tmp_path / "ann.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    with pytest.raises(ValidationError, match=f"ann.jsonl:{line}: round {bad} is not"):
+        read_annotation_records_jsonl(path)
+    with pytest.raises(ValidationError, match=f"record {line - 1}: round {bad} is not"):
+        validate_dataset(rows, LabelSchema("t", ("x", "y")))

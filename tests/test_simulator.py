@@ -83,6 +83,36 @@ class TestSimConfig:
         with pytest.raises(InvalidConfigError):
             config(rounds=3, **overrides)
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_annotators", 3.5),
+        ("n_annotators", float("nan")),
+        ("n_annotators", True),
+        ("n_groups", float("nan")),
+        ("n_groups", 1.5),
+        ("n_groups", True),
+        ("rounds", 2.5),
+        ("rounds", float("inf")),
+        ("rounds", True),
+        ("seed", float("nan")),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", ""),
+        ("items_per_cause", {"straightforward": True}),
+        ("items_per_cause", {"straightforward": 2.5}),
+        ("items_per_cause", {"straightforward": float("nan")}),
+    ])
+    def test_integer_fields_refuse_non_integers(self, key, value):
+        with pytest.raises(InvalidConfigError, match=key):
+            config(**{key: value})
+
+    def test_integer_fields_take_integral_floats(self):
+        cfg = config(n_annotators=4.0, n_groups=2.0, rounds=2.0, seed=5.0,
+                     items_per_cause={"straightforward": 3.0})
+        assert cfg == config()
+        assert all(type(getattr(cfg, f)) is int
+                   for f in ("n_annotators", "n_groups", "rounds", "seed"))
+        assert len(simulate(cfg)[0]) == 4 * 3 * 2
+
     def test_json_round_trip(self):
         cfg = config(rounds=3, interval_per_round=(60.0, 120.0), drift=0.1)
         assert SimConfig.from_json(cfg.to_json()) == cfg
