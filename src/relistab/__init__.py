@@ -27,6 +27,7 @@ from .core import (
     LabelSchema,
     RecordColumns,
     RepeatPair,
+    RepeatPairs,
     build_repeat_pairs,
     coincidence_counts,
     normalize_label,

@@ -173,13 +173,16 @@ def _load_dataset(annotations_path: str, schema_path: str) -> AnnotationSet:
 
 
 def _emit(report: dict, out_dir: str | None, svg: str | None = None) -> None:
+    """Write the report, rendering every file before writing any."""
+    text = dumps_report(report)
     if out_dir is None:
-        sys.stdout.write(dumps_report(report))
+        sys.stdout.write(text)
         return
+    markdown = render_markdown(report)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "report.json").write_text(dumps_report(report), encoding="utf-8")
-    (out / "report.md").write_text(render_markdown(report), encoding="utf-8")
+    (out / "report.json").write_text(text, encoding="utf-8")
+    (out / "report.md").write_text(markdown, encoding="utf-8")
     if svg is not None:
         (out / "matrix.svg").write_text(svg, encoding="utf-8")
 
@@ -300,7 +303,7 @@ def cmd_stability(args) -> int:
     except (NoIntervalsError, TooFewBucketsError):
         profile = None
     table = repeat_table(aset, pairs)
-    del pairs  # the table holds what the rest needs; free the pair objects
+    del pairs  # the table holds what the rest needs; free the pair arrays
     dataset = dataset_stability(table)
     annotators = annotator_stability(table)
     items = item_stability_labels(aset)
@@ -454,11 +457,15 @@ def cmd_report(args) -> int:
         with _open_text(path) as handle:
             try:
                 doc = json.load(handle)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValidationError(f"{path}: not valid JSON") from exc
-        if not isinstance(doc, dict) or "report_kind" not in doc or "provenance" not in doc:
+        if not isinstance(doc, dict) or "report_kind" not in doc \
+                or not isinstance(doc.get("provenance"), dict):
             raise ValidationError(f"{path}: not a report document")
-        seeds.append(doc["provenance"].get("seed"))
+        seed = doc["provenance"].get("seed")
+        if seed is not None and type(seed) is not int:  # not bool
+            raise ValidationError(f"{path}: seed {seed!r} is not an integer")
+        seeds.append(seed)
         for key in SECTION_KEYS:
             if key in doc:
                 if key in merged:
@@ -479,7 +486,11 @@ def cmd_report(args) -> int:
         ),
         **merged,
     }
-    _emit(report, args.out)
+    try:
+        _emit(report, args.out)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        # the sections come from files; one the renderers cannot read is malformed
+        raise ValidationError(f"input reports hold a malformed section ({exc!r})") from exc
     return 0
 
 

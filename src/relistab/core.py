@@ -4,9 +4,11 @@ The central object is :class:`AnnotationSet`: an immutable, indexed
 collection of ``(item, annotator, round) -> label`` records against a
 :class:`LabelSchema`. Records are stored as :class:`RecordColumns`, one
 column per field; :class:`AnnotationRecord` objects are built only when a
-caller asks for them. Stability analyses consume :class:`RepeatPair` objects
-built from a set; Krippendorff-style reliability consumes the coincidence
-matrix.
+caller asks for them. Stability analyses consume :class:`RepeatPairs`: the
+repeat pairs of a set held as arrays, paired with one sort over the set's
+integer-coded columns (:class:`ColumnCodes`), with :class:`RepeatPair`
+objects built only when a caller indexes or iterates them.
+Krippendorff-style reliability consumes the coincidence matrix.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from __future__ import annotations
 import math
 import operator
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from functools import cached_property
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -68,24 +71,20 @@ class LabelSchema:
             raise InvalidConfigError(
                 f"scale_kind must be one of {SCALE_KINDS}, got {self.scale_kind!r}"
             )
+        if self.numeric_values is not None:
+            try:
+                values = {normalize_label(k): as_number(v) for k, v in self.numeric_values.items()}
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise InvalidConfigError(
+                    f"numeric_values must map categories to finite numbers ({exc})"
+                ) from exc
+            object.__setattr__(self, "numeric_values", values)
         if self.scale_kind == "interval":
-            values = self.numeric_values or {}
-            missing = [c for c in cats if c not in values]
+            missing = [c for c in cats if c not in (self.numeric_values or {})]
             if missing:
                 raise InvalidConfigError(
                     f"interval schema lacks numeric_values for {missing}"
                 )
-            object.__setattr__(
-                self,
-                "numeric_values",
-                {normalize_label(k): float(v) for k, v in values.items()},
-            )
-        elif self.numeric_values is not None:
-            object.__setattr__(
-                self,
-                "numeric_values",
-                {normalize_label(k): float(v) for k, v in self.numeric_values.items()},
-            )
 
     def category_index(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.categories)}
@@ -192,6 +191,143 @@ class RepeatPair:
         return self.first_label == self.second_label
 
 
+def _encode(column: Sequence, values: Sequence) -> np.ndarray:
+    """Each entry of ``column`` as its position in ``values``."""
+    code = {value: i for i, value in enumerate(values)}
+    return np.fromiter(map(code.__getitem__, column), dtype=np.int64, count=len(column))
+
+
+#: the per-pair arrays of :class:`RepeatPairs`, in :class:`RepeatPair` field order
+_PAIR_ARRAYS = ("item", "annotator", "first_label", "second_label", "first_round",
+                "second_round", "interval")
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class RepeatPairs(Sequence):
+    """Repeat pairs held as parallel arrays, one entry per pair.
+
+    ``item``, ``annotator``, ``first_label``/``second_label`` and
+    ``first_round``/``second_round`` are integer codes: positions in
+    ``items``, ``annotators``, ``labels`` and ``rounds``. ``interval`` is in
+    seconds, NaN where the pair has none. Indexing or iterating builds
+    :class:`RepeatPair` objects on demand, and ``==`` compares pairs, so a
+    list of the same pairs is equal to it. :func:`build_repeat_pairs`
+    returns one; :meth:`of` takes pairs built by hand.
+    """
+
+    items: tuple
+    annotators: tuple
+    labels: tuple
+    rounds: tuple
+    item: np.ndarray
+    annotator: np.ndarray
+    first_label: np.ndarray
+    second_label: np.ndarray
+    first_round: np.ndarray
+    second_round: np.ndarray
+    interval: np.ndarray
+
+    @classmethod
+    def of(cls, pairs: Iterable[RepeatPair]) -> "RepeatPairs":
+        """``pairs`` as arrays, coded in first-seen order of their values.
+        A NaN interval raises ValidationError: NaN stands for none."""
+        if isinstance(pairs, cls):
+            return pairs
+        pairs = list(pairs)
+
+        def coded(*names: str) -> list:
+            columns = [[getattr(p, name) for p in pairs] for name in names]
+            values = tuple(dict.fromkeys(chain(*columns)))
+            return [values, *(_encode(column, values) for column in columns)]
+
+        intervals = [p.interval_seconds for p in pairs]
+        try:
+            interval = np.array([math.nan if t is None else t for t in intervals], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError("repeat pair intervals must be non-negative numbers") from exc
+        if np.isnan(interval).sum() != intervals.count(None):
+            raise ValidationError("repeat pair intervals must be non-negative numbers")
+        (items, item), (annotators, annotator) = coded("item_id"), coded("annotator_id")
+        labels, first_label, second_label = coded("first_label", "second_label")
+        rounds, first_round, second_round = coded("first_round", "second_round")
+        return cls(items, annotators, labels, rounds, item, annotator, first_label,
+                   second_label, first_round, second_round, interval)
+
+    @property
+    def consistent(self) -> np.ndarray:
+        """Per pair, whether its two labels are the same."""
+        return self.first_label == self.second_label
+
+    def __len__(self) -> int:
+        return len(self.item)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return replace(self, **{name: getattr(self, name)[index] for name in _PAIR_ARRAYS})
+        position = range(len(self))[index]
+        return next(iter(self[position:position + 1]))
+
+    def __iter__(self):
+        items, annotators, labels, rounds = self.items, self.annotators, self.labels, self.rounds
+        for item, annotator, first, second, r1, r2, interval in zip(
+            *(getattr(self, name).tolist() for name in _PAIR_ARRAYS)
+        ):
+            yield RepeatPair(items[item], annotators[annotator], labels[first], labels[second],
+                             rounds[r1], rounds[r2], None if math.isnan(interval) else interval)
+
+    def __eq__(self, other):
+        if not isinstance(other, (RepeatPairs, list, tuple)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({list(self)!r})"
+
+
+@dataclass(frozen=True, eq=False)
+class ColumnCodes:
+    """A set's columns as integer codes.
+
+    ``item``, ``annotator``, ``round`` and ``label`` hold, per record, the
+    position of its value in ``items``, ``annotators`` and ``rounds`` (the
+    set's sorted ids and rounds) and in ``labels`` (``schema.categories``,
+    then any other label, sorted). ``timestamp`` is float64, NaN where the
+    record has none. Rounds are codes, not values, so that a round beyond
+    int64 still sorts and pairs.
+    """
+
+    items: tuple[str, ...]
+    annotators: tuple[str, ...]
+    rounds: tuple[int, ...]
+    labels: tuple[str, ...]
+    item: np.ndarray
+    annotator: np.ndarray
+    round: np.ndarray
+    label: np.ndarray
+    timestamp: np.ndarray
+
+    @cached_property
+    def cell_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, bounds)``: the record positions sorted by (item,
+        annotator, round), and where each (item, annotator) cell's run
+        starts in that order, followed by the record count."""
+        order = np.lexsort((self.round, self.annotator, self.item))
+        item, annotator = self.item[order], self.annotator[order]
+        bound = np.ones(len(order) + 1, dtype=bool)
+        bound[1:-1] = (item[1:] != item[:-1]) | (annotator[1:] != annotator[:-1])
+        return order, np.flatnonzero(bound)
+
+
+def _sorted_index(keys: Iterable, entries: Iterable) -> dict:
+    """key -> its entries, sorted, with keys in first-seen order."""
+    index: dict = {}
+    for key, entry in zip(keys, entries):
+        index.setdefault(key, []).append(entry)
+    for values in index.values():
+        values.sort()
+    return index
+
+
 @dataclass(frozen=True, init=False)
 class AnnotationSet:
     """Immutable, validated collection of annotation records.
@@ -200,10 +336,12 @@ class AnnotationSet:
     invariants already hold. ``AnnotationSet(schema, records)`` takes
     :class:`AnnotationRecord` objects, ``AnnotationSet(schema,
     columns=...)`` takes :class:`RecordColumns`; either way the set stores
-    columns and builds, on first use, ``records`` and the lookup structures:
-    ``_by_item_round`` maps (item, round) to its sorted (annotator, label)
-    entries and ``_by_cell`` maps (item, annotator) to its sorted (round,
-    label, timestamp) history, both in first-seen order of their keys.
+    columns and builds, each on first use and apart from the others,
+    ``records`` and the lookup structures: ``_by_item_round`` maps (item,
+    round) to its sorted (annotator, label) entries, ``_by_cell`` maps
+    (item, annotator) to its sorted (round, label, timestamp) history, both
+    in first-seen order of their keys, and ``_codes`` is the
+    :class:`ColumnCodes` that pairing and the item votes read.
     """
 
     schema: LabelSchema
@@ -220,7 +358,7 @@ class AnnotationSet:
         """A set over ``columns`` with both indexes built by the caller, with
         the contents and key order the set would give them."""
         aset = cls(schema, columns=columns)
-        aset.__dict__["_indexes"] = (by_item_round, by_cell)
+        aset.__dict__.update(_by_item_round=by_item_round, _by_cell=by_cell)
         return aset
 
     @cached_property
@@ -228,28 +366,26 @@ class AnnotationSet:
         return tuple(self.columns)
 
     @cached_property
-    def _indexes(self) -> tuple[dict, dict]:
-        by_item_round: dict = {}
-        by_cell: dict = {}
-        c = self.columns
-        for item, annotator, rnd, label, stamp in zip(
-            c.item_id, c.annotator_id, c.round, c.label, c.timestamp
-        ):
-            by_item_round.setdefault((item, rnd), []).append((annotator, label))
-            by_cell.setdefault((item, annotator), []).append((rnd, label, stamp))
-        for entries in by_item_round.values():
-            entries.sort()
-        for entries in by_cell.values():
-            entries.sort()
-        return by_item_round, by_cell
-
-    @property
     def _by_item_round(self) -> dict:
-        return self._indexes[0]
+        c = self.columns
+        return _sorted_index(zip(c.item_id, c.round), zip(c.annotator_id, c.label))
 
-    @property
+    @cached_property
     def _by_cell(self) -> dict:
-        return self._indexes[1]
+        c = self.columns
+        return _sorted_index(zip(c.item_id, c.annotator_id), zip(c.round, c.label, c.timestamp))
+
+    @cached_property
+    def _codes(self) -> ColumnCodes:
+        c, categories = self.columns, self.schema.categories
+        items, annotators, rounds = self.items(), self.annotators(), self.rounds()
+        labels = categories + tuple(sorted(set(c.label) - set(categories)))
+        return ColumnCodes(
+            items, annotators, rounds, labels,
+            _encode(c.item_id, items), _encode(c.annotator_id, annotators),
+            _encode(c.round, rounds), _encode(c.label, labels),
+            np.array(c.timestamp, dtype=float),
+        )
 
     @cached_property
     def _item_blocks(self) -> dict[str, tuple[list[int], tuple[int, ...], tuple[str, ...]]]:
@@ -570,61 +706,78 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
 
 
 def resolve_rounds(aset: AnnotationSet, rounds: int | Sequence[int] | None) -> tuple[int, ...]:
-    """Normalise a round selector: None means every round in the set."""
+    """Normalise a round selector: None means every round in the set.
+
+    A selector is one round or an iterable of them, each read by
+    :func:`as_integer`; anything else raises InvalidConfigError.
+    """
     if rounds is None:
         resolved = aset.rounds()
-    elif isinstance(rounds, int):
-        resolved = (rounds,)
     else:
-        resolved = tuple(sorted(set(int(r) for r in rounds)))
+        selected = (rounds,) if isinstance(rounds, str) or not isinstance(rounds, Iterable) \
+            else rounds
+        try:
+            resolved = tuple(sorted(set(map(as_integer, selected))))
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfigError(f"bad round selector {rounds!r}: {exc}") from exc
     if not resolved:
         raise DegenerateError("round selector resolves to no rounds")
     return resolved
 
 
-def build_repeat_pairs(aset: AnnotationSet, pairing: str = "consecutive") -> list[RepeatPair]:
-    """One RepeatPair per (item, annotator, qualifying round pair).
+def build_repeat_pairs(aset: AnnotationSet, pairing: str = "consecutive") -> RepeatPairs:
+    """One pair per (item, annotator, qualifying round pair), as
+    :class:`RepeatPairs` coded against ``aset._codes``.
 
-    With exactly two rounds all pairing policies coincide. Intervals come
-    from timestamps when both ends carry one.
+    Pairs come in (item, annotator) order, then in round order within a
+    cell: ``consecutive`` pairs each round with the next, ``first_last``
+    the first with the last, ``all_pairs`` every earlier round with every
+    later one. With exactly two rounds all pairing policies coincide.
+    Intervals come from timestamps when both ends carry one; a negative one
+    raises ValidationError for the first such pair.
     """
     if pairing not in PAIRING_POLICIES:
         raise InvalidConfigError(f"pairing must be one of {PAIRING_POLICIES}, got {pairing!r}")
-    pairs: list[RepeatPair] = []
-    for (item, annotator), history in sorted(aset.cells().items()):
-        if len(history) < 2:
-            continue
-        if pairing == "consecutive":
-            combos = list(zip(history, history[1:]))
-        elif pairing == "first_last":
-            combos = [(history[0], history[-1])]
-        else:
-            combos = [
-                (history[i], history[j])
-                for i in range(len(history))
-                for j in range(i + 1, len(history))
-            ]
-        for (r1, l1, t1), (r2, l2, t2) in combos:
-            interval = None
-            if t1 is not None and t2 is not None:
-                interval = t2 - t1
-                if interval < 0:
-                    raise ValidationError(
-                        f"round {r2} predates round {r1} for ({item!r}, {annotator!r})"
-                    )
-            pairs.append(
-                RepeatPair(
-                    item_id=item,
-                    annotator_id=annotator,
-                    first_label=l1,
-                    second_label=l2,
-                    first_round=r1,
-                    second_round=r2,
-                    interval_seconds=interval,
-                )
-            )
-    if not pairs:
+    codes = aset._codes
+    order, bounds = codes.cell_runs
+    starts, ends = bounds[:-1], bounds[1:]
+    if pairing == "consecutive":
+        # a position pairs with the next one unless it ends its cell
+        pairs_next = np.ones(len(order), dtype=bool)
+        pairs_next[ends - 1] = False
+        first = np.flatnonzero(pairs_next)
+        second = first + 1
+    elif pairing == "first_last":
+        repeated = ends - starts >= 2
+        first, second = starts[repeated], ends[repeated] - 1
+    else:
+        sizes = ends - starts
+        firsts, seconds = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+        for size in np.unique(sizes[sizes >= 2]).tolist():
+            i, j = np.triu_indices(size, 1)
+            at = starts[sizes == size][:, None]
+            firsts.append((at + i).ravel())
+            seconds.append((at + j).ravel())
+        first, second = np.concatenate(firsts), np.concatenate(seconds)
+        # cells occupy disjoint runs in order, so position order is pair order
+        by_position = np.lexsort((second, first))
+        first, second = first[by_position], second[by_position]
+    if not len(first):
         raise NoRepeatsError("no annotator labelled any item in >= 2 rounds")
+    first, second = order[first], order[second]
+    pairs = RepeatPairs(
+        codes.items, codes.annotators, codes.labels, codes.rounds,
+        codes.item[first], codes.annotator[first], codes.label[first], codes.label[second],
+        codes.round[first], codes.round[second],
+        codes.timestamp[second] - codes.timestamp[first],
+    )
+    reversed_pairs = np.flatnonzero(pairs.interval < 0)
+    if len(reversed_pairs):
+        pair = pairs[int(reversed_pairs[0])]
+        raise ValidationError(
+            f"round {pair.second_round} predates round {pair.first_round} "
+            f"for ({pair.item_id!r}, {pair.annotator_id!r})"
+        )
     return pairs
 
 

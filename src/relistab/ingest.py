@@ -141,9 +141,9 @@ def read_annotation_records_jsonl(path: str | Path) -> RecordColumns:
                 continue
             try:
                 task, item, annotator, rnd, label, stamp = raw_fields(json.loads(line))
-            except (json.JSONDecodeError, ValidationError) as exc:
+            except (json.JSONDecodeError, RecursionError, ValidationError) as exc:
                 _checked(raw, lines.__getitem__, path)  # a fault on an earlier line comes first
-                reason = "invalid JSON" if isinstance(exc, json.JSONDecodeError) else exc
+                reason = exc if isinstance(exc, ValidationError) else "invalid JSON"
                 raise ValidationError(f"{path}:{lineno}: {reason}") from exc
             add_task(task)
             add_item(item)
@@ -220,7 +220,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
     with _open_text(path) as handle:
         try:
             obj = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise InvalidConfigError(f"{path}: invalid JSON") from exc
     if not isinstance(obj, dict):
         raise InvalidConfigError(f"{path}: {what} must be a JSON object")
@@ -230,14 +230,19 @@ def read_json_object(path: str | Path, what: str) -> dict:
 def load_schema(path: str | Path) -> LabelSchema:
     obj = read_json_object(path, "schema")
     try:
-        return LabelSchema(
-            task_id=str(obj["task_id"]),
-            categories=tuple(str(c) for c in obj["categories"]),
-            scale_kind=str(obj.get("scale_kind", "nominal")),
-            numeric_values=obj.get("numeric_values"),
-        )
+        task_id, categories = obj["task_id"], obj["categories"]
     except KeyError as exc:
         raise InvalidConfigError(f"{path}: schema missing key {exc.args[0]!r}") from exc
+    numeric_values = obj.get("numeric_values")
+    if not isinstance(categories, list) or not isinstance(numeric_values, (dict, type(None))):
+        raise InvalidConfigError(
+            f"{path}: schema categories must be a JSON list and numeric_values a JSON object")
+    return LabelSchema(
+        task_id=str(task_id),
+        categories=tuple(map(str, categories)),
+        scale_kind=str(obj.get("scale_kind", "nominal")),
+        numeric_values=numeric_values,
+    )
 
 
 def save_schema(schema: LabelSchema, path: str | Path) -> None:

@@ -1,10 +1,12 @@
 """Within-annotator consistency across repeat rounds.
 
-The unit of analysis is the :class:`~relistab.core.RepeatPair`: one
-annotator's (first, second) labels for one item. Three scopes are reported —
-per annotator, per item (a binary stable/unstable call plus a graded rate),
-and pooled over the dataset — and consistency can be profiled against the
-elapsed time between rounds.
+The unit of analysis is the repeat pair: one annotator's (first, second)
+labels for one item. Pairs are held as arrays
+(:class:`~relistab.core.RepeatPairs`), and every function here reads those
+arrays or the set's integer-coded columns rather than pair objects. Three
+scopes are reported — per annotator, per item (a binary stable/unstable
+call plus a graded rate), and pooled over the dataset — and consistency can
+be profiled against the elapsed time between rounds.
 
 The annotator and dataset scopes read a :class:`RepeatTable`, the pairs
 counted per (item, annotator, first label, second label). Every number they
@@ -20,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AnnotationSet, RepeatPair, build_repeat_pairs
+from .core import AnnotationSet, RepeatPair, RepeatPairs, build_repeat_pairs
 from .errors import (
     InvalidConfigError,
     NoIntervalsError,
@@ -149,23 +151,21 @@ class RepeatTable:
 def repeat_table(aset: AnnotationSet, pairs: Sequence[RepeatPair]) -> RepeatTable:
     """The :class:`RepeatTable` of ``pairs``, which
     :func:`~relistab.core.build_repeat_pairs` made from ``aset``."""
+    pairs = RepeatPairs.of(pairs)
     items, annotators = aset.items(), aset.annotators()
-    item_pos = {item: i for i, item in enumerate(items)}
-    annotator_pos = {annotator: i for i, annotator in enumerate(annotators)}
-    label_pos = aset.schema.category_index()
-    k = len(label_pos)
-    keys, count = np.unique(
-        np.fromiter(
-            (
-                ((item_pos[p.item_id] * len(annotators) + annotator_pos[p.annotator_id]) * k
-                 + label_pos[p.first_label]) * k + label_pos[p.second_label]
-                for p in pairs
-            ),
-            dtype=np.int64,
-            count=len(pairs),
-        ),
-        return_counts=True,
-    )
+    categories = aset.schema.categories
+    k = len(categories)
+
+    def recoded(codes: np.ndarray, values: tuple, targets: Sequence) -> np.ndarray:
+        """``codes`` into ``values`` as positions in ``targets``."""
+        position = {value: i for i, value in enumerate(targets)}
+        return np.array([position[value] for value in values], dtype=np.int64)[codes]
+
+    labels = (recoded(pairs.first_label, pairs.labels, categories),
+              recoded(pairs.second_label, pairs.labels, categories))
+    cell = (recoded(pairs.item, pairs.items, items) * len(annotators)
+            + recoded(pairs.annotator, pairs.annotators, annotators))
+    keys, count = np.unique((cell * k + labels[0]) * k + labels[1], return_counts=True)
     item, joint = np.divmod(keys, len(annotators) * k * k)
     return RepeatTable(items, annotators, k, item, joint, count)
 
@@ -178,8 +178,8 @@ def _as_table(source: "AnnotationSet | RepeatTable", pairing: str) -> RepeatTabl
 
 def _annotator_counts(table: RepeatTable) -> list[tuple[str, int, int, float | None]]:
     """(annotator, pairs, agreeing pairs, self-kappa) per annotator with a
-    pair, in the order of their first row: the order in which
-    ``sorted(aset.cells())`` first reaches them, also in a resampled set,
+    pair, in the order of their first row: the order in which sorted
+    (item, annotator) cells first reach them, also in a resampled set,
     since a duplicate id ``x~k`` sorts after ``x``."""
     k, n_annotators = table.n_labels, len(table.annotators)
     joint = np.bincount(table.joint, weights=table.count, minlength=n_annotators * k * k)
@@ -225,13 +225,24 @@ def item_votes(aset: AnnotationSet) -> dict[str, list[bool]]:
     """Per item, one vote per annotator who labelled it in >= 2 rounds: True
     iff all the labels they gave it (over every round) are identical.
 
-    Items nobody relabelled are absent.
+    Items come in id order and votes in annotator id order; items nobody
+    relabelled are absent.
     """
-    votes: dict[str, list[bool]] = {}
-    for (item, _annotator), history in aset.cells().items():
-        if len(history) >= 2:
-            votes.setdefault(item, []).append(len({lbl for _, lbl, _ in history}) == 1)
-    return votes
+    codes = aset._codes
+    order, bounds = codes.cell_runs
+    starts, sizes = bounds[:-1], np.diff(bounds)
+    repeated = sizes >= 2
+    if not repeated.any():
+        return {}
+    # a cell is consistent iff its smallest label code is its largest
+    labels = codes.label[order]
+    consistent = np.minimum.reduceat(labels, starts) == np.maximum.reduceat(labels, starts)
+    item = codes.item[order[starts[repeated]]]
+    first_vote = np.flatnonzero(np.diff(item, prepend=-1))
+    return dict(zip(
+        map(codes.items.__getitem__, item[first_vote].tolist()),
+        (votes.tolist() for votes in np.split(consistent[repeated], first_vote[1:])),
+    ))
 
 
 def item_stability_labels(aset: AnnotationSet) -> list[ItemStabilityLabel]:
@@ -326,15 +337,14 @@ def interval_profile(
     if seed is not None and permutation_replicates < 1:
         raise InvalidConfigError("permutation replicates must be >= 1")
     bounds = [0.0, *edges, math.inf]
-    timed = np.fromiter((p.interval_seconds is not None for p in pairs), dtype=bool,
-                        count=len(pairs))
+    pairs = RepeatPairs.of(pairs)
+    timed = ~np.isnan(pairs.interval)
     if not timed.any():
         raise NoIntervalsError("no repeat pair carries an interval")
-    intervals = np.fromiter((p.interval_seconds for p in pairs if p.interval_seconds is not None),
-                            dtype=float, count=int(timed.sum()))
+    intervals = pairs.interval[timed]
     if not (intervals >= 0).all():
         raise ValidationError("repeat pair intervals must be non-negative numbers")
-    consistent = np.fromiter((p.consistent for p in pairs), dtype=bool, count=len(pairs))[timed]
+    consistent = pairs.consistent[timed]
     bucket_of = np.searchsorted(bounds, intervals, side="right") - 1
     per_bucket = np.bincount(bucket_of, minlength=len(bounds) - 1)
     occupied = np.flatnonzero(per_bucket)

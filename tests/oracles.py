@@ -159,3 +159,52 @@ def grid_units(grid):
     for (item, _annotator), label in sorted(grid.items()):
         units.setdefault(item, []).append(label)
     return list(units.values())
+
+
+def brute_repeat_pairs(records, pairing):
+    """Repeat pairs by walking each (item, annotator) cell's round history.
+
+    ``records`` have ``item_id``, ``annotator_id``, ``round``, ``label`` and
+    ``timestamp`` attributes. Returns ``(item, annotator, first label,
+    second label, first round, second round, interval or None)`` tuples in
+    sorted (item, annotator) order, then in the pairing's round order; an
+    empty list when nobody relabelled anything. A pair whose later round
+    carries the earlier timestamp raises ValueError.
+    """
+    cells = {}
+    for rec in records:
+        cells.setdefault((rec.item_id, rec.annotator_id), []).append(
+            (rec.round, rec.label, rec.timestamp))
+    pairs = []
+    for (item, annotator), history in sorted(cells.items()):
+        history.sort(key=lambda entry: entry[0])
+        n = len(history)
+        if pairing == "consecutive":
+            combos = [(i, i + 1) for i in range(n - 1)]
+        elif pairing == "first_last":
+            combos = [(0, n - 1)] if n >= 2 else []
+        else:
+            combos = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for i, j in combos:
+            (r1, l1, t1), (r2, l2, t2) = history[i], history[j]
+            interval = None
+            if t1 is not None and t2 is not None:
+                interval = t2 - t1
+                if interval < 0:
+                    raise ValueError(
+                        f"round {r2} predates round {r1} for ({item!r}, {annotator!r})")
+            pairs.append((item, annotator, l1, l2, r1, r2, interval))
+    return pairs
+
+
+def brute_item_votes(records):
+    """Per item, one vote per annotator who labelled it in >= 2 rounds: True
+    iff every label they gave it is the same."""
+    cells = {}
+    for rec in records:
+        cells.setdefault((rec.item_id, rec.annotator_id), []).append(rec.label)
+    votes = {}
+    for (item, _annotator), labels in cells.items():
+        if len(labels) >= 2:
+            votes.setdefault(item, []).append(len(set(labels)) == 1)
+    return votes

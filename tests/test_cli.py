@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from relistab import (
     AnnotationRecord,
+    AnnotationSet,
     LabelSchema,
     RationalisationRecord,
+    RepeatPair,
     SimConfig,
     load_report_schema,
     save_schema,
@@ -368,6 +370,42 @@ def test_subcommands_build_no_annotation_records(capsys, monkeypatch, workspace,
     assert built == []
 
 
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+@pytest.mark.parametrize("argv", [
+    ("stability", "--permutation", "20", "--seed", "1"),
+    ("stability", "--pairing", "all_pairs"),
+    ("matrix", "--out", "{out}"),
+    ("phi", "--rationalisations", "{why}"),
+])
+def test_stability_runs_build_no_pair_objects_or_cell_index(capsys, monkeypatch, workspace,
+                                                            tmp_path, fmt, argv):
+    """Pairing, the repeat table, the interval profile and the item votes
+    read arrays: no RepeatPair is built and the (item, annotator) index is
+    never filled."""
+    annotations = workspace / "annotations.csv"
+    if fmt == "jsonl":
+        annotations = tmp_path / "annotations.jsonl"
+        write_annotations_jsonl(read_annotation_records(workspace / "annotations.csv"),
+                                annotations)
+    built = []
+    real_init = RepeatPair.__init__
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    by_cell = AnnotationSet.__dict__["_by_cell"].func
+    monkeypatch.setattr(RepeatPair, "__init__", counted_init)
+    monkeypatch.setattr(AnnotationSet, "_by_cell",
+                        property(lambda aset: built.append("_by_cell") or by_cell(aset)))
+    argv = [a.format(out=tmp_path / "out", why=workspace / "rationalisations.csv")
+            for a in argv]
+    code, _, err = run(capsys, *argv, "--annotations", str(annotations),
+                       "--schema", str(workspace / "schema.json"))
+    assert code == 0, err
+    assert built == []
+
+
 class TestMatrix:
     def test_writes_report_and_svg(self, capsys, workspace, tmp_path):
         out = tmp_path / "out"
@@ -557,6 +595,23 @@ class TestReportBundle:
         path.write_text(json.dumps({"hello": 1}))
         code, _, err = run(capsys, "report", "--inputs", str(path))
         assert code == 3
+
+    @pytest.mark.parametrize("edit", [
+        {"provenance": [1]}, {"provenance": None}, {"provenance": {"seed": [1]}},
+        {"provenance": {"seed": "7"}}, {"provenance": {"seed": True}},
+        {"validation": 5}, {"validation": {}}, {"validation": {"n_records": []}},
+    ])
+    def test_malformed_report_is_validation_error(self, capsys, workspace, tmp_path, edit):
+        out = tmp_path / "validate"
+        run(capsys, "validate", "--annotations", str(workspace / "annotations.csv"),
+            "--schema", str(workspace / "schema.json"), "--out", str(out))
+        doc = json.loads((out / "report.json").read_text())
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps({**doc, **edit}))
+        code, _, err = run(capsys, "report", "--inputs", str(path), "--out", str(tmp_path / "b"))
+        assert code == 3, err
+        assert error_of(err)["code"] == "Validation"
+        assert not (tmp_path / "b" / "report.json").exists()
 
 
 @pytest.mark.parametrize("flag, name", [("--annotations", "bad.csv"),

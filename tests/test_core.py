@@ -1,5 +1,6 @@
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +11,7 @@ from relistab import (
     RecordColumns,
     build_repeat_pairs,
     coincidence_counts,
+    krippendorff_alpha,
     normalize_label,
     resolve_rounds,
     validate_dataset,
@@ -148,6 +150,24 @@ def test_resolve_rounds():
     assert resolve_rounds(aset, [3, 1, 1]) == (1, 3)
     with pytest.raises(DegenerateError):
         resolve_rounds(aset, [])
+
+
+@pytest.mark.parametrize("selector, resolved", [
+    (np.int64(3), (3,)), ([np.int64(3), 1.0], (1, 3)), ("3", (3,)), (range(1, 3), (1, 2)),
+])
+def test_resolve_rounds_reads_each_round_as_an_integer(selector, resolved):
+    assert resolve_rounds(make_rounds({"a": {1: ["x"], 3: ["y"]}}), selector) == resolved
+
+
+@pytest.mark.parametrize("selector", [
+    [1.5], 1.9, [1, 1.9], True, [True], "x", ["1", "y"], 2.5, [None], object(),
+])
+def test_resolve_rounds_refuses_what_is_not_an_integer(selector):
+    aset = make_rounds({"a": {1: ["x", "y"], 2: ["x", "y"]}, "b": {1: ["x", "y"]}})
+    with pytest.raises(InvalidConfigError):
+        resolve_rounds(aset, selector)
+    with pytest.raises(InvalidConfigError):
+        krippendorff_alpha(aset, rounds=selector)
 
 
 class TestBuildRepeatPairs:

@@ -24,7 +24,7 @@ from relistab import (
 )
 from relistab.core import RECORD_FIELDS as CSV_FIELDS
 from relistab.core import coerce_record
-from relistab.errors import NonFiniteError, ValidationError
+from relistab.errors import InvalidConfigError, NonFiniteError, ValidationError
 
 
 class TestRfc3339:
@@ -168,6 +168,24 @@ def test_schema_round_trip(tmp_path):
     path = tmp_path / "schema.json"
     save_schema(schema, path)
     assert load_schema(path) == schema
+
+
+@pytest.mark.parametrize("text", [
+    '{"task_id": "t", "categories": 5}',
+    '{"task_id": "t", "categories": null}',
+    '{"task_id": "t", "categories": "xy"}',
+    '{"task_id": "t", "categories": ["x", "y"], "numeric_values": [1, 2]}',
+    '{"task_id": "t", "categories": ["x", "y"], "numeric_values": {"x": null, "y": 1}}',
+    '{"task_id": "t", "categories": ["x", "y"], "numeric_values": {"x": "a", "y": 1}}',
+    '{"task_id": "t", "categories": ["x", "y"], "numeric_values": {"x": NaN, "y": 1}}',
+    '{"task_id": "t", "categories": ["x", "y"], "numeric_values": {"x": true, "y": 1}}',
+    pytest.param("[" * 100_000 + "]" * 100_000, id="deep"),
+])
+def test_malformed_schema_is_invalid_config(tmp_path, text):
+    path = tmp_path / "schema.json"
+    path.write_text(text)
+    with pytest.raises(InvalidConfigError):
+        load_schema(path)
 
 
 def test_rationalisations_round_trip(tmp_path):
