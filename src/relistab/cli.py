@@ -454,9 +454,14 @@ def cmd_report(args) -> int:
     section_source: dict[str, str] = {}
     seeds = []
     for path in inputs:
+
+        def refuse(constant: str, path=path):
+            # json.load reads NaN and Infinity, which JSON does not have
+            raise ValidationError(f"{path}: {constant} is not a JSON value")
+
         with _open_text(path) as handle:
             try:
-                doc = json.load(handle)
+                doc = json.load(handle, parse_constant=refuse)
             except (json.JSONDecodeError, RecursionError) as exc:
                 raise ValidationError(f"{path}: not valid JSON") from exc
         if not isinstance(doc, dict) or "report_kind" not in doc \

@@ -311,21 +311,62 @@ class ColumnCodes:
         """``(order, bounds)``: the record positions sorted by (item,
         annotator, round), and where each (item, annotator) cell's run
         starts in that order, followed by the record count."""
-        order = np.lexsort((self.round, self.annotator, self.item))
-        item, annotator = self.item[order], self.annotator[order]
-        bound = np.ones(len(order) + 1, dtype=bool)
-        bound[1:-1] = (item[1:] != item[:-1]) | (annotator[1:] != annotator[:-1])
-        return order, np.flatnonzero(bound)
+        return _runs(self.round, self.item, self.annotator)
+
+    @cached_property
+    def item_runs(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, bounds)`` as :attr:`cell_runs`, for each item in
+        ``items`` with its records in column order."""
+        return _runs(np.arange(len(self.item)), self.item)
+
+    def in_rounds(self, rounds: Iterable[int]) -> np.ndarray:
+        """The positions, ascending, of the records in the given rounds."""
+        wanted = set(rounds)
+        return np.flatnonzero(np.isin(
+            self.round, [code for code, rnd in enumerate(self.rounds) if rnd in wanted]))
+
+    def label_counts(self, key: np.ndarray, at: np.ndarray) -> tuple[np.ndarray, ...]:
+        """``(keys, counts, first)``: the distinct values of ``key`` at the
+        record positions ``at``, sorted; each one's count of every label
+        code, as a row; and the index in ``at`` of its first record."""
+        keys, first, inverse = np.unique(key[at], return_index=True, return_inverse=True)
+        n_labels = len(self.labels)
+        counts = np.bincount(inverse * n_labels + self.label[at], minlength=len(keys) * n_labels)
+        return keys, counts.reshape(len(keys), n_labels), first
+
+    def label_grid(self, at: np.ndarray, annotators: Sequence[str]) -> np.ndarray:
+        """The label codes at the record positions ``at``, at most one per
+        (item, annotator) cell, as an item x ``annotators`` grid with a row
+        per code in ``items``; -1 where there is none."""
+        column = dict(zip(annotators, range(len(annotators))))
+        columns = np.array([column.get(a, -1) for a in self.annotators], dtype=np.intp)
+        at = at[columns[self.annotator[at]] >= 0]
+        grid = np.full((len(self.items), len(annotators)), -1)
+        grid[self.item[at], columns[self.annotator[at]]] = self.label[at]
+        return grid
 
 
-def _sorted_index(keys: Iterable, entries: Iterable) -> dict:
-    """key -> its entries, sorted, with keys in first-seen order."""
-    index: dict = {}
-    for key, entry in zip(keys, entries):
-        index.setdefault(key, []).append(entry)
-    for values in index.values():
-        values.sort()
-    return index
+def _runs(within: np.ndarray, *group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, bounds)``: the record positions sorted by the ``group``
+    codes, then by ``within``, and where each run of equal ``group`` codes
+    starts in that order, followed by the record count."""
+    order = np.lexsort((within, *reversed(group)))
+    bound = np.zeros(len(order) + 1, dtype=bool)
+    bound[[0, -1]] = True
+    for key in group:
+        key = key[order]
+        bound[1:-1] |= key[1:] != key[:-1]
+    return order, np.flatnonzero(bound)
+
+
+def _first_seen_runs(runs: tuple[np.ndarray, np.ndarray]) -> list[list[int]]:
+    """The record positions of each run of ``(order, bounds)``, the runs in
+    the order their first records come in the columns."""
+    order, bounds = runs
+    if not len(order):
+        return []
+    first = np.minimum.reduceat(order, bounds[:-1])
+    return [order[bounds[run]:bounds[run + 1]].tolist() for run in np.argsort(first).tolist()]
 
 
 @dataclass(frozen=True, init=False)
@@ -336,12 +377,9 @@ class AnnotationSet:
     invariants already hold. ``AnnotationSet(schema, records)`` takes
     :class:`AnnotationRecord` objects, ``AnnotationSet(schema,
     columns=...)`` takes :class:`RecordColumns`; either way the set stores
-    columns and builds, each on first use and apart from the others,
-    ``records`` and the lookup structures: ``_by_item_round`` maps (item,
-    round) to its sorted (annotator, label) entries, ``_by_cell`` maps
-    (item, annotator) to its sorted (round, label, timestamp) history, both
-    in first-seen order of their keys, and ``_codes`` is the
-    :class:`ColumnCodes` that pairing and the item votes read.
+    columns and builds ``records`` and ``_codes``, the
+    :class:`ColumnCodes` that every kernel and lookup reads, each on first
+    use.
     """
 
     schema: LabelSchema
@@ -353,27 +391,9 @@ class AnnotationSet:
         columns = RecordColumns.of(records if columns is None else columns)
         object.__setattr__(self, "columns", columns)
 
-    @classmethod
-    def _from_indexes(cls, schema, columns, by_item_round, by_cell) -> "AnnotationSet":
-        """A set over ``columns`` with both indexes built by the caller, with
-        the contents and key order the set would give them."""
-        aset = cls(schema, columns=columns)
-        aset.__dict__.update(_by_item_round=by_item_round, _by_cell=by_cell)
-        return aset
-
     @cached_property
     def records(self) -> tuple[AnnotationRecord, ...]:
         return tuple(self.columns)
-
-    @cached_property
-    def _by_item_round(self) -> dict:
-        c = self.columns
-        return _sorted_index(zip(c.item_id, c.round), zip(c.annotator_id, c.label))
-
-    @cached_property
-    def _by_cell(self) -> dict:
-        c = self.columns
-        return _sorted_index(zip(c.item_id, c.annotator_id), zip(c.round, c.label, c.timestamp))
 
     @cached_property
     def _codes(self) -> ColumnCodes:
@@ -386,23 +406,6 @@ class AnnotationSet:
             _encode(c.round, rounds), _encode(c.label, labels),
             np.array(c.timestamp, dtype=float),
         )
-
-    @cached_property
-    def _item_blocks(self) -> dict[str, tuple[list[int], tuple[int, ...], tuple[str, ...]]]:
-        """item -> (its record positions, its rounds, its annotators), the
-        rounds and annotators in first-seen order."""
-        positions: dict[str, list[int]] = {}
-        for position, item in enumerate(self.columns.item_id):
-            positions.setdefault(item, []).append(position)
-        rounds, annotators = self.columns.round, self.columns.annotator_id
-        return {
-            item: (
-                where,
-                tuple(dict.fromkeys(map(rounds.__getitem__, where))),
-                tuple(dict.fromkeys(map(annotators.__getitem__, where))),
-            )
-            for item, where in positions.items()
-        }
 
     def __len__(self) -> int:
         return len(self.columns)
@@ -417,34 +420,54 @@ class AnnotationSet:
         return tuple(sorted(set(self.columns.round)))
 
     def label(self, item_id: str, annotator_id: str, round: int) -> str | None:
-        for rnd, lbl, _ in self._by_cell.get((item_id, annotator_id), ()):
-            if rnd == round:
-                return lbl
-        return None
+        history = self.cell_history(item_id, annotator_id)
+        return next((lbl for rnd, lbl, _ in history if rnd == round), None)
 
     def unit_labels(self, rounds: Sequence[int]) -> dict[str, list[str]]:
-        """Labels pooled per item over the given rounds (annotator-sorted)."""
+        """Labels pooled per item over the given rounds (annotator-sorted).
+
+        Rounds are taken in the given order, and within a round units in
+        the order their first records come in the columns."""
+        units = self.round_units(rounds)
         pooled: dict[str, list[str]] = {}
         for rnd in rounds:
-            for (item, r), entries in self._by_item_round.items():
+            for (item, r), entries in units.items():
                 if r == rnd:
                     pooled.setdefault(item, []).extend(lbl for _, lbl in entries)
         return pooled
 
     def round_units(self, rounds: Sequence[int]) -> dict[tuple[str, int], list[tuple[str, str]]]:
-        """(item, round) -> [(annotator, label)] for the given rounds."""
-        wanted = set(rounds)
+        """(item, round) -> [(annotator, label)] for the given rounds, in
+        annotator order, keys in the order their first records come in."""
+        wanted, c, codes = set(rounds), self.columns, self._codes
         return {
-            key: list(entries)
-            for key, entries in self._by_item_round.items()
-            if key[1] in wanted
+            (c.item_id[run[0]], c.round[run[0]]): [(c.annotator_id[p], c.label[p]) for p in run]
+            for run in _first_seen_runs(_runs(codes.annotator, codes.item, codes.round))
+            if c.round[run[0]] in wanted
         }
 
     def cell_history(self, item_id: str, annotator_id: str) -> list[tuple[int, str, float | None]]:
-        return list(self._by_cell.get((item_id, annotator_id), ()))
+        """(round, label, timestamp) of the cell's records in round order."""
+        codes = self._codes
+        try:
+            item, annotator = codes.items.index(item_id), codes.annotators.index(annotator_id)
+        except ValueError:
+            return []
+        where = np.flatnonzero((codes.item == item) & (codes.annotator == annotator))
+        return self._history(where[np.argsort(codes.round[where])].tolist())
 
     def cells(self) -> dict[tuple[str, str], list[tuple[int, str, float | None]]]:
-        return {key: list(v) for key, v in self._by_cell.items()}
+        """(item, annotator) -> its :meth:`cell_history`, keys in the order
+        their first records come in."""
+        c = self.columns
+        return {
+            (c.item_id[run[0]], c.annotator_id[run[0]]): self._history(run)
+            for run in _first_seen_runs(self._codes.cell_runs)
+        }
+
+    def _history(self, positions: list[int]) -> list[tuple[int, str, float | None]]:
+        c = self.columns
+        return [(c.round[p], c.label[p], c.timestamp[p]) for p in positions]
 
 
 def parse_rfc3339(text: str) -> float:
@@ -783,29 +806,31 @@ def build_repeat_pairs(aset: AnnotationSet, pairing: str = "consecutive") -> Rep
 
 def coincidence_blocks(
     aset: AnnotationSet, rounds: int | Sequence[int] | None = 1
-) -> dict[str, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each item's share of the coincidence matrix over the selected rounds.
 
     An item with m >= 2 labels and per-category counts c contributes
     ``outer(c, c)``, with ``c(c-1)`` on the diagonal, divided by m-1; items
-    with fewer labels are left out. Keys follow :meth:`AnnotationSet.unit_labels`
-    order, the order :func:`coincidence_counts` adds the blocks in.
+    with fewer labels are left out. Returns ``(items, lowest, blocks)``:
+    the item codes of the items that contribute, in
+    :meth:`AnnotationSet.unit_labels` order, the order
+    :func:`coincidence_counts` adds the blocks in; the code of the lowest
+    selected round each has; and their blocks, stacked in that order.
     """
-    resolved = resolve_rounds(aset, rounds)
-    cat_index = aset.schema.category_index()
-    k = len(aset.schema.categories)
-    blocks = {}
-    for item, labels in aset.unit_labels(resolved).items():
-        m = len(labels)
-        if m < 2:
-            continue
-        counts = np.zeros(k, dtype=float)
-        for lbl in labels:
-            counts[cat_index[lbl]] += 1
-        pair_counts = np.outer(counts, counts)
-        np.fill_diagonal(pair_counts, counts * (counts - 1))
-        blocks[item] = pair_counts / (m - 1)
-    return blocks
+    codes = aset._codes
+    at = codes.in_rounds(resolve_rounds(aset, rounds))
+    # by round, then by position: an item's first record in this order is
+    # the one whose unit places it in unit_labels order
+    at = at[np.argsort(codes.round[at], kind="stable")]
+    items, counts, first = codes.label_counts(codes.item, at)
+    order = np.argsort(first)
+    order = order[counts[order].sum(axis=1) >= 2]
+    counts = counts[order].astype(float)
+    blocks = counts[:, :, None] * counts[:, None, :]
+    diagonal = np.arange(counts.shape[1])
+    blocks[:, diagonal, diagonal] = counts * (counts - 1)
+    blocks /= (counts.sum(axis=1) - 1)[:, None, None]
+    return items[order], codes.round[at[first[order]]], blocks
 
 
 def coincidence_counts(
@@ -817,8 +842,8 @@ def coincidence_counts(
     Each item with m >= 2 labels contributes 1/(m-1) per ordered label pair;
     rows/columns follow ``schema.categories``.
     """
-    blocks = coincidence_blocks(aset, rounds)
-    if not blocks:
+    _, _, blocks = coincidence_blocks(aset, rounds)
+    if not len(blocks):
         raise DegenerateError("no item has >= 2 labels in the selected rounds")
     # a reduce over axis 0 adds the blocks in sequence, as ``matrix += block``
-    return np.add.reduce(np.stack(list(blocks.values())), axis=0)
+    return np.add.reduce(blocks, axis=0)

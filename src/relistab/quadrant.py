@@ -23,7 +23,7 @@ from enum import Enum
 
 from .core import AnnotationSet
 from .errors import DegenerateError, InvalidConfigError, NonFiniteError, NoQualifyingItemsError
-from .reliability import METRICS, unit_agreement
+from .reliability import METRICS, pair_agreement
 from .stability import dataset_stability, item_votes
 
 #: dataset-level metrics: every registered one that needs no annotator pair
@@ -157,24 +157,23 @@ def classify_items(
     excluded and reported in the second return value.
     """
     thresholds = thresholds or QuadrantThresholds()
-    first_round = min(aset.rounds())
+    codes = aset._codes
+    first_round = codes.rounds[0]
     consistent_votes = item_votes(aset)
-    first_round_labels = {
-        item: [lbl for _, lbl in entries]
-        for (item, _rnd), entries in aset.round_units([first_round]).items()
-    }
+    items, counts, _ = codes.label_counts(codes.item, codes.in_rounds([first_round]))
+    paired = counts.sum(axis=1) >= 2
+    agreement = dict(zip(items[paired].tolist(), pair_agreement(counts[paired]).tolist()))
     assignments = []
     exclusions = []
-    for item in aset.items():
-        first_labels = first_round_labels.get(item, [])
-        if len(first_labels) < 2:
+    for code, item in enumerate(codes.items):
+        if code not in agreement:
             exclusions.append(f"item {item!r}: fewer than 2 round-{first_round} labels")
             continue
         votes = consistent_votes.get(item)
         if not votes:
             exclusions.append(f"item {item!r}: no repeat pair")
             continue
-        reliability_score = unit_agreement(first_labels)
+        reliability_score = agreement[code]
         stability_score = sum(votes) / len(votes)
         assignments.append(
             QuadrantAssignment(

@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -146,31 +147,47 @@ class AgreementResult:
         }
 
 
-def _contributing_units(aset: AnnotationSet, rounds: Sequence[int]):
-    """Split (item, round) units into ≥2-label units and exclusion notes."""
-    units = {}
-    exclusions = []
-    for (item, rnd), entries in sorted(aset.round_units(rounds).items()):
-        if len(entries) >= 2:
-            units[(item, rnd)] = entries
-        else:
-            exclusions.append(f"item {item!r} round {rnd}: fewer than 2 labels")
-    return units, exclusions
+class _Units:
+    """The (item, round) units of the selected rounds, in sorted (item,
+    round) order: ``key`` holds each unit's ``item * n_rounds + round``
+    (codes), ``counts`` its count of every label code and ``size`` its
+    label count. Units with < 2 labels are excluded; with none left,
+    DegenerateError is raised."""
+
+    def __init__(self, aset: AnnotationSet, rounds: Sequence[int]):
+        self.codes = codes = aset._codes
+        self.n_rounds = len(codes.rounds)
+        self.record_key = codes.item * self.n_rounds + codes.round
+        self.key, self.counts, _ = codes.label_counts(self.record_key, codes.in_rounds(rounds))
+        self.size = self.counts.sum(axis=1)
+        self.contributing = self.size >= 2
+        if not self.contributing.any():
+            raise DegenerateError("no unit with >= 2 labels in the selected rounds")
+        self.exclusions = self.notes(~self.contributing, "fewer than 2 labels")
+
+    def notes(self, which: np.ndarray, why: str) -> list[str]:
+        """An exclusion note for each unit ``which`` selects; ``why`` may
+        name the unit's label count as ``{m}``."""
+        items, rounds = self.codes.items, self.codes.rounds
+        return [
+            f"item {items[key // self.n_rounds]!r} round {rounds[key % self.n_rounds]}: "
+            + why.format(m=m)
+            for key, m in zip(self.key[which].tolist(), self.size[which].tolist())
+        ]
+
+    def population(self, which: np.ndarray) -> dict[str, int]:
+        """``n_items`` and ``n_annotators`` of the units ``which`` selects."""
+        keys = self.key[which]
+        annotators = self.codes.annotator[np.isin(self.record_key, keys)]
+        return {"n_items": len(np.unique(keys // self.n_rounds)),
+                "n_annotators": len(np.unique(annotators))}
 
 
-def _population(units) -> tuple[int, int]:
-    items = {item for item, _ in units}
-    annotators = set()
-    for entries in units.values():
-        annotators.update(ann for ann, _ in entries)
-    return len(items), len(annotators)
-
-
-def unit_agreement(labels: Sequence[str]) -> float:
-    """Fraction of agreeing unordered label pairs within one unit (>= 2 labels)."""
-    m = len(labels)
-    agreeing = sum(c * (c - 1) for c in Counter(labels).values()) / 2
-    return agreeing / (m * (m - 1) / 2)
+def pair_agreement(counts: np.ndarray) -> np.ndarray:
+    """Per row of label counts (a unit with >= 2 labels), the fraction of
+    its unordered label pairs that agree."""
+    m = counts.sum(axis=1)
+    return (counts * (counts - 1)).sum(axis=1) / 2 / (m * (m - 1) / 2)
 
 
 def _chance_corrected(observed: float, expected: float) -> float | None:
@@ -183,16 +200,6 @@ def _chance_corrected(observed: float, expected: float) -> float | None:
     if expected >= 1.0 - 1e-15:
         return 1.0 if observed >= 1.0 - 1e-15 else None
     return (observed - expected) / (1.0 - expected)
-
-
-def pair_kappa(pairs: Sequence[tuple[str, str]]) -> float | None:
-    """Cohen's kappa of (rater 1, rater 2) label pairs, Pe from each rater's
-    own marginals; None in the chance-degenerate corner."""
-    marg_a = Counter(a for a, _ in pairs)
-    marg_b = Counter(b for _, b in pairs)
-    return counts_kappa(
-        len(pairs), sum(1 for a, b in pairs if a == b), sum(marg_a[c] * marg_b[c] for c in marg_a)
-    )
 
 
 def counts_kappa(n: int, agree: int, chance: int) -> float | None:
@@ -210,18 +217,13 @@ def percent_agreement(aset: AnnotationSet, rounds: int | Sequence[int] | None = 
     kappa/alpha family.
     """
     resolved = resolve_rounds(aset, rounds)
-    units, exclusions = _contributing_units(aset, resolved)
-    if not units:
-        raise DegenerateError("no unit with >= 2 labels in the selected rounds")
-    per_unit = [unit_agreement([lbl for _, lbl in entries]) for entries in units.values()]
-    n_items, n_annotators = _population(units)
+    units = _Units(aset, resolved)
     return AgreementResult(
         metric_name="percent_agreement",
-        value=float(np.mean(per_unit)),
-        n_items=n_items,
-        n_annotators=n_annotators,
+        value=float(np.mean(pair_agreement(units.counts[units.contributing]))),
+        **units.population(units.contributing),
         rounds=resolved,
-        exclusions=tuple(exclusions),
+        exclusions=tuple(units.exclusions),
     )
 
 
@@ -240,29 +242,28 @@ def cohens_kappa(
     if annotator_a == annotator_b:
         raise InvalidConfigError("cohens_kappa needs two distinct annotators")
     resolved = resolve_rounds(aset, rounds)
-    pairs: list[tuple[str, str]] = []
-    items = set()
-    exclusions = []
-    for rnd in resolved:
-        for item in aset.items():
-            la = aset.label(item, annotator_a, rnd)
-            lb = aset.label(item, annotator_b, rnd)
-            if la is not None and lb is not None:
-                pairs.append((la, lb))
-                items.add(item)
-            elif la is not None or lb is not None:
-                exclusions.append(f"item {item!r} round {rnd}: labelled by one annotator only")
-    if not pairs:
+    codes = aset._codes
+    # rounds x items x (a, b) label codes
+    grid = np.stack([codes.label_grid(codes.in_rounds([rnd]), (annotator_a, annotator_b))
+                     for rnd in resolved])
+    labelled = grid >= 0
+    both = labelled.all(axis=2)
+    exclusions = [f"item {codes.items[i]!r} round {resolved[r]}: labelled by one annotator only"
+                  for r, i in zip(*np.nonzero(labelled.any(axis=2) & ~both))]
+    a, b = grid[both].T
+    if not len(a):
         raise NoOverlapError(
             f"annotators {annotator_a!r} and {annotator_b!r} share no labelled unit"
         )
-    value = pair_kappa(pairs)
+    n_labels = len(codes.labels)
+    chance = np.bincount(a, minlength=n_labels) @ np.bincount(b, minlength=n_labels)
+    value = counts_kappa(len(a), int((a == b).sum()), int(chance))
     if value is None:
         raise ChanceDegenerateError("expected agreement is 1 but observed agreement is not")
     return AgreementResult(
         metric_name="cohens_kappa",
         value=value,
-        n_items=len(items),
+        n_items=int(both.any(axis=0).sum()),
         n_annotators=2,
         rounds=resolved,
         exclusions=tuple(exclusions),
@@ -277,27 +278,13 @@ def fleiss_kappa(aset: AnnotationSet, rounds: int | Sequence[int] | None = 1) ->
     count) are excluded and reported.
     """
     resolved = resolve_rounds(aset, rounds)
-    units, exclusions = _contributing_units(aset, resolved)
-    if not units:
-        raise DegenerateError("no unit with >= 2 labels in the selected rounds")
-    size_freq = Counter(len(entries) for entries in units.values())
+    units = _Units(aset, resolved)
+    size_freq = Counter(units.size[units.contributing].tolist())
     n_raters = max(size_freq, key=lambda size: (size_freq[size], size))
-    kept = {}
-    for key, entries in sorted(units.items()):
-        if len(entries) == n_raters:
-            kept[key] = entries
-        else:
-            item, rnd = key
-            exclusions.append(
-                f"item {item!r} round {rnd}: {len(entries)} labels != modal count {n_raters}"
-            )
-    if not kept:
-        raise DegenerateError("no unit matches the modal label count")
-    counts = np.zeros((len(kept), len(aset.schema.categories)), dtype=float)
-    cat_index = aset.schema.category_index()
-    for row, entries in enumerate(kept.values()):
-        for _, lbl in entries:
-            counts[row, cat_index[lbl]] += 1
+    kept = units.size == n_raters
+    exclusions = units.exclusions + units.notes(
+        units.contributing & ~kept, f"{{m}} labels != modal count {n_raters}")
+    counts = units.counts[kept].astype(float)
     n = float(n_raters)
     p_i = (np.sum(counts * (counts - 1), axis=1)) / (n * (n - 1))
     p_bar = float(np.mean(p_i))
@@ -306,12 +293,10 @@ def fleiss_kappa(aset: AnnotationSet, rounds: int | Sequence[int] | None = 1) ->
     value = _chance_corrected(p_bar, pe_bar)
     if value is None:
         raise ChanceDegenerateError("expected agreement is 1 but observed agreement is not")
-    n_items, n_annotators = _population(kept)
     return AgreementResult(
         metric_name="fleiss_kappa",
         value=value,
-        n_items=n_items,
-        n_annotators=n_annotators,
+        **units.population(kept),
         rounds=resolved,
         exclusions=tuple(exclusions),
     )
@@ -371,25 +356,21 @@ def krippendorff_alpha(
     value is identical and yields 1.0.
     """
     resolved = resolve_rounds(aset, rounds)
-    pooled = aset.unit_labels(resolved)
+    codes = aset._codes
+    at = codes.in_rounds(resolved)
+    items, counts, _ = codes.label_counts(codes.item, at)
+    pairable = counts.sum(axis=1) >= 2
     exclusions = tuple(
-        f"item {item!r}: fewer than 2 labels in selected rounds"
-        for item in sorted(pooled)
-        if len(pooled[item]) < 2
+        f"item {codes.items[item]!r}: fewer than 2 labels in selected rounds"
+        for item in items[~pairable].tolist()
     )
     value = alpha_from_coincidence(aset.schema, coincidence_counts(aset, resolved), distance)
-    contributing = {item for item, labels in pooled.items() if len(labels) >= 2}
-    columns = aset.columns
-    annotators = {
-        annotator
-        for item, annotator, rnd in zip(columns.item_id, columns.annotator_id, columns.round)
-        if rnd in resolved and item in contributing
-    }
+    annotators = codes.annotator[at[np.isin(codes.item[at], items[pairable])]]
     return AgreementResult(
         metric_name="krippendorff_alpha",
         value=value,
-        n_items=len(contributing),
-        n_annotators=len(annotators),
+        n_items=int(pairable.sum()),
+        n_annotators=len(np.unique(annotators)),
         rounds=resolved,
         exclusions=exclusions,
     )
@@ -404,34 +385,31 @@ def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray
     round selection, and a replicate adds the drawn blocks in that order,
     one after another as :func:`coincidence_counts` does: the same float.
     """
-    items, item_blocks = aset.items(), aset._item_blocks
-    item_rounds = [item_blocks[item][1] for item in items]
-    first_rounds = np.array([min(rounds) for rounds in item_rounds])
+    codes = aset._codes
+    order, bounds = codes.item_runs
+    first_rounds = np.minimum.reduceat(codes.round[order], bounds[:-1])
     selected = cache(lambda: resolve_rounds(aset, call.rounds))
 
     @cache
     def table(resolved: tuple[int, ...]):
-        """Each item's block and its lowest selected round, by position in
-        ``items``; an item with < 2 labels has a zero block and round 0."""
-        blocks = coincidence_blocks(aset, resolved)
-        k = len(aset.schema.categories)
-        stacked = np.zeros((len(items), k, k))
-        lowest = np.zeros(len(items), dtype=np.int64)
-        for i, item in enumerate(items):
-            if item in blocks:
-                stacked[i] = blocks[item]
-                lowest[i] = min(rnd for rnd in item_rounds[i] if rnd in resolved)
+        """Each item's block and the code of its lowest selected round, by
+        position in ``items``; an item with < 2 labels has round -1."""
+        items, lowest_rounds, blocks = coincidence_blocks(aset, resolved)
+        k = len(codes.labels)
+        stacked = np.zeros((len(codes.items), k, k))
+        lowest = np.full(len(codes.items), -1)
+        stacked[items], lowest[items] = blocks, lowest_rounds
         return stacked, lowest
 
     def value(positions: np.ndarray) -> float:
         if call.rounds == FIRST_ROUND:
-            resolved = (int(first_rounds[positions].min()),)
+            resolved = (codes.rounds[first_rounds[positions].min()],)
         else:
             # ``None`` resolves against the source's rounds: the ones a
             # replicate lacks hold none of its labels, so they change nothing
             resolved = selected()
         stacked, lowest = table(resolved)
-        drawn = positions[lowest[positions] > 0]
+        drawn = positions[lowest[positions] >= 0]
         if not drawn.size:
             raise DegenerateError("no item has >= 2 labels in the selected rounds")
         order = drawn[np.argsort(lowest[drawn], kind="stable")]
@@ -461,27 +439,20 @@ def icc(
     resolved = resolve_rounds(aset, rounds)
     if len(resolved) != 1:
         raise InvalidConfigError("icc operates on exactly one round")
-    (rnd,) = resolved
-    columns = aset.columns
-    annotators = sorted(
-        {annotator for annotator, r in zip(columns.annotator_id, columns.round) if r == rnd}
-    )
+    codes = aset._codes
+    at = codes.in_rounds(resolved)
+    annotators = [codes.annotators[a] for a in np.unique(codes.annotator[at]).tolist()]
     if len(annotators) < 2:
         raise DegenerateError("icc needs >= 2 annotators in the round")
-    rows = []
-    exclusions = []
-    items_used = []
-    for item in aset.items():
-        labels = [aset.label(item, ann, rnd) for ann in annotators]
-        if any(lbl is None for lbl in labels):
-            if any(lbl is not None for lbl in labels):
-                exclusions.append(f"item {item!r}: incomplete annotator coverage")
-            continue
-        rows.append([aset.schema.numeric_value(lbl) for lbl in labels])
-        items_used.append(item)
-    if len(rows) < 2:
+    grid = codes.label_grid(at, annotators)
+    labelled = grid >= 0
+    complete = labelled.all(axis=1)
+    exclusions = [f"item {codes.items[i]!r}: incomplete annotator coverage"
+                  for i in np.flatnonzero(labelled.any(axis=1) & ~complete).tolist()]
+    if complete.sum() < 2:
         raise DegenerateError("icc needs >= 2 completely labelled items")
-    matrix = np.array(rows, dtype=float)
+    values = np.array([aset.schema.numeric_value(label) for label in codes.labels])
+    matrix = values[grid[complete]]
     n, k = matrix.shape
     grand = matrix.mean()
     row_means = matrix.mean(axis=1)
@@ -523,41 +494,35 @@ def resample_items(aset: AnnotationSet, item_ids: Sequence[str]) -> AnnotationSe
     k-th duplicate (plus as many ``~`` as it takes to differ from every
     source item id), so resampled sets stay valid AnnotationSets. The set is
     gathered from ``aset``'s columns at each drawn item's record positions,
-    and its indexes reuse the source's index entries; they come out as
-    ``AnnotationSet(schema, records)`` would build them, key order included.
+    in record order. An id not in ``aset`` raises InvalidConfigError.
     """
-    blocks = aset._item_blocks
-    source_rounds, source_cells = aset._by_item_round, aset._by_cell
+    codes = aset._codes
+    code = dict(zip(codes.items, range(len(codes.items))))
+    order, bounds = (runs.tolist() for runs in codes.item_runs)
     seen: Counter = Counter()
     positions: list[int] = []
     item_column: list[str] = []
-    by_item_round: dict = {}
-    by_cell: dict = {}
     for item in item_ids:
+        if item not in code:
+            raise InvalidConfigError(f"cannot resample item {item!r}: it is not in the set")
         occurrence = seen[item]
         seen[item] += 1
-        where, rounds, annotators = blocks[item]
         new_id = item
         if occurrence:
             new_id = f"{item}~{occurrence}"
-            while new_id in blocks:
+            while new_id in code:
                 new_id += "~"
+        where = order[bounds[code[item]]:bounds[code[item] + 1]]
         positions += where
         item_column += [new_id] * len(where)
-        for rnd in rounds:
-            by_item_round[(new_id, rnd)] = source_rounds[(item, rnd)]
-        for annotator in annotators:
-            by_cell[(new_id, annotator)] = source_cells[(item, annotator)]
+    gather = operator.itemgetter(*positions) if len(positions) > 1 else (
+        lambda column: tuple(column[p] for p in positions))
     source = aset.columns
-
-    def gather(column: tuple) -> map:
-        return map(column.__getitem__, positions)
-
     columns = RecordColumns(
         gather(source.task_id), item_column, gather(source.annotator_id),
         gather(source.round), gather(source.label), gather(source.timestamp),
     )
-    return AnnotationSet._from_indexes(aset.schema, columns, by_item_round, by_cell)
+    return AnnotationSet(aset.schema, columns=columns)
 
 
 def percentile_ci(

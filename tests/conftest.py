@@ -41,3 +41,43 @@ def make_rounds(rounds_by_ann, cats=("x", "y"), scale="nominal", numeric_values=
                 records.append(AnnotationRecord(task, f"i{i}", ann, rnd, lbl, ts))
     schema = LabelSchema(task, tuple(cats), scale, numeric_values)
     return validate_dataset(records, schema)
+
+
+def brute_force_indexes(records):
+    """(item, round) -> sorted [(annotator, label)] and (item, annotator) ->
+    sorted [(round, label, timestamp)], built record by record with keys in
+    the records' order."""
+    by_item_round, by_cell = {}, {}
+    for rec in records:
+        by_item_round.setdefault((rec.item_id, rec.round), []).append(
+            (rec.annotator_id, rec.label))
+        by_cell.setdefault((rec.item_id, rec.annotator_id), []).append(
+            (rec.round, rec.label, rec.timestamp))
+    for entries in (*by_item_round.values(), *by_cell.values()):
+        entries.sort()
+    return by_item_round, by_cell
+
+
+def assert_lookups_match(aset, records):
+    """The set's public lookups, key order included, equal the ones
+    :func:`brute_force_indexes` builds from ``records``, the set's records."""
+    by_item_round, by_cell = brute_force_indexes(records)
+    assert list(aset.cells().items()) == list(by_cell.items())
+    for rounds in ([1], [2, 1], [1, 3], [3, 2, 1], [4], [1, 2, 3]):
+        units = {key: entries for key, entries in by_item_round.items() if key[1] in rounds}
+        assert list(aset.round_units(rounds).items()) == list(units.items())
+        pooled = {}
+        for rnd in rounds:
+            for (item, r), entries in by_item_round.items():
+                if r == rnd:
+                    pooled.setdefault(item, []).extend(label for _, label in entries)
+        assert list(aset.unit_labels(rounds).items()) == list(pooled.items())
+    items = {item for item, _ in by_cell} | {"absent"}
+    annotators = {annotator for _, annotator in by_cell} | {"absent"}
+    for item in items:
+        for annotator in annotators:
+            history = by_cell.get((item, annotator), [])
+            assert aset.cell_history(item, annotator) == history
+            for rnd in range(5):
+                found = [label for r, label, _ in history if r == rnd]
+                assert aset.label(item, annotator, rnd) == (found[0] if found else None)

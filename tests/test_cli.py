@@ -379,9 +379,9 @@ def test_subcommands_build_no_annotation_records(capsys, monkeypatch, workspace,
 ])
 def test_stability_runs_build_no_pair_objects_or_cell_index(capsys, monkeypatch, workspace,
                                                             tmp_path, fmt, argv):
-    """Pairing, the repeat table, the interval profile and the item votes
-    read arrays: no RepeatPair is built and the (item, annotator) index is
-    never filled."""
+    """Pairing, the repeat table, the interval profile, the item votes and
+    the reliability kernels read arrays: no RepeatPair is built and none of
+    the set's per-call lookups (cells, cell histories, labels, units) runs."""
     annotations = workspace / "annotations.csv"
     if fmt == "jsonl":
         annotations = tmp_path / "annotations.jsonl"
@@ -394,10 +394,11 @@ def test_stability_runs_build_no_pair_objects_or_cell_index(capsys, monkeypatch,
         built.append(args)
         real_init(self, *args, **kwargs)
 
-    by_cell = AnnotationSet.__dict__["_by_cell"].func
     monkeypatch.setattr(RepeatPair, "__init__", counted_init)
-    monkeypatch.setattr(AnnotationSet, "_by_cell",
-                        property(lambda aset: built.append("_by_cell") or by_cell(aset)))
+    for name in ("cells", "cell_history", "label", "round_units", "unit_labels"):
+        lookup = getattr(AnnotationSet, name)
+        monkeypatch.setattr(AnnotationSet, name, lambda aset, *args, name=name, lookup=lookup:
+                            built.append(name) or lookup(aset, *args))
     argv = [a.format(out=tmp_path / "out", why=workspace / "rationalisations.csv")
             for a in argv]
     code, _, err = run(capsys, *argv, "--annotations", str(annotations),
@@ -612,6 +613,22 @@ class TestReportBundle:
         assert code == 3, err
         assert error_of(err)["code"] == "Validation"
         assert not (tmp_path / "b" / "report.json").exists()
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_constant_is_validation_error(self, capsys, workspace, tmp_path,
+                                                     constant):
+        out = tmp_path / "validate"
+        run(capsys, "validate", "--annotations", str(workspace / "annotations.csv"),
+            "--schema", str(workspace / "schema.json"), "--out", str(out))
+        path = tmp_path / "edited.json"
+        text = (out / "report.json").read_text()
+        path.write_text(text.replace('"n_records": ', f'"n_records": {constant}, "was": ', 1))
+        code, _, err = run(capsys, "report", "--inputs", str(path), "--out", str(tmp_path / "b"))
+        assert code == 3, err
+        error = error_of(err)
+        assert error["code"] == "Validation"
+        assert str(path) in error["message"] and constant in error["message"]
+        assert not (tmp_path / "b").exists()
 
 
 @pytest.mark.parametrize("flag, name", [("--annotations", "bad.csv"),

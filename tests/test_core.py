@@ -26,7 +26,7 @@ from relistab.errors import (
     ValidationError,
 )
 
-from conftest import make_rounds, make_set
+from conftest import assert_lookups_match, make_rounds, make_set
 
 
 def test_normalize_label_trims_and_composes():
@@ -267,20 +267,6 @@ def test_annotation_set_equality_ignores_caches():
     assert AnnotationSet(schema, recs) == AnnotationSet(schema, recs)
 
 
-def brute_force_indexes(records):
-    """``_by_item_round`` and ``_by_cell`` built record by record, in the
-    records' order, as the set defines them."""
-    by_item_round, by_cell = {}, {}
-    for rec in records:
-        by_item_round.setdefault((rec.item_id, rec.round), []).append(
-            (rec.annotator_id, rec.label))
-        by_cell.setdefault((rec.item_id, rec.annotator_id), []).append(
-            (rec.round, rec.label, rec.timestamp))
-    for entries in (*by_item_round.values(), *by_cell.values()):
-        entries.sort()
-    return by_item_round, by_cell
-
-
 #: labels as files carry them: composed or not, padded or not
 LABEL_FORMS = {"x": ("x", " x", "x\t"), "\u00e9": ("\u00e9", "e\u0301", " e\u0301 ")}
 
@@ -308,9 +294,7 @@ def test_column_set_matches_record_by_record_build(records):
     expected = [AnnotationRecord(r.task_id, r.item_id, r.annotator_id, r.round,
                                  normalize_label(r.label), r.timestamp) for r in records]
     assert aset.records == tuple(expected)
-    by_item_round, by_cell = brute_force_indexes(expected)
-    assert list(aset._by_item_round.items()) == list(by_item_round.items())
-    assert list(aset._by_cell.items()) == list(by_cell.items())
+    assert_lookups_match(aset, expected)
     assert aset.items() == tuple(sorted({r.item_id for r in expected}))
     assert aset.annotators() == tuple(sorted({r.annotator_id for r in expected}))
     assert aset.rounds() == tuple(sorted({r.round for r in expected}))

@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -10,11 +11,11 @@ from oracles import (
     brute_icc_oneway,
     brute_icc_twoway,
     brute_krippendorff_alpha,
+    brute_percent_agreement,
 )
 from relistab import (
     AgreementResult,
     AnnotationRecord,
-    AnnotationSet,
     LabelSchema,
     MetricCall,
     SimConfig,
@@ -38,10 +39,10 @@ from relistab.errors import (
     RelistabError,
     TooManyDegenerateError,
 )
-from relistab.core import coincidence_blocks
+from relistab.core import coincidence_blocks, resolve_rounds
 from relistab.reliability import DISTANCES, FIRST_ROUND, METRICS, alpha_from_coincidence
 
-from conftest import make_rounds, make_set
+from conftest import assert_lookups_match, make_rounds, make_set
 
 
 class TestPercentAgreement:
@@ -469,9 +470,7 @@ def test_resample_matches_full_rebuild(aset, data):
         assert new_id == item if repeat == 0 else new_id.rstrip("~") == f"{item}~{repeat}"
         expected += [replace(rec, item_id=new_id) for rec in aset.records if rec.item_id == item]
     assert resampled.records == tuple(expected)
-    rebuilt = AnnotationSet(schema=aset.schema, records=resampled.records)
-    assert list(resampled._by_item_round.items()) == list(rebuilt._by_item_round.items())
-    assert list(resampled._by_cell.items()) == list(rebuilt._by_cell.items())
+    assert_lookups_match(resampled, expected)
 
 
 @given(sparse_sets())
@@ -558,8 +557,9 @@ def test_alpha_gather_adds_blocks_in_unit_labels_order():
     expected = krippendorff_alpha(resample_items(aset, ["i0"] * 4 + ["i1"] * 2), (1, 2)).value
     call = MetricCall("krippendorff_alpha", (1, 2))
     assert METRICS["krippendorff_alpha"].gather(aset, call)(positions) == expected
-    blocks = coincidence_blocks(aset, (1, 2))
-    in_draw_order = np.add.reduce(np.stack([blocks[aset.items()[i]] for i in positions]), axis=0)
+    items, _, blocks = coincidence_blocks(aset, (1, 2))
+    block = dict(zip(items.tolist(), blocks))
+    in_draw_order = np.add.reduce(np.stack([block[i] for i in positions]), axis=0)
     assert alpha_from_coincidence(aset.schema, in_draw_order) != expected
 
 
@@ -568,3 +568,166 @@ def test_alpha_gather_first_round_is_the_replicates_own():
     call = MetricCall("krippendorff_alpha", FIRST_ROUND)
     expected = krippendorff_alpha(resample_items(aset, ["i0", "i0"]), 2).value
     assert METRICS["krippendorff_alpha"].gather(aset, call)(np.array([0, 0])) == expected
+
+
+def test_resample_unknown_item_names_it():
+    aset = make_set({"a": ["x", "y"], "b": ["x", "x"]})
+    with pytest.raises(InvalidConfigError, match="'i7'"):
+        resample_items(aset, ["i0", "i7"])
+
+
+#: an interval scale, so every kernel and every alpha distance applies
+KERNEL_SCHEMA = LabelSchema("t", ("x", "y", "z"), "interval", {"x": 1.0, "y": 2.0, "z": 4.0})
+#: round selectors; round 5 is one no set has
+KERNEL_ROUNDS = (None, 1, 2, (1, 2), (2, 3, 4), (1, 5), 5)
+
+
+@st.composite
+def shuffled_kernel_records(draw):
+    """Records of a 1-4-round set with missing cells, in random order, with
+    an item ``a~1`` that a resampled ``a`` would be named."""
+    n_rounds = draw(st.integers(1, 4))
+    items = draw(st.lists(st.sampled_from(ITEM_POOL + ("d", "e")), min_size=1, max_size=6,
+                          unique=True))
+    annotators = "pqrstu"[:draw(st.integers(2, 6))]
+    cells = [(item, ann, rnd) for item in items for ann in annotators
+             for rnd in range(1, n_rounds + 1)]
+    kept = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    return [AnnotationRecord("t", item, ann, rnd, draw(st.sampled_from("xyz")))
+            for item, ann, rnd in kept]
+
+
+def _population(units: dict) -> tuple[int, int]:
+    return len({item for item, _ in units}), len({ann for unit in units.values() for ann in unit})
+
+
+def _ordinal_delta2(pairable: list[str]):
+    """Krippendorff's ordinal distance over the pairable values' counts."""
+    counts = [pairable.count(c) for c in KERNEL_SCHEMA.categories]
+    rank = {c: i for i, c in enumerate(KERNEL_SCHEMA.categories)}
+
+    def delta2(a, b):
+        lo, hi = sorted((rank[a], rank[b]))
+        return (sum(counts[lo:hi + 1]) - (counts[lo] + counts[hi]) / 2) ** 2
+
+    return delta2
+
+
+def _expect(compute, oracle, population, exclusions, degenerate=ChanceDegenerateError):
+    """``compute()`` matches ``oracle()`` to 1e-12 with the given population
+    and exclusions, or raises ``degenerate`` where the oracle refuses."""
+    try:
+        expected = oracle()
+    except ValueError:
+        with pytest.raises(degenerate):
+            compute()
+        return
+    result = compute()
+    assert result.value == pytest.approx(expected, abs=1e-12)
+    assert (result.n_items, result.n_annotators) == population
+    assert result.exclusions == tuple(exclusions)
+
+
+@given(shuffled_kernel_records())
+def test_kernels_match_oracles_and_record_recount(records):
+    aset = validate_dataset(records, KERNEL_SCHEMA)
+    labels = {(r.item_id, r.annotator_id, r.round): r.label for r in records}
+    items = sorted({r.item_id for r in records})
+    for rounds in KERNEL_ROUNDS:
+        resolved = resolve_rounds(aset, rounds)
+        units: dict = {}
+        for (item, ann, rnd), label in labels.items():
+            if rnd in resolved:
+                units.setdefault((item, rnd), {})[ann] = label
+        units = dict(sorted(units.items()))
+        contributing = {key: unit for key, unit in units.items() if len(unit) >= 2}
+        notes = [f"item {item!r} round {rnd}: fewer than 2 labels"
+                 for (item, rnd), unit in units.items() if len(unit) < 2]
+        if not contributing:
+            for kernel in (percent_agreement, fleiss_kappa):
+                with pytest.raises(DegenerateError):
+                    kernel(aset, rounds)
+        else:
+            _expect(lambda: percent_agreement(aset, rounds),
+                    lambda: brute_percent_agreement([list(u.values())
+                                                     for u in contributing.values()]),
+                    _population(contributing), notes)
+            sizes = Counter(len(unit) for unit in contributing.values())
+            modal = max(sizes, key=lambda m: (sizes[m], m))
+            kept = {key: unit for key, unit in contributing.items() if len(unit) == modal}
+            _expect(lambda: fleiss_kappa(aset, rounds),
+                    lambda: brute_fleiss_kappa([list(u.values()) for u in kept.values()]),
+                    _population(kept),
+                    notes + [f"item {item!r} round {rnd}: {len(unit)} labels != modal count {modal}"
+                             for (item, rnd), unit in contributing.items() if len(unit) != modal])
+
+        pooled: dict = {}
+        for (item, rnd), unit in units.items():
+            pooled.setdefault(item, []).extend(unit.values())
+        pairable = {item: pool for item, pool in pooled.items() if len(pool) >= 2}
+        annotators = {ann for (item, _), unit in units.items() if item in pairable
+                      for ann in unit}
+        values = KERNEL_SCHEMA.numeric_values
+        for distance, delta2 in (
+            ("nominal", None),
+            ("ordinal", _ordinal_delta2([v for pool in pairable.values() for v in pool])),
+            ("interval", lambda a, b: (values[a] - values[b]) ** 2),
+        ):
+            if not pairable:
+                with pytest.raises(DegenerateError):
+                    krippendorff_alpha(aset, rounds, distance)
+                continue
+            _expect(lambda: krippendorff_alpha(aset, rounds, distance),
+                    lambda: brute_krippendorff_alpha(list(pairable.values()), delta2),
+                    (len(pairable), len(annotators)),
+                    [f"item {item!r}: fewer than 2 labels in selected rounds"
+                     for item in sorted(pooled) if item not in pairable])
+
+        pairs, paired_items, one_sided = [], set(), []
+        for rnd in resolved:
+            for item in items:
+                a, b = labels.get((item, "p", rnd)), labels.get((item, "q", rnd))
+                if a is not None and b is not None:
+                    pairs.append((a, b))
+                    paired_items.add(item)
+                elif a is not None or b is not None:
+                    one_sided.append(f"item {item!r} round {rnd}: labelled by one annotator only")
+        if not pairs:
+            with pytest.raises(NoOverlapError):
+                cohens_kappa(aset, "p", "q", rounds)
+        else:
+            _expect(lambda: cohens_kappa(aset, "p", "q", rounds),
+                    lambda: brute_cohens_kappa([a for a, _ in pairs], [b for _, b in pairs]),
+                    (len(paired_items), 2), one_sided)
+
+        if len(resolved) != 1:
+            with pytest.raises(InvalidConfigError):
+                icc(aset, rounds)
+            continue
+        (rnd,) = resolved
+        raters = sorted({ann for (_, ann, r) in labels if r == rnd})
+        rows, incomplete = [], []
+        for item in items:
+            row = [labels.get((item, ann, rnd)) for ann in raters]
+            if None not in row:
+                rows.append([values[label] for label in row])
+            elif any(label is not None for label in row):
+                incomplete.append(f"item {item!r}: incomplete annotator coverage")
+        for model, oracle in (("oneway_random", brute_icc_oneway),
+                              ("twoway_random_single", brute_icc_twoway)):
+            if len(raters) < 2 or len(rows) < 2:
+                with pytest.raises(DegenerateError):
+                    icc(aset, rounds, model)
+                continue
+            _expect(lambda: icc(aset, rounds, model), lambda: oracle(rows),
+                    (len(rows), len(raters)), incomplete, InsufficientVarianceError)
+
+
+def test_kernels_leave_only_columns_and_codes():
+    aset = make_rounds({"a": {1: ["x", "y"], 2: ["x", "x"]}, "b": {1: ["x", "x"]}},
+                       scale="interval", numeric_values={"x": 0.0, "y": 1.0})
+    for name, metric in METRICS.items():
+        options = {"annotator_a": "a", "annotator_b": "b"} if name == "cohens_kappa" else {}
+        metric.kernel(aset, 1, **options)
+    resample_items(aset, ["i0", "i0"])
+    assert set(vars(aset)) == {"schema", "columns", "_codes"}
