@@ -306,6 +306,31 @@ class ColumnCodes:
     label: np.ndarray
     timestamp: np.ndarray
 
+    @classmethod
+    def of(cls, columns: "RecordColumns", categories: tuple[str, ...]) -> "ColumnCodes":
+        """The codes of ``columns``, labels coded against ``categories``."""
+        items, annotators, rounds = (tuple(sorted(set(column))) for column in (
+            columns.item_id, columns.annotator_id, columns.round))
+        labels = categories + tuple(sorted(set(columns.label) - set(categories)))
+        return cls(
+            items, annotators, rounds, labels,
+            _encode(columns.item_id, items), _encode(columns.annotator_id, annotators),
+            _encode(columns.round, rounds), _encode(columns.label, labels),
+            np.array(columns.timestamp, dtype=float),
+        )
+
+    def first_repeat(self) -> int:
+        """Position of the first record whose (item, annotator, round) an
+        earlier record has, or the record count."""
+        cell = self.item * len(self.annotators) + self.annotator
+        if len(self.items) * len(self.annotators) * len(self.rounds) > 2**63:
+            # renumber the (item, annotator) cells, so that the key fits int64
+            cell = np.unique(cell, return_inverse=True)[1]
+        _, first = np.unique(cell * len(self.rounds) + self.round, return_index=True)
+        first.sort()
+        misplaced = np.flatnonzero(first != np.arange(len(first)))
+        return int(misplaced[0]) if len(misplaced) else len(first)
+
     @cached_property
     def cell_runs(self) -> tuple[np.ndarray, np.ndarray]:
         """``(order, bounds)``: the record positions sorted by (item,
@@ -379,17 +404,19 @@ class AnnotationSet:
     columns=...)`` takes :class:`RecordColumns`; either way the set stores
     columns and builds ``records`` and ``_codes``, the
     :class:`ColumnCodes` that every kernel and lookup reads, each on first
-    use.
+    use. ``codes``, when given, are those of the columns and are kept.
     """
 
     schema: LabelSchema
     columns: RecordColumns
 
     def __init__(self, schema: LabelSchema, records: Iterable[AnnotationRecord] = (),
-                 columns: RecordColumns | None = None):
+                 columns: RecordColumns | None = None, codes: ColumnCodes | None = None):
         object.__setattr__(self, "schema", schema)
         columns = RecordColumns.of(records if columns is None else columns)
         object.__setattr__(self, "columns", columns)
+        if codes is not None:
+            object.__setattr__(self, "_codes", codes)
 
     @cached_property
     def records(self) -> tuple[AnnotationRecord, ...]:
@@ -397,27 +424,19 @@ class AnnotationSet:
 
     @cached_property
     def _codes(self) -> ColumnCodes:
-        c, categories = self.columns, self.schema.categories
-        items, annotators, rounds = self.items(), self.annotators(), self.rounds()
-        labels = categories + tuple(sorted(set(c.label) - set(categories)))
-        return ColumnCodes(
-            items, annotators, rounds, labels,
-            _encode(c.item_id, items), _encode(c.annotator_id, annotators),
-            _encode(c.round, rounds), _encode(c.label, labels),
-            np.array(c.timestamp, dtype=float),
-        )
+        return ColumnCodes.of(self.columns, self.schema.categories)
 
     def __len__(self) -> int:
         return len(self.columns)
 
     def items(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.columns.item_id)))
+        return self._codes.items
 
     def annotators(self) -> tuple[str, ...]:
-        return tuple(sorted(set(self.columns.annotator_id)))
+        return self._codes.annotators
 
     def rounds(self) -> tuple[int, ...]:
-        return tuple(sorted(set(self.columns.round)))
+        return self._codes.rounds
 
     def label(self, item_id: str, annotator_id: str, round: int) -> str | None:
         history = self.cell_history(item_id, annotator_id)
@@ -616,6 +635,75 @@ def _convert_column(column: Sequence, convert: Callable) -> tuple[list, int]:
     return converted, len(converted)
 
 
+#: values per block of the timestamp fast path; bounds its scratch arrays
+TIMESTAMP_BLOCK = 8192
+#: text lengths of the canonical shape: no suffix, ``Z`` or ``z``, ``+00:00``
+_STAMP_LENGTHS = (19, 20, 25)
+#: positions of the digits of ``YYYY-MM-DDTHH:MM:SS``
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+
+
+def _canonical_stamps(block: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """``(at, seconds)``: the positions in ``block`` of the texts that are
+    ``YYYY-MM-DD[Tt ]HH:MM:SS`` followed by nothing, ``Z``, ``z`` or
+    ``+00:00``, with year >= 1 and a real date and time of day, and their
+    POSIX epoch seconds (UTC), as :func:`parse_rfc3339` reads them."""
+    length = np.fromiter((len(v) if type(v) is str else 0 for v in block),
+                         dtype=np.int64, count=len(block))
+    at = np.flatnonzero(np.isin(length, _STAMP_LENGTHS))
+    texts = block if len(at) == len(block) else [block[i] for i in at.tolist()]
+    n, length = len(at), length[at]
+    chars = np.array(texts, dtype="U25").view(np.uint32).reshape(n, 25)
+    digits = chars[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
+    ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
+    ok &= (chars[:, [4, 7, 13, 16]] == [ord(c) for c in "--::"]).all(axis=1)
+    ok &= np.isin(chars[:, 10], [ord(c) for c in "Tt "])
+    ok &= ((length == 19)
+           | ((length == 20) & np.isin(chars[:, 19], [ord("Z"), ord("z")]))
+           | ((length == 25) & (chars[:, 19:] == [ord(c) for c in "+00:00"]).all(axis=1)))
+    year = digits[:, 0] * 1000 + digits[:, 1] * 100 + digits[:, 2] * 10 + digits[:, 3]
+    month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
+    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+    month_days = _DAYS_IN_MONTH[np.clip(month, 0, 12)] + ((month == 2) & leap)
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
+           & (hour <= 23) & (minute <= 59) & (second <= 59))
+    # days from 1970-01-01 in the proleptic Gregorian calendar, counting
+    # years from March so that a leap day ends its year
+    year = year - (month <= 2)
+    era = year // 400
+    year_of_era = year - era * 400
+    day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
+    days = (era * 146097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100
+            + day_of_year - 719468)
+    seconds = days * 86400 + hour * 3600 + minute * 60 + second
+    return at[ok], seconds[ok]
+
+
+def _coerce_timestamps(column: Sequence) -> tuple[list, int]:
+    """:func:`_convert_column` with :func:`_coerce_timestamp`, a block of
+    :data:`TIMESTAMP_BLOCK` values at a time. :func:`_canonical_stamps`
+    decodes the text of the canonical shape, to the float that
+    ``_coerce_timestamp`` gives; every other value goes through it."""
+    stamps: list = []
+    for start in range(0, len(column), TIMESTAMP_BLOCK):
+        block = column[start:start + TIMESTAMP_BLOCK]
+        at, seconds = _canonical_stamps(block)
+        decoded = np.empty(len(block), dtype=object)
+        decoded[at] = seconds.astype(float)
+        other = np.ones(len(block), dtype=bool)
+        other[at] = False
+        other = np.flatnonzero(other)
+        converted, refused = _convert_column([block[i] for i in other.tolist()],
+                                             _coerce_timestamp)
+        decoded[other[:refused]] = converted
+        if refused < len(other):
+            end = int(other[refused])
+            return stamps + decoded[:end].tolist(), start + end
+        stamps += decoded.tolist()
+    return stamps, len(column)
+
+
 def coerce_columns(task_id, item_id, annotator_id, round, label, timestamp):
     """Raw field columns converted as :func:`coerce_fields` converts each
     row, checked a column at a time.
@@ -638,7 +726,7 @@ def coerce_columns(task_id, item_id, annotator_id, round, label, timestamp):
         texts.append(column if types <= {str} else list(map(str, column)))
     rounds, refused = _convert_column(round, _coerce_round)
     first = min(first, refused)
-    stamps, refused = _convert_column(timestamp, _coerce_timestamp)
+    stamps, refused = _coerce_timestamps(timestamp)
     first = min(first, refused)
     converted = (*texts[:3], rounds, texts[3], stamps)
     if first == n:
@@ -656,19 +744,6 @@ def _first_in(column: Sequence, refused: set) -> int:
     if not refused:
         return len(column)
     return next(i for i, value in enumerate(column) if value in refused)
-
-
-def _first_repeat(*columns: Sequence) -> int:
-    """Position of the first row of ``columns`` equal to an earlier row, or
-    the number of rows."""
-    if len(set(zip(*columns))) == len(columns[0]):
-        return len(columns[0])
-    seen: set = set()
-    for position, key in enumerate(zip(*columns)):
-        if key in seen:
-            return position
-        seen.add(key)
-    return len(seen)
 
 
 def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
@@ -699,12 +774,13 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
         columns, coerce_error = coerce_columns(*(zip(*rows) if rows else ((),) * 6))
         error = coerce_error or error
     normal = {label: normalize_label(label) for label in set(columns.label)}
-    labels = columns.label
     if any(label != normal[label] for label in normal):
-        labels = tuple(map(normal.__getitem__, labels))
+        columns = RecordColumns(*columns.fields()[:4], map(normal.__getitem__, columns.label),
+                                columns.timestamp)
+    codes = ColumnCodes.of(columns, schema.categories)
     categories = set(schema.categories)
-    task_ids, items, annotators, rounds = (
-        columns.task_id, columns.item_id, columns.annotator_id, columns.round)
+    task_ids, items, annotators, rounds, labels = (
+        columns.task_id, columns.item_id, columns.annotator_id, columns.round, columns.label)
     # the first faulty record wins; within a record, the checks run in this order
     faults = [
         (_first_in(task_ids, set(task_ids) - {schema.task_id}), lambda p: SchemaMismatchError(
@@ -713,7 +789,7 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
             f"label {labels[p]!r} not in schema categories for item {items[p]!r}")),
         (_first_in(rounds, {r for r in set(rounds) if r < 1}), lambda p: ValidationError(
             f"round must be >= 1, got {rounds[p]}")),
-        (_first_repeat(items, annotators, rounds), lambda p: DuplicateCellError(
+        (codes.first_repeat(), lambda p: DuplicateCellError(
             "duplicate record for (item, annotator, round) "
             f"{(items[p], annotators[p], rounds[p])}")),
     ]
@@ -723,9 +799,7 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
     if error is not None:
         position, exc = error
         raise type(exc)(f"record {position}: {exc}") from exc
-    if labels is not columns.label:
-        columns = RecordColumns(task_ids, items, annotators, rounds, labels, columns.timestamp)
-    return AnnotationSet(schema, columns=columns)
+    return AnnotationSet(schema, columns=columns, codes=codes)
 
 
 def resolve_rounds(aset: AnnotationSet, rounds: int | Sequence[int] | None) -> tuple[int, ...]:

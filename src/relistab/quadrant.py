@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import AnnotationSet
+from .core import AnnotationSet, resolve_rounds
 from .errors import DegenerateError, InvalidConfigError, NonFiniteError, NoQualifyingItemsError
 from .reliability import METRICS, pair_agreement
 from .stability import dataset_stability, item_votes
@@ -127,7 +127,7 @@ def classify_dataset(
     """Whole-dataset placement: reliability on the first present round,
     stability across all rounds."""
     thresholds = thresholds or QuadrantThresholds()
-    first_round = min(aset.rounds())
+    first_round = resolve_rounds(aset, None)[0]
     reliability_score = METRICS[thresholds.reliability_metric].kernel(aset, first_round).value
     stab = dataset_stability(aset)
     if thresholds.stability_metric == "self_kappa":

@@ -95,7 +95,7 @@ class MetricCall:
     options: Mapping = field(default_factory=dict)
 
     def __call__(self, aset: AnnotationSet) -> "AgreementResult":
-        rounds = min(aset.rounds()) if self.rounds == FIRST_ROUND else self.rounds
+        rounds = resolve_rounds(aset, None)[0] if self.rounds == FIRST_ROUND else self.rounds
         return METRICS[self.name].kernel(aset, rounds, **self.options)
 
 

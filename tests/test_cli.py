@@ -22,6 +22,7 @@ from relistab import (
     write_rationalisations_csv,
 )
 from relistab.cli import build_parser, main
+from relistab.core import RECORD_FIELDS as CSV_FIELDS
 
 from conftest import make_rounds
 
@@ -335,6 +336,36 @@ def test_time_reversed_round_names_the_cell(capsys, workspace, reversed_round, a
     assert code == 3
     message = error_of(err)["message"]
     assert "'i1'" in message and "'b'" in message and "predates" in message
+
+
+@pytest.mark.parametrize("name, text", [
+    ("empty.csv", ",".join(CSV_FIELDS) + "\n"), ("empty.jsonl", "")], ids=["csv", "jsonl"])
+@pytest.mark.parametrize("argv, degenerate", [
+    (["validate", "--annotations", "{data}"], False),
+    (["reliability", "--annotations", "{data}"], False),
+    (["reliability", "--annotations", "{data}", "--bootstrap", "5", "--seed", "1"], False),
+    (["stability", "--annotations", "{data}"], False),
+    (["matrix", "--annotations", "{data}", "--out", "{out}"], True),
+    (["phi", "--annotations", "{data}", "--rationalisations", "{why}"], False),
+    (["compare", "--annotations-a", "{data}", "--annotations-b", "{data}",
+      "--axis", "reliability", "--seed", "2", "--replicates", "5"], True),
+    (["compare", "--annotations-a", "{data}", "--annotations-b", "{data}",
+      "--axis", "stability", "--seed", "2", "--replicates", "5"], False),
+], ids=["validate", "reliability", "bootstrap", "stability", "matrix", "phi",
+        "compare-reliability", "compare-stability"])
+def test_empty_annotations_end_in_a_documented_exit_code(capsys, workspace, tmp_path, name,
+                                                         text, argv, degenerate):
+    """A header-only CSV or an empty JSONL file gives a report or a typed
+    error, never an unexpected failure; the subcommands that need a first
+    round find none and raise DegenerateError."""
+    data = tmp_path / name
+    data.write_text(text, encoding="utf-8")
+    argv = [a.format(data=data, out=tmp_path / "out", why=workspace / "rationalisations.csv")
+            for a in argv]
+    code, _, err = run(capsys, *argv, "--schema", str(workspace / "schema.json"))
+    assert code in {0, 2, 3, 4}, err
+    if degenerate:
+        assert code == 4 and error_of(err)["code"] == "Degenerate"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])

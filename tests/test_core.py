@@ -26,6 +26,8 @@ from relistab.errors import (
     ValidationError,
 )
 
+from relistab.core import ColumnCodes
+
 from conftest import assert_lookups_match, make_rounds, make_set
 
 
@@ -343,6 +345,7 @@ class TestFirstFaultInRecordOrder:
         ([{"item_id": "i0"}, {"task_id": "u"}], ValidationError, "record 0: missing"),
         (["rec", "bad label", "missing"], UnknownLabelError, "'z'"),
         (["rec", "dup", "task"], DuplicateCellError, "'i0', 'a', 1"),
+        (["rec", "other", "other dup", "dup"], DuplicateCellError, "'i8', 'b', 2"),
         (["round 0", "dup"], ValidationError, "round must be >= 1, got 0"),
         (["task", "bad label"], SchemaMismatchError, "'u'"),
         (["rec", "bad round text"], ValidationError, "record 1: round '1.5'"),
@@ -363,7 +366,18 @@ class TestFirstFaultInRecordOrder:
             "not a mapping": ["t", "i6", "a", 1, "x"],
             "all wrong": self.rec(task="u", label="z", rnd=0),
             "label and round": self.rec(item="i7", label="z", rnd=0),
+            "other": self.rec(item="i8", ann="b", rnd=2),
+            "other dup": self.rec(item="i8", ann="b", rnd=2, label="y"),
         }
         records = [forms.get(r, r) if isinstance(r, str) else r for r in records]
         with pytest.raises(error, match=message):
             validate_dataset(records, self.SCHEMA)
+
+    def test_duplicate_cell_keys_that_would_pass_int64(self):
+        """With 2**22 items, annotators and rounds a combined key passes
+        2**64 and wraps; the (item, annotator) cells are renumbered first,
+        so that (2**20, 0, 0) is not taken for a repeat of (0, 0, 0)."""
+        many, zeros = range(2**22), np.zeros(3, dtype=np.int64)
+        codes = ColumnCodes(many, many, many, ("x",), np.array([0, 2**20, 0]), zeros, zeros,
+                            zeros, np.full(3, np.nan))
+        assert codes.first_repeat() == 2

@@ -1,8 +1,11 @@
+import calendar
 import csv
 import json
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from relistab import (
     AnnotationRecord,
@@ -22,8 +25,9 @@ from relistab import (
     write_annotations_jsonl,
     write_rationalisations_csv,
 )
+from relistab import core
 from relistab.core import RECORD_FIELDS as CSV_FIELDS
-from relistab.core import coerce_record
+from relistab.core import coerce_columns, coerce_record
 from relistab.errors import InvalidConfigError, NonFiniteError, ValidationError
 
 
@@ -355,3 +359,179 @@ def test_bool_round_is_refused_beside_equal_numbers(tmp_path, rounds, bad):
         read_annotation_records_jsonl(path)
     with pytest.raises(ValidationError, match=f"record {line - 1}: round {bad} is not"):
         validate_dataset(rows, LabelSchema("t", ("x", "y")))
+
+
+#: years the leap rule and the calendar's ends turn on, and any other
+YEARS = st.one_of(st.sampled_from([1, 1900, 1970, 2000, 2023, 2024, 9999]),
+                  st.integers(1, 9999))
+
+
+@st.composite
+def canonical_stamps(draw):
+    """Text of the canonical shape with a real date and time of day."""
+    year, month = draw(YEARS), draw(st.one_of(st.just(2), st.integers(1, 12)))
+    last = calendar.monthrange(year, month)[1]
+    day = draw(st.one_of(st.just(last), st.integers(1, last)))
+    return "{:04d}-{:02d}-{:02d}{}{:02d}:{:02d}:{:02d}{}".format(
+        year, month, day, draw(st.sampled_from("Tt ")), draw(st.integers(0, 23)),
+        draw(st.integers(0, 59)), draw(st.integers(0, 59)),
+        draw(st.sampled_from(["", "Z", "z", "+00:00"])))
+
+
+#: one field of canonical text set out of range: (position, text)
+BAD_FIELDS = [(0, "0000"), (5, "00"), (5, "13"), (5, "99"), (8, "00"), (8, "32"), (11, "24"),
+              (11, "99"), (14, "60"), (17, "60"), (17, "99")]
+
+
+@st.composite
+def near_stamps(draw):
+    """Canonical text with one change: a field out of range, a day past
+    its month's end (Feb 29 of any year among them), another separator or
+    suffix, a character that is no ASCII digit, padding or a cut."""
+    text = draw(canonical_stamps())
+    kind = draw(st.sampled_from(["field", "month end", "sep", "suffix", "digit", "pad", "cut"]))
+    if kind == "field":
+        at, field = draw(st.sampled_from(BAD_FIELDS))
+        text = text[:at] + field + text[at + len(field):]
+    elif kind == "month end":
+        year = draw(st.one_of(st.sampled_from([1900, 2000, 2023, 2024, 2100]), YEARS))
+        month = draw(st.one_of(st.just(2), st.integers(1, 12)))
+        day = calendar.monthrange(year, month)[1] + draw(st.integers(1, 2))
+        text = f"{year:04d}-{month:02d}-{day:02d}" + text[10:]
+    elif kind == "sep":
+        text = text[:10] + draw(st.sampled_from(["x", "_", "/", "\x00", "T\u0301"])) + text[11:]
+    elif kind == "suffix":
+        text = text[:19] + draw(st.sampled_from([
+            "-00:00", "+05:30", "-08:00", "+00:30", ".5", ".250Z", ".000001+00:00", "+00:00:00",
+            "ZZ", "+0000", "Z ", "\x00", "Z\x00", "+00:00\x00", "UTC"]))
+    elif kind == "digit":
+        at = draw(st.sampled_from([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]))
+        text = text[:at] + draw(st.sampled_from(["٣", "３", "a", "+", " ", "-", "\x00"])) \
+            + text[at + 1:]
+    elif kind == "pad":
+        pad = draw(st.sampled_from([" ", "\t", "\n", "\u00a0"]))
+        text = draw(st.sampled_from([pad + text, text + pad]))
+    else:
+        text = draw(st.sampled_from([text[:-1], text[1:], text[:10]]))
+    return text
+
+
+#: text at the edges of the canonical shape, each read by the block
+#: decode (True) or left to the per-value path (False)
+EDGE_STAMPS = {
+    "0001-01-01T00:00:00Z": True, "9999-12-31T23:59:59Z": True, "1970-01-01 00:00:00": True,
+    "2000-02-29t12:00:00z": True, "2024-02-29T00:00:00+00:00": True, "2023-01-01T00:00:00": True,
+    "1900-02-29T00:00:00Z": False, "2100-02-29T00:00:00Z": False,
+    "2023-02-29T00:00:00Z": False, "2024-02-30T00:00:00Z": False,
+    "2023-04-31T00:00:00Z": False, "2023-12-32T00:00:00Z": False,
+    "0000-01-01T00:00:00Z": False, "2023-00-01T00:00:00Z": False,
+    "2023-13-01T00:00:00Z": False, "2023-01-00T00:00:00Z": False,
+    "2023-01-01T24:00:00Z": False, "2023-01-01T23:60:00Z": False,
+    "2023-01-01T23:59:60Z": False, "2023-01-01x00:00:00Z": False,
+    "2023-01-01T00:00:00\x00": False, "2023-01-01T00:00:0\x00": False,
+    "2023-01-01T00:00:00-00:00": False, "2023-01-01T00:00:00+05:30": False,
+    "2023-01-01T00:00:00.5Z": False, " 2023-01-01T00:00:00Z": False,
+    "2023-01-01T00:00:00Z ": False, "٢٠٢٣-01-01T00:00:00Z": False,
+}
+
+
+#: what a timestamp column may hold besides such text
+OTHER_STAMPS = st.one_of(
+    st.none(), st.sampled_from(["", "  ", "1700000000", " 1700000000 ", "1e3", "-5", "nan",
+                                "inf", "x", "12:00", "2024-02-29", "２０２４-02-29T00:00:00"]),
+    st.integers(-10**12, 10**12), st.floats(allow_nan=True), st.booleans())
+
+#: timestamp column values, canonical text most often
+STAMP_VALUES = st.one_of(canonical_stamps(), canonical_stamps(), near_stamps(),
+                         st.sampled_from(sorted(EDGE_STAMPS)), OTHER_STAMPS)
+
+
+def per_value(column):
+    """``_coerce_timestamp`` of each value up to the first it refuses, and
+    that refusal as ``(position, type, message)``."""
+    stamps = []
+    for position, value in enumerate(column):
+        try:
+            stamps.append(core._coerce_timestamp(value))
+        except ValidationError as exc:
+            return stamps, (position, type(exc), str(exc))
+    return stamps, None
+
+
+@settings(max_examples=400)
+@given(st.lists(STAMP_VALUES, max_size=24))
+def test_canonical_decode_equals_per_value_coercion(column):
+    """Every value the block decode takes is one ``_coerce_timestamp``
+    accepts, with the same float."""
+    at, seconds = core._canonical_stamps(column)
+    for position, stamp in zip(at.tolist(), seconds.astype(float).tolist()):
+        assert stamp == core._coerce_timestamp(column[position])
+
+
+def test_edge_stamps_take_the_path_they_should():
+    column = list(EDGE_STAMPS)
+    at, seconds = core._canonical_stamps(column)
+    assert [column[k] for k in at.tolist()] == [v for v in column if EDGE_STAMPS[v]]
+    for value, stamp in zip((column[k] for k in at.tolist()), seconds.tolist()):
+        assert stamp == core._coerce_timestamp(value)
+
+
+@given(st.lists(canonical_stamps(), max_size=24))
+def test_canonical_text_is_all_decoded(column):
+    at, _ = core._canonical_stamps(column)
+    assert at.tolist() == list(range(len(column)))
+
+
+@given(st.lists(STAMP_VALUES, max_size=24), st.integers(1, 6))
+def test_timestamp_column_matches_per_value_coercion(column, block):
+    """The block decode of canonical text and the per-value path of every
+    other value give the floats and the first refusal a per-value loop
+    gives, whatever the block size."""
+    n = len(column)
+    with mock.patch.object(core, "TIMESTAMP_BLOCK", block):
+        columns, error = coerce_columns(["t"] * n, ["i"] * n, ["a"] * n, [1] * n, ["x"] * n,
+                                        column)
+    stamps, refusal = per_value(column)
+    assert columns.timestamp == tuple(stamps)
+    assert [type(s) for s in columns.timestamp] == [type(s) for s in stamps]
+    assert (error and (error[0], type(error[1]), str(error[1]))) == refusal
+
+
+def test_canonical_stamps_skip_the_per_value_path(tmp_path, monkeypatch):
+    """A file of canonical stamps over several blocks is read without one
+    ``_coerce_timestamp`` call, and naive text reads as UTC."""
+    rng = np.random.default_rng(3)
+    seconds = rng.integers(-62_135_596_800, 253_402_300_800, 3 * core.TIMESTAMP_BLOCK)
+    texts = np.datetime_as_string(seconds.astype("datetime64[s]"), unit="s").tolist()
+    forms = ["{}Z", "{}z", "{}+00:00", "{}", "{}Z"]
+    texts = [forms[k % 5].format(t.replace("T", "Tt "[k % 3])) for k, t in enumerate(texts)]
+    path = tmp_path / "ann.csv"
+    path.write_text(",".join(CSV_FIELDS) + "\n" + "".join(
+        f"t,i{k},a,1,x,{text}\n" for k, text in enumerate(texts)), encoding="utf-8")
+    calls = []
+    real = core._coerce_timestamp
+    monkeypatch.setattr(core, "_coerce_timestamp", lambda value: calls.append(value) or real(value))
+    columns = read_annotation_records_csv(path)
+    assert calls == []
+    assert columns.timestamp == tuple(seconds.astype(float).tolist())
+    assert columns.timestamp == tuple(map(parse_rfc3339, texts))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+def test_bad_stamp_past_the_first_block_names_its_line(tmp_path, fmt):
+    rows = [{"task_id": "t", "item_id": f"i{k}", "annotator_id": "a", "round": 1, "label": "x",
+             "timestamp": "2023-02-28T00:00:00Z"} for k in range(9_100)]
+    rows[9_000]["timestamp"] = "2023-02-30T00:00:00Z"
+    path = tmp_path / f"ann.{fmt}"
+    if fmt == "csv":
+        write = ",".join(CSV_FIELDS) + "\n" + "".join(
+            ",".join(str(row[f]) for f in CSV_FIELDS) + "\n" for row in rows)
+        read, reference, line = read_annotation_records_csv, row_by_row_csv, 9_002
+    else:
+        write = "".join(json.dumps(row) + "\n" for row in rows)
+        read, reference, line = read_annotation_records_jsonl, row_by_row_jsonl, 9_001
+    path.write_text(write, encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"ann.{fmt}:{line}: bad timestamp "
+                                              "'2023-02-30T00:00:00Z'"):
+        read(path)
+    assert outcome(read, path) == outcome(reference, path)
