@@ -345,7 +345,6 @@ class TestFirstFaultInRecordOrder:
         ([{"item_id": "i0"}, {"task_id": "u"}], ValidationError, "record 0: missing"),
         (["rec", "bad label", "missing"], UnknownLabelError, "'z'"),
         (["rec", "dup", "task"], DuplicateCellError, "'i0', 'a', 1"),
-        (["rec", "other", "other dup", "dup"], DuplicateCellError, "'i8', 'b', 2"),
         (["round 0", "dup"], ValidationError, "round must be >= 1, got 0"),
         (["task", "bad label"], SchemaMismatchError, "'u'"),
         (["rec", "bad round text"], ValidationError, "record 1: round '1.5'"),
@@ -353,6 +352,8 @@ class TestFirstFaultInRecordOrder:
         # within one record: task before label before round before duplicate
         (["rec", "all wrong"], SchemaMismatchError, "'u'"),
         (["rec", "label and round"], UnknownLabelError, "'z'"),
+        # a repeat found on codes still names the first repeated cell
+        (["rec", "other", "other dup", "dup"], DuplicateCellError, "'i8', 'b', 2"),
     ])
     def test_first_fault_wins(self, records, error, message):
         forms = {
