@@ -1,14 +1,14 @@
 """Validated data model for round-tagged annotations.
 
-The central object is :class:`AnnotationSet`: an immutable, indexed
-collection of ``(item, annotator, round) -> label`` records against a
-:class:`LabelSchema`. Records are stored as :class:`RecordColumns`, one
-column per field; :class:`AnnotationRecord` objects are built only when a
-caller asks for them. Stability analyses consume :class:`RepeatPairs`: the
-repeat pairs of a set held as arrays, paired with one sort over the set's
-integer-coded columns (:class:`ColumnCodes`), with :class:`RepeatPair`
-objects built only when a caller indexes or iterates them.
-Krippendorff-style reliability consumes the coincidence matrix.
+The central object is :class:`AnnotationSet`: an immutable collection of
+``(item, annotator, round) -> label`` records against a
+:class:`LabelSchema`, stored as integer codes (:class:`ColumnCodes`). Its
+records as :class:`RecordColumns`, one column per field, and as
+:class:`AnnotationRecord` objects are decoded only when a caller asks for
+them. Stability analyses consume :class:`RepeatPairs`: the repeat pairs of
+a set held as arrays, paired with one sort over the codes, with
+:class:`RepeatPair` objects built only when a caller indexes or iterates
+them. Krippendorff-style reliability consumes the coincidence matrix.
 """
 
 from __future__ import annotations
@@ -119,7 +119,8 @@ class RecordColumns(Sequence):
     are named as in :data:`RECORD_FIELDS`. Indexing or iterating builds
     :class:`AnnotationRecord` objects on demand, and ``==`` compares
     records, so a list or tuple of the same records is equal to it. The
-    readers return one and an :class:`AnnotationSet` stores one.
+    readers return one, and an :class:`AnnotationSet` decodes one from its
+    codes on demand.
     """
 
     __slots__ = RECORD_FIELDS
@@ -166,9 +167,6 @@ class RecordColumns(Sequence):
         if not isinstance(other, (list, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __hash__(self):
-        return hash(self.fields())
 
     def __repr__(self):
         return f"{type(self).__name__}({list(self)!r})"
@@ -293,7 +291,7 @@ class ColumnCodes:
     set's sorted ids and rounds) and in ``labels`` (``schema.categories``,
     then any other label, sorted). ``timestamp`` is float64, NaN where the
     record has none. Rounds are codes, not values, so that a round beyond
-    int64 still sorts and pairs.
+    int64 still sorts and pairs. ``==`` compares every field.
     """
 
     items: tuple[str, ...]
@@ -318,6 +316,17 @@ class ColumnCodes:
             _encode(columns.round, rounds), _encode(columns.label, labels),
             np.array(columns.timestamp, dtype=float),
         )
+
+    def __eq__(self, other):
+        if not isinstance(other, ColumnCodes):
+            return NotImplemented
+        return (self.items, self.annotators, self.rounds, self.labels) == (
+            other.items, other.annotators, other.rounds, other.labels) and all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name in ("item", "annotator", "round", "label", "timestamp"))
+
+    def __hash__(self):
+        return hash((self.items, len(self.item)))
 
     def first_repeat(self) -> int:
         """Position of the first record whose (item, annotator, round) an
@@ -394,49 +403,50 @@ def _first_seen_runs(runs: tuple[np.ndarray, np.ndarray]) -> list[list[int]]:
     return [order[bounds[run]:bounds[run + 1]].tolist() for run in np.argsort(first).tolist()]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class AnnotationSet:
     """Immutable, validated collection of annotation records.
 
     Construct through :func:`validate_dataset`; the constructor assumes the
-    invariants already hold. ``AnnotationSet(schema, records)`` takes
-    :class:`AnnotationRecord` objects, ``AnnotationSet(schema,
-    columns=...)`` takes :class:`RecordColumns`; either way the set stores
-    columns and builds ``records`` and ``_codes``, the
-    :class:`ColumnCodes` that every kernel and lookup reads, each on first
-    use. ``codes``, when given, are those of the columns and are kept.
+    invariants already hold. ``AnnotationSet(schema, codes)`` stores the
+    schema and the records as :class:`ColumnCodes`, which every kernel and
+    lookup reads. Codes whose labels are not ``schema.categories`` are
+    recoded against them. ``columns`` and ``records`` are decoded from the
+    codes on first access: every task id is ``schema.task_id``, and a NaN
+    timestamp is None. ``==`` compares schema and codes.
     """
 
     schema: LabelSchema
-    columns: RecordColumns
+    codes: ColumnCodes
 
-    def __init__(self, schema: LabelSchema, records: Iterable[AnnotationRecord] = (),
-                 columns: RecordColumns | None = None, codes: ColumnCodes | None = None):
-        object.__setattr__(self, "schema", schema)
-        columns = RecordColumns.of(records if columns is None else columns)
-        object.__setattr__(self, "columns", columns)
-        if codes is not None:
-            object.__setattr__(self, "_codes", codes)
+    def __post_init__(self):
+        if self.codes.labels != self.schema.categories:
+            object.__setattr__(self, "codes", ColumnCodes.of(self.columns, self.schema.categories))
+
+    @cached_property
+    def columns(self) -> RecordColumns:
+        c = self.codes
+        stamps = c.timestamp.astype(object)
+        stamps[np.isnan(c.timestamp)] = None
+        decoded = (np.array(values, dtype=object)[code].tolist() for values, code in zip(
+            (c.items, c.annotators, c.rounds, c.labels), (c.item, c.annotator, c.round, c.label)))
+        return RecordColumns((self.schema.task_id,) * len(c.item), *decoded, stamps.tolist())
 
     @cached_property
     def records(self) -> tuple[AnnotationRecord, ...]:
         return tuple(self.columns)
 
-    @cached_property
-    def _codes(self) -> ColumnCodes:
-        return ColumnCodes.of(self.columns, self.schema.categories)
-
     def __len__(self) -> int:
-        return len(self.columns)
+        return len(self.codes.item)
 
     def items(self) -> tuple[str, ...]:
-        return self._codes.items
+        return self.codes.items
 
     def annotators(self) -> tuple[str, ...]:
-        return self._codes.annotators
+        return self.codes.annotators
 
     def rounds(self) -> tuple[int, ...]:
-        return self._codes.rounds
+        return self.codes.rounds
 
     def label(self, item_id: str, annotator_id: str, round: int) -> str | None:
         history = self.cell_history(item_id, annotator_id)
@@ -458,7 +468,7 @@ class AnnotationSet:
     def round_units(self, rounds: Sequence[int]) -> dict[tuple[str, int], list[tuple[str, str]]]:
         """(item, round) -> [(annotator, label)] for the given rounds, in
         annotator order, keys in the order their first records come in."""
-        wanted, c, codes = set(rounds), self.columns, self._codes
+        wanted, c, codes = set(rounds), self.columns, self.codes
         return {
             (c.item_id[run[0]], c.round[run[0]]): [(c.annotator_id[p], c.label[p]) for p in run]
             for run in _first_seen_runs(_runs(codes.annotator, codes.item, codes.round))
@@ -467,7 +477,7 @@ class AnnotationSet:
 
     def cell_history(self, item_id: str, annotator_id: str) -> list[tuple[int, str, float | None]]:
         """(round, label, timestamp) of the cell's records in round order."""
-        codes = self._codes
+        codes = self.codes
         try:
             item, annotator = codes.items.index(item_id), codes.annotators.index(annotator_id)
         except ValueError:
@@ -481,7 +491,7 @@ class AnnotationSet:
         c = self.columns
         return {
             (c.item_id[run[0]], c.annotator_id[run[0]]): self._history(run)
-            for run in _first_seen_runs(self._codes.cell_runs)
+            for run in _first_seen_runs(self.codes.cell_runs)
         }
 
     def _history(self, positions: list[int]) -> list[tuple[int, str, float | None]]:
@@ -599,11 +609,6 @@ def raw_fields(raw) -> tuple:
     if not isinstance(raw, (dict, Mapping)):
         raise ValidationError(f"expected a mapping of record fields, got {type(raw).__name__}")
     return tuple(map(raw.get, RECORD_FIELDS))
-
-
-def coerce_record(raw: Mapping) -> AnnotationRecord:
-    """A field mapping as an :class:`AnnotationRecord`; see :func:`coerce_fields`."""
-    return AnnotationRecord(*coerce_fields(*raw_fields(raw)))
 
 
 #: value types no two of which compare equal, except numbers with numbers
@@ -799,7 +804,7 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
     if error is not None:
         position, exc = error
         raise type(exc)(f"record {position}: {exc}") from exc
-    return AnnotationSet(schema, columns=columns, codes=codes)
+    return AnnotationSet(schema, codes)
 
 
 def resolve_rounds(aset: AnnotationSet, rounds: int | Sequence[int] | None) -> tuple[int, ...]:
@@ -824,7 +829,7 @@ def resolve_rounds(aset: AnnotationSet, rounds: int | Sequence[int] | None) -> t
 
 def build_repeat_pairs(aset: AnnotationSet, pairing: str = "consecutive") -> RepeatPairs:
     """One pair per (item, annotator, qualifying round pair), as
-    :class:`RepeatPairs` coded against ``aset._codes``.
+    :class:`RepeatPairs` coded against ``aset.codes``.
 
     Pairs come in (item, annotator) order, then in round order within a
     cell: ``consecutive`` pairs each round with the next, ``first_last``
@@ -835,7 +840,7 @@ def build_repeat_pairs(aset: AnnotationSet, pairing: str = "consecutive") -> Rep
     """
     if pairing not in PAIRING_POLICIES:
         raise InvalidConfigError(f"pairing must be one of {PAIRING_POLICIES}, got {pairing!r}")
-    codes = aset._codes
+    codes = aset.codes
     order, bounds = codes.cell_runs
     starts, ends = bounds[:-1], bounds[1:]
     if pairing == "consecutive":
@@ -891,7 +896,7 @@ def coincidence_blocks(
     :func:`coincidence_counts` adds the blocks in; the code of the lowest
     selected round each has; and their blocks, stacked in that order.
     """
-    codes = aset._codes
+    codes = aset.codes
     at = codes.in_rounds(resolve_rounds(aset, rounds))
     # by round, then by position: an item's first record in this order is
     # the one whose unit places it in unit_labels order

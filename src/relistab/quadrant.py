@@ -157,7 +157,7 @@ def classify_items(
     excluded and reported in the second return value.
     """
     thresholds = thresholds or QuadrantThresholds()
-    codes = aset._codes
+    codes = aset.codes
     first_round = codes.rounds[0]
     consistent_votes = item_votes(aset)
     items, counts, _ = codes.label_counts(codes.item, codes.in_rounds([first_round]))

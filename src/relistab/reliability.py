@@ -19,7 +19,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -29,8 +28,8 @@ import numpy as np
 
 from .core import (
     AnnotationSet,
+    ColumnCodes,
     LabelSchema,
-    RecordColumns,
     coincidence_blocks,
     coincidence_counts,
     resolve_rounds,
@@ -155,7 +154,7 @@ class _Units:
     DegenerateError is raised."""
 
     def __init__(self, aset: AnnotationSet, rounds: Sequence[int]):
-        self.codes = codes = aset._codes
+        self.codes = codes = aset.codes
         self.n_rounds = len(codes.rounds)
         self.record_key = codes.item * self.n_rounds + codes.round
         self.key, self.counts, _ = codes.label_counts(self.record_key, codes.in_rounds(rounds))
@@ -242,7 +241,7 @@ def cohens_kappa(
     if annotator_a == annotator_b:
         raise InvalidConfigError("cohens_kappa needs two distinct annotators")
     resolved = resolve_rounds(aset, rounds)
-    codes = aset._codes
+    codes = aset.codes
     # rounds x items x (a, b) label codes
     grid = np.stack([codes.label_grid(codes.in_rounds([rnd]), (annotator_a, annotator_b))
                      for rnd in resolved])
@@ -356,7 +355,7 @@ def krippendorff_alpha(
     value is identical and yields 1.0.
     """
     resolved = resolve_rounds(aset, rounds)
-    codes = aset._codes
+    codes = aset.codes
     at = codes.in_rounds(resolved)
     items, counts, _ = codes.label_counts(codes.item, at)
     pairable = counts.sum(axis=1) >= 2
@@ -385,7 +384,7 @@ def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray
     round selection, and a replicate adds the drawn blocks in that order,
     one after another as :func:`coincidence_counts` does: the same float.
     """
-    codes = aset._codes
+    codes = aset.codes
     order, bounds = codes.item_runs
     first_rounds = np.minimum.reduceat(codes.round[order], bounds[:-1])
     selected = cache(lambda: resolve_rounds(aset, call.rounds))
@@ -439,7 +438,7 @@ def icc(
     resolved = resolve_rounds(aset, rounds)
     if len(resolved) != 1:
         raise InvalidConfigError("icc operates on exactly one round")
-    codes = aset._codes
+    codes = aset.codes
     at = codes.in_rounds(resolved)
     annotators = [codes.annotators[a] for a in np.unique(codes.annotator[at]).tolist()]
     if len(annotators) < 2:
@@ -492,37 +491,40 @@ def resample_items(aset: AnnotationSet, item_ids: Sequence[str]) -> AnnotationSe
 
     Repeated draws of an item are kept distinct by suffixing ``~k`` to the
     k-th duplicate (plus as many ``~`` as it takes to differ from every
-    source item id), so resampled sets stay valid AnnotationSets. The set is
-    gathered from ``aset``'s columns at each drawn item's record positions,
-    in record order. An id not in ``aset`` raises InvalidConfigError.
+    source item id), so resampled sets stay valid AnnotationSets. The
+    replicate's codes are gathered from ``aset``'s at each drawn item's
+    record positions, in draw order and then in record order, as
+    :func:`~relistab.core.validate_dataset` codes those records. An id not
+    in ``aset`` raises InvalidConfigError.
     """
-    codes = aset._codes
+    codes = aset.codes
     code = dict(zip(codes.items, range(len(codes.items))))
-    order, bounds = (runs.tolist() for runs in codes.item_runs)
     seen: Counter = Counter()
-    positions: list[int] = []
-    item_column: list[str] = []
+    drawn, ids = [], []
     for item in item_ids:
         if item not in code:
             raise InvalidConfigError(f"cannot resample item {item!r}: it is not in the set")
-        occurrence = seen[item]
+        new_id = f"{item}~{seen[item]}" if seen[item] else item
+        while seen[item] and new_id in code:
+            new_id += "~"
         seen[item] += 1
-        new_id = item
-        if occurrence:
-            new_id = f"{item}~{occurrence}"
-            while new_id in code:
-                new_id += "~"
-        where = order[bounds[code[item]]:bounds[code[item] + 1]]
-        positions += where
-        item_column += [new_id] * len(where)
-    gather = operator.itemgetter(*positions) if len(positions) > 1 else (
-        lambda column: tuple(column[p] for p in positions))
-    source = aset.columns
-    columns = RecordColumns(
-        gather(source.task_id), item_column, gather(source.annotator_id),
-        gather(source.round), gather(source.label), gather(source.timestamp),
-    )
-    return AnnotationSet(aset.schema, columns=columns)
+        drawn.append(code[item])
+        ids.append(new_id)
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)  # its argsort: each draw's item code
+    order, bounds = codes.item_runs
+    drawn = np.array(drawn, dtype=np.intp)
+    starts, sizes = bounds[drawn], bounds[drawn + 1] - bounds[drawn]
+    # each draw's run of ``order``, one after another
+    offsets = np.repeat(starts - (np.cumsum(sizes) - sizes), sizes)
+    positions = order[offsets + np.arange(sizes.sum())]
+    annotators, annotator = np.unique(codes.annotator[positions], return_inverse=True)
+    rounds, round_ = np.unique(codes.round[positions], return_inverse=True)
+    return AnnotationSet(aset.schema, ColumnCodes(
+        tuple(ids[i] for i in by_id), tuple(codes.annotators[a] for a in annotators.tolist()),
+        tuple(codes.rounds[r] for r in rounds.tolist()), codes.labels,
+        np.repeat(np.argsort(by_id), sizes), annotator, round_, codes.label[positions],
+        codes.timestamp[positions],
+    ))
 
 
 def percentile_ci(
@@ -569,17 +571,6 @@ def draw_positions(n: int, *key: int) -> np.ndarray:
     return np.random.default_rng(list(key)).integers(0, n, size=n)
 
 
-def resampler(aset: AnnotationSet) -> Callable[..., AnnotationSet]:
-    """``draw(*key)``: ``aset`` with its items resampled with replacement by
-    ``default_rng(key)``."""
-    items = aset.items()
-
-    def draw(*key: int) -> AnnotationSet:
-        return resample_items(aset, [items[i] for i in draw_positions(len(items), *key)])
-
-    return draw
-
-
 Measure = Callable[[AnnotationSet], "AgreementResult | float"]
 
 
@@ -597,11 +588,12 @@ def replicate_value(aset: AnnotationSet, metric: MetricCall | Measure) -> Callab
     :func:`resample_items` builds. Both give the same float.
     """
     gather = METRICS[metric.name].gather if isinstance(metric, MetricCall) else None
+    items = aset.items()
     if gather is None:
-        draw = resampler(aset)
-        return lambda *key: _value_of(metric(draw(*key)))
-    value, n = gather(aset, metric), len(aset.items())
-    return lambda *key: value(draw_positions(n, *key))
+        return lambda *key: _value_of(metric(resample_items(
+            aset, [items[i] for i in draw_positions(len(items), *key).tolist()])))
+    value = gather(aset, metric)
+    return lambda *key: value(draw_positions(len(items), *key))
 
 
 def bootstrap_ci(

@@ -10,12 +10,12 @@ shows is taken verbatim from the serialized JSON values.
 from __future__ import annotations
 
 import hashlib
+import html
 import importlib.resources
 import json
 import numbers
 from pathlib import Path
 from typing import Mapping, Sequence
-from xml.sax.saxutils import escape
 
 from .errors import EmptyInputError
 from .quadrant import Quadrant, QuadrantAssignment, QuadrantThresholds
@@ -334,9 +334,10 @@ def render_svg_quadrant(
         Quadrant.AMBIGUOUS_DIFFICULT_OR_POOR: ((cut_x + x1) / 2, (cut_y + y1) / 2),
     }
     for quadrant, (cx, cy) in cells.items():
+        label = html.escape(_QUADRANT_DISPLAY[quadrant], quote=False)
         parts.append(
             f'<text x="{cx:.2f}" y="{cy:.2f}" text-anchor="middle" '
-            f'font-size="12" fill="#aaa">{escape(_QUADRANT_DISPLAY[quadrant])}</text>'
+            f'font-size="12" fill="#aaa">{label}</text>'
         )
     # axis ticks: endpoints, zero, and the cuts
     for value in (-1.0, 0.0, 1.0, thresholds.stability_cut):
@@ -378,7 +379,7 @@ def render_svg_quadrant(
         parts.append(
             f'<circle cx="{px:.2f}" cy="{py:.2f}" r="{radius}" fill="{color}" '
             f'fill-opacity="0.75" stroke="#333" stroke-width="0.5">'
-            f"<title>{escape(title)}</title></circle>"
+            f"<title>{html.escape(title, quote=False)}</title></circle>"
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

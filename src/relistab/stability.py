@@ -228,7 +228,7 @@ def item_votes(aset: AnnotationSet) -> dict[str, list[bool]]:
     Items come in id order and votes in annotator id order; items nobody
     relabelled are absent.
     """
-    codes = aset._codes
+    codes = aset.codes
     order, bounds = codes.cell_runs
     starts, sizes = bounds[:-1], np.diff(bounds)
     repeated = sizes >= 2

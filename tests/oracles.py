@@ -2,16 +2,22 @@
 
 Everything here is written straight from the definitional formulas, favouring
 obvious loops over clever vectorisation, and deliberately shares no code with
-the package under test.
+the package under test. The record-level helpers at the end are the
+exception: they go one record at a time through the package's record
+coercion and validation, the reference that the column paths must match.
 
 Data conventions:
   * a "grid" is a dict {(item, annotator): label} (complete or sparse)
   * "units" is a list of label lists, one list per item (pairable values)
 """
 
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
+
+from relistab import AnnotationRecord, validate_dataset
+from relistab.core import coerce_fields, raw_fields
 
 
 def brute_percent_agreement(units):
@@ -208,3 +214,25 @@ def brute_item_votes(records):
         if len(labels) >= 2:
             votes.setdefault(item, []).append(len(set(labels)) == 1)
     return votes
+
+
+def coerce_record(raw):
+    """A field mapping as an AnnotationRecord, one record at a time."""
+    return AnnotationRecord(*coerce_fields(*raw_fields(raw)))
+
+
+def brute_resample(aset, item_ids):
+    """``aset`` restricted to ``item_ids`` with replacement, rebuilt record
+    by record through ``validate_dataset``: each draw's records in set
+    order, the k-th repeat of an item renamed ``item~k`` (plus ``~`` until
+    it differs from every source item id)."""
+    by_item, seen, records = {}, {}, []
+    for rec in aset.records:
+        by_item.setdefault(rec.item_id, []).append(rec)
+    for item in item_ids:
+        k = seen[item] = seen.get(item, -1) + 1
+        new_id = f"{item}~{k}" if k else item
+        while k and new_id in by_item:
+            new_id += "~"
+        records += [replace(rec, item_id=new_id) for rec in by_item[item]]
+    return validate_dataset(records, aset.schema)

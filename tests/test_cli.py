@@ -411,8 +411,9 @@ def test_subcommands_build_no_annotation_records(capsys, monkeypatch, workspace,
 def test_stability_runs_build_no_pair_objects_or_cell_index(capsys, monkeypatch, workspace,
                                                             tmp_path, fmt, argv):
     """Pairing, the repeat table, the interval profile, the item votes and
-    the reliability kernels read arrays: no RepeatPair is built and none of
-    the set's per-call lookups (cells, cell histories, labels, units) runs."""
+    the reliability kernels read arrays: no RepeatPair is built, none of
+    the set's per-call lookups (cells, cell histories, labels, units) runs
+    and no set decodes its columns from its codes."""
     annotations = workspace / "annotations.csv"
     if fmt == "jsonl":
         annotations = tmp_path / "annotations.jsonl"
@@ -430,6 +431,9 @@ def test_stability_runs_build_no_pair_objects_or_cell_index(capsys, monkeypatch,
         lookup = getattr(AnnotationSet, name)
         monkeypatch.setattr(AnnotationSet, name, lambda aset, *args, name=name, lookup=lookup:
                             built.append(name) or lookup(aset, *args))
+    decode = AnnotationSet.columns.func
+    monkeypatch.setattr(AnnotationSet, "columns",
+                        property(lambda aset: built.append("columns") or decode(aset)))
     argv = [a.format(out=tmp_path / "out", why=workspace / "rationalisations.csv")
             for a in argv]
     code, _, err = run(capsys, *argv, "--annotations", str(annotations),
@@ -809,6 +813,15 @@ def test_module_entry_point(workspace):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["report_kind"] == "validate"
+
+
+def test_cli_import_leaves_xml_and_urllib_request_unloaded():
+    # xml.sax.saxutils imports urllib.request, http.client and ssl, a sizeable
+    # share of every subcommand's start-up
+    code = "import sys, relistab.cli; print({'xml.sax', 'urllib.request'} & sys.modules.keys())"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "set()"
 
 
 def test_console_script_version():

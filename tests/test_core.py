@@ -265,8 +265,13 @@ def test_coincidence_mass_equals_contributing_labels(grid):
 
 def test_annotation_set_equality_ignores_caches():
     schema = LabelSchema("t", ("x", "y"))
-    recs = (AnnotationRecord("t", "i0", "a", 1, "x"),)
-    assert AnnotationSet(schema, recs) == AnnotationSet(schema, recs)
+    recs = (AnnotationRecord("t", "i0", "a", 1, "x", 5.0),
+            AnnotationRecord("t", "i1", "a", 1, "y"))
+    aset = validate_dataset(recs, schema)
+    assert aset.records == recs and len(aset.codes.cell_runs[0]) == 2
+    assert aset == validate_dataset(recs, schema)
+    assert aset == AnnotationSet(schema, aset.codes)
+    assert aset != validate_dataset(recs[:1], schema)
 
 
 #: labels as files carry them: composed or not, padded or not
@@ -301,7 +306,7 @@ def test_column_set_matches_record_by_record_build(records):
     assert aset.annotators() == tuple(sorted({r.annotator_id for r in expected}))
     assert aset.rounds() == tuple(sorted({r.round for r in expected}))
     assert len(aset) == len(expected)
-    assert aset == AnnotationSet(aset.schema, expected)
+    assert aset == validate_dataset(expected, aset.schema)
 
 
 def test_record_columns_read_as_records():
@@ -325,7 +330,10 @@ def test_annotation_set_keeps_working_with_replace():
     aset = make_rounds({"a": {1: ["x", "y"], 2: ["x", "x"]}}, timestamps={1: 1.0, 2: 2.0})
     schema = LabelSchema("t", ("x", "y", "z"))
     moved = replace(aset, schema=schema)
-    assert moved.schema == schema and moved.columns is aset.columns
+    assert moved.schema == schema and moved.codes.labels == schema.categories
+    assert moved.records == aset.records
+    swapped = replace(aset, schema=LabelSchema("t", ("y", "x")))
+    assert swapped.codes.labels == ("y", "x") and swapped.records == aset.records
     assert moved.cell_history("i1", "a") == aset.cell_history("i1", "a")
     assert moved != aset and replace(moved, schema=aset.schema) == aset
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import coerce_record
 from relistab import (
     AnnotationRecord,
     LabelSchema,
@@ -27,7 +28,7 @@ from relistab import (
 )
 from relistab import core
 from relistab.core import RECORD_FIELDS as CSV_FIELDS
-from relistab.core import coerce_columns, coerce_record
+from relistab.core import coerce_columns
 from relistab.errors import InvalidConfigError, NonFiniteError, ValidationError
 
 

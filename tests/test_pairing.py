@@ -130,6 +130,6 @@ def test_pairing_fills_no_cell_index():
     aset = make_rounds({"a": {1: ["x", "y"], 2: ["x", "x"]}})
     build_repeat_pairs(aset, "all_pairs")
     item_votes(aset)
-    # a set holds its columns and their codes; records are built only on demand
-    assert set(vars(aset)) == {"schema", "columns", "_codes"}
-    assert np.array_equal(aset._codes.round, [0, 0, 1, 1])
+    # a set holds its codes; columns and records are decoded only on demand
+    assert set(vars(aset)) == {"schema", "codes"}
+    assert np.array_equal(aset.codes.round, [0, 0, 1, 1])

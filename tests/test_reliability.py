@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -12,6 +12,7 @@ from oracles import (
     brute_icc_twoway,
     brute_krippendorff_alpha,
     brute_percent_agreement,
+    brute_resample,
 )
 from relistab import (
     AgreementResult,
@@ -39,7 +40,7 @@ from relistab.errors import (
     RelistabError,
     TooManyDegenerateError,
 )
-from relistab.core import coincidence_blocks, resolve_rounds
+from relistab.core import ColumnCodes, coincidence_blocks, resolve_rounds
 from relistab.reliability import DISTANCES, FIRST_ROUND, METRICS, alpha_from_coincidence
 
 from conftest import assert_lookups_match, make_rounds, make_set
@@ -473,6 +474,13 @@ def test_resample_matches_full_rebuild(aset, data):
     assert_lookups_match(resampled, expected)
 
 
+def _outcome(compute):
+    try:
+        return repr(compute())
+    except RelistabError as exc:
+        return type(exc), str(exc)
+
+
 @given(sparse_sets())
 def test_label_matches_record_scan(aset):
     for item in (*aset.items(), "absent"):
@@ -723,11 +731,39 @@ def test_kernels_match_oracles_and_record_recount(records):
                     (len(rows), len(raters)), incomplete, InsufficientVarianceError)
 
 
-def test_kernels_leave_only_columns_and_codes():
+def test_kernels_leave_only_schema_and_codes():
     aset = make_rounds({"a": {1: ["x", "y"], 2: ["x", "x"]}, "b": {1: ["x", "x"]}},
                        scale="interval", numeric_values={"x": 0.0, "y": 1.0})
     for name, metric in METRICS.items():
         options = {"annotator_a": "a", "annotator_b": "b"} if name == "cohens_kappa" else {}
         metric.kernel(aset, 1, **options)
     resample_items(aset, ["i0", "i0"])
-    assert set(vars(aset)) == {"schema", "columns", "_codes"}
+    assert set(vars(aset)) == {"schema", "codes"}
+
+
+@settings(max_examples=300)
+@given(sparse_sets() | shuffled_kernel_records().map(
+    lambda records: validate_dataset(records, KERNEL_SCHEMA)), st.data())
+def test_resample_gathers_the_codes_of_a_record_level_rebuild(aset, data):
+    """Every code of a gathered replicate and every registered metric on it
+    equal those of the replicate rebuilt record by record; ICC runs on the
+    nominal sets under an interval schema."""
+    ids = data.draw(st.lists(st.sampled_from(aset.items()), max_size=12))
+    gathered, rebuilt = resample_items(aset, ids), brute_resample(aset, ids)
+    for field in fields(ColumnCodes):
+        mine, theirs = getattr(gathered.codes, field.name), getattr(rebuilt.codes, field.name)
+        if isinstance(theirs, np.ndarray):
+            assert mine.dtype == theirs.dtype
+            assert np.array_equal(mine, theirs, equal_nan=True), field.name
+        else:
+            assert mine == theirs, field.name
+    assert gathered == rebuilt
+    interval = LabelSchema("t", ("x", "y"), "interval", {"x": 0.0, "y": 1.0})
+    for name in METRICS:
+        options = {"annotator_a": "p", "annotator_b": "q"} if name == "cohens_kappa" else {}
+        nominal_icc = name.startswith("icc") and aset.schema.scale_kind == "nominal"
+        mine, theirs = (replace(s, schema=interval if nominal_icc else aset.schema)
+                        for s in (gathered, rebuilt))
+        for rounds in (FIRST_ROUND, None, 2):
+            call = MetricCall(name, rounds, options)
+            assert _outcome(lambda: call(mine)) == _outcome(lambda: call(theirs))
