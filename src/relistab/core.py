@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 import operator
 import unicodedata
-from dataclasses import dataclass, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
@@ -56,7 +55,8 @@ class LabelSchema:
     task_id: str
     categories: tuple[str, ...]
     scale_kind: str = "nominal"
-    numeric_values: Mapping[str, float] | None = None
+    # a dict, so left out of the hash; equal schemas still hash equal
+    numeric_values: Mapping[str, float] | None = field(default=None, hash=False)
 
     def __post_init__(self):
         cats = tuple(normalize_label(c) for c in self.categories)
@@ -500,22 +500,26 @@ class AnnotationSet:
 
 
 def parse_rfc3339(text: str) -> float:
-    """RFC 3339 timestamp text -> POSIX epoch seconds (naive text is UTC)."""
+    """RFC 3339 ``date-time`` text -> POSIX epoch seconds, read as
+    :func:`_rfc3339_seconds` reads it; surrounding whitespace is stripped."""
     cleaned = text.strip()
-    # Python 3.10's fromisoformat rejects the Z suffix.
-    if cleaned.endswith(("Z", "z")):
-        cleaned = cleaned[:-1] + "+00:00"
-    try:
-        parsed = datetime.fromisoformat(cleaned)
-    except ValueError as exc:
-        raise ValidationError(f"bad RFC 3339 timestamp {text!r}") from exc
-    if parsed.tzinfo is None:
-        parsed = parsed.replace(tzinfo=timezone.utc)
-    return parsed.timestamp()
+    ok, seconds = _rfc3339_seconds([cleaned], np.array([len(cleaned)]))
+    if not ok[0]:
+        raise ValidationError(f"bad RFC 3339 timestamp {text!r}")
+    return float(seconds[0])
+
+
+def _number_text(text: str) -> str:
+    """``text`` stripped; ValueError unless it is ASCII without ``_``, since
+    ``int()`` and ``float()`` also read ``1_0`` and other scripts' digits."""
+    text = text.strip()
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not ASCII number text")
+    return text
 
 
 def as_integer(value) -> int:
-    """An int, an integral float or the text of an integer, as an int.
+    """An int, an integral float or the ASCII text of an integer, as an int.
 
     A bool or a fractional float raises ValueError. This is the one rule for
     integers read from data or configs: rounds, seeds and counts.
@@ -523,7 +527,7 @@ def as_integer(value) -> int:
     if type(value) is int:  # not bool
         return value
     if isinstance(value, str):
-        return int(value)
+        return int(_number_text(value))
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, (bool, float)):
@@ -532,10 +536,11 @@ def as_integer(value) -> int:
 
 
 def as_number(value) -> float:
-    """A finite number or the text of one, as a float; a bool is refused."""
+    """A finite number or the ASCII text of one, as a float; a bool is
+    refused."""
     if isinstance(value, bool):
         raise TypeError(f"{value!r} is not a number")
-    result = float(value)
+    result = float(_number_text(value) if isinstance(value, str) else value)
     if not math.isfinite(result):
         raise ValueError(f"{value!r} is not finite")
     return result
@@ -553,11 +558,8 @@ def _as_timestamp(value) -> float | None:
         value = value.strip()
         if not value:
             return None
-        # text with a time of day is RFC 3339; skip the failing float()
-        if ":" in value:
-            return parse_rfc3339(value)
         try:
-            return float(value)
+            return float(_number_text(value))
         except ValueError:
             return parse_rfc3339(value)
     return None if value is None else float(value)
@@ -640,33 +642,34 @@ def _convert_column(column: Sequence, convert: Callable) -> tuple[list, int]:
     return converted, len(converted)
 
 
-#: values per block of the timestamp fast path; bounds its scratch arrays
+#: values per block of the timestamp column decode; bounds its scratch arrays
 TIMESTAMP_BLOCK = 8192
-#: text lengths of the canonical shape: no suffix, ``Z`` or ``z``, ``+00:00``
-_STAMP_LENGTHS = (19, 20, 25)
+#: the longest text the column decode takes into a block; longer text (a
+#: long fraction) is read one value at a time, by the same decoder
+_STAMP_WIDTH = 64
 #: positions of the digits of ``YYYY-MM-DDTHH:MM:SS``
 _STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
 _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
-def _canonical_stamps(block: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """``(at, seconds)``: the positions in ``block`` of the texts that are
-    ``YYYY-MM-DD[Tt ]HH:MM:SS`` followed by nothing, ``Z``, ``z`` or
-    ``+00:00``, with year >= 1 and a real date and time of day, and their
-    POSIX epoch seconds (UTC), as :func:`parse_rfc3339` reads them."""
-    length = np.fromiter((len(v) if type(v) is str else 0 for v in block),
-                         dtype=np.int64, count=len(block))
-    at = np.flatnonzero(np.isin(length, _STAMP_LENGTHS))
-    texts = block if len(at) == len(block) else [block[i] for i in at.tolist()]
-    n, length = len(at), length[at]
-    chars = np.array(texts, dtype="U25").view(np.uint32).reshape(n, 25)
+def _rfc3339_seconds(texts: Sequence[str], length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ok, seconds)``: for each text, of the given length, whether it is
+    an RFC 3339 ``date-time`` (section 5.6), and its POSIX epoch seconds.
+
+    The grammar: ``YYYY-MM-DD``; ``T``, ``t`` or a space; ``HH:MM:SS``; an
+    optional ``.`` and one or more digits, of which the first six are read;
+    then ``Z``, ``z``, ``+hh:mm``, ``-hh:mm`` or nothing, which is UTC.
+    Years run from 0001 to 9999, dates are real, hours and hh are <= 23,
+    minutes, seconds and mm <= 59. The seconds are those
+    ``datetime.timestamp()`` gives: whole microseconds / 10**6, rounded once.
+    """
+    n = len(texts)
+    width = max(int(length.max(initial=0)), 20)
+    chars = np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(n, width)
     digits = chars[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
     ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
     ok &= (chars[:, [4, 7, 13, 16]] == [ord(c) for c in "--::"]).all(axis=1)
     ok &= np.isin(chars[:, 10], [ord(c) for c in "Tt "])
-    ok &= ((length == 19)
-           | ((length == 20) & np.isin(chars[:, 19], [ord("Z"), ord("z")]))
-           | ((length == 25) & (chars[:, 19:] == [ord(c) for c in "+00:00"]).all(axis=1)))
     year = digits[:, 0] * 1000 + digits[:, 1] * 100 + digits[:, 2] * 10 + digits[:, 3]
     month, day, hour, minute, second = (digits[:, 4::2] * 10 + digits[:, 5::2]).T
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
@@ -681,24 +684,50 @@ def _canonical_stamps(block: Sequence) -> tuple[np.ndarray, np.ndarray]:
     day_of_year = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
     days = (era * 146097 + year_of_era * 365 + year_of_era // 4 - year_of_era // 100
             + day_of_year - 719468)
-    seconds = days * 86400 + hour * 3600 + minute * 60 + second
-    return at[ok], seconds[ok]
+    # the suffix (Z, z, +hh:mm, -hh:mm or nothing) starts at end; before
+    # it comes nothing, or "." and digits, of which the first six are read
+    rows = np.arange(n)
+    zulu = np.isin(chars[rows, length - 1], [ord("Z"), ord("z")])
+    signed = ~zulu & (length >= 25) & np.isin(chars[rows, length - 6], [ord("+"), ord("-")])
+    end = length - zulu - 6 * signed
+    fraction = chars[:, 20:]
+    in_fraction = np.arange(20, width) < end[:, None]
+    ok &= (end == 19) | ((end >= 21) & (chars[:, 19] == ord(".")))
+    ok &= ((fraction >= ord("0")) & (fraction <= ord("9")) | ~in_fraction).all(axis=1)
+    micro = in_fraction[:, :6] * (fraction[:, :6].astype(np.int64) - ord("0"))
+    micros = ((days * 86400 + hour * 3600 + minute * 60 + second) * 10**6
+              + micro @ 10 ** np.arange(5, 5 - micro.shape[1], -1))
+    at = np.flatnonzero(signed)
+    suffix = chars[at[:, None], end[at, None] + np.arange(6)]
+    offset = suffix[:, [1, 2, 4, 5]].astype(np.int64) - ord("0")
+    hh, mm = (offset[:, ::2] * 10 + offset[:, 1::2]).T
+    ok[at] &= (((offset >= 0) & (offset <= 9)).all(axis=1) & (suffix[:, 3] == ord(":"))
+               & (hh <= 23) & (mm <= 59))
+    micros[at] -= np.where(suffix[:, 0] == ord("-"), -1, 1) * (hh * 60 + mm) * 60 * 10**6
+    # float64 holds whole microseconds exactly only up to 2**53
+    seconds = micros / 10**6
+    exact = np.flatnonzero(ok & (np.abs(micros) > 2**53))
+    seconds[exact] = [m / 10**6 for m in micros[exact].tolist()]
+    return ok, seconds
 
 
 def _coerce_timestamps(column: Sequence) -> tuple[list, int]:
     """:func:`_convert_column` with :func:`_coerce_timestamp`, a block of
-    :data:`TIMESTAMP_BLOCK` values at a time. :func:`_canonical_stamps`
-    decodes the text of the canonical shape, to the float that
+    :data:`TIMESTAMP_BLOCK` values at a time. :func:`_rfc3339_seconds`
+    decodes the block's RFC 3339 text, stripped, to the float that
     ``_coerce_timestamp`` gives; every other value goes through it."""
     stamps: list = []
     for start in range(0, len(column), TIMESTAMP_BLOCK):
         block = column[start:start + TIMESTAMP_BLOCK]
-        at, seconds = _canonical_stamps(block)
+        texts = [value.strip() if type(value) is str else "" for value in block]
+        length = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        at = np.flatnonzero((length >= 19) & (length <= _STAMP_WIDTH))
+        ok, seconds = _rfc3339_seconds(
+            texts if len(at) == len(texts) else [texts[i] for i in at.tolist()], length[at])
+        at = at[ok]
         decoded = np.empty(len(block), dtype=object)
-        decoded[at] = seconds.astype(float)
-        other = np.ones(len(block), dtype=bool)
-        other[at] = False
-        other = np.flatnonzero(other)
+        decoded[at] = seconds[ok]
+        other = np.flatnonzero(np.bincount(at, minlength=len(block)) == 0)
         converted, refused = _convert_column([block[i] for i in other.tolist()],
                                              _coerce_timestamp)
         decoded[other[:refused]] = converted

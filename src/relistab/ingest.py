@@ -2,8 +2,8 @@
 
 Two interchangeable container formats are supported for records — CSV with a
 fixed header and JSON Lines — plus a small JSON document for the label
-schema. Timestamps travel as RFC 3339 text and live in memory as POSIX epoch
-seconds (UTC).
+schema. Timestamps travel as RFC 3339 text, read in one grammar on every
+Python (:func:`parse_rfc3339`), and live in memory as POSIX epoch seconds.
 """
 
 from __future__ import annotations
@@ -30,8 +30,12 @@ from .errors import InvalidConfigError, ValidationError
 
 
 def format_rfc3339(epoch_seconds: float) -> str:
-    """POSIX epoch seconds -> RFC 3339 text in UTC (Z suffix)."""
-    moment = datetime.fromtimestamp(float(epoch_seconds), tz=timezone.utc)
+    """POSIX epoch seconds -> RFC 3339 text in UTC (Z suffix); a stamp
+    outside years 0001-9999 raises ValidationError."""
+    try:
+        moment = datetime.fromtimestamp(float(epoch_seconds), tz=timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        raise ValidationError(f"timestamp {epoch_seconds!r} is outside years 0001-9999") from exc
     text = moment.isoformat()
     if text.endswith("+00:00"):
         text = text[:-6] + "Z"

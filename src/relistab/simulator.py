@@ -140,6 +140,9 @@ class SimConfig:
             )
         if any(v <= 0 for v in intervals):
             raise InvalidConfigError("intervals must be positive")
+        with np.errstate(over="ignore"):
+            if BASE_TIMESTAMP + np.cumsum(intervals)[-1] > 253_402_300_799:
+                raise InvalidConfigError("intervals put a round past 9999-12-31T23:59:59Z")
         object.__setattr__(self, "interval_per_round", intervals)
         if not 0.0 <= self.base_error < 0.5:
             raise InvalidConfigError("base_error must lie in [0, 0.5)")

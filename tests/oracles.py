@@ -11,7 +11,9 @@ Data conventions:
   * "units" is a list of label lists, one list per item (pairable values)
 """
 
+import re
 from dataclasses import replace
+from datetime import datetime, timedelta
 from itertools import combinations, product
 
 import numpy as np
@@ -214,6 +216,50 @@ def brute_item_votes(records):
         if len(labels) >= 2:
             votes.setdefault(item, []).append(len(set(labels)) == 1)
     return votes
+
+
+#: RFC 3339 section 5.6 ``date-time``, ASCII digits only
+RFC3339 = re.compile(r"(\d{4})-(\d\d)-(\d\d)[Tt ](\d\d):(\d\d):(\d\d)(?:\.(\d+))?"
+                     r"(?:[Zz]|([+-])(\d\d):(\d\d))?", re.ASCII)
+
+
+def rfc3339_seconds(text):
+    """POSIX epoch seconds of RFC 3339 ``date-time`` text, surrounding
+    whitespace stripped; ValueError if it is none. The fields go into the
+    ``datetime`` constructor (which refuses year 0, a leap second and a day
+    past its month), the offset is subtracted as a ``timedelta``, and the
+    whole microseconds are divided by 10**6 once; the first six fraction
+    digits are read."""
+    match = RFC3339.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"{text!r} is not RFC 3339 date-time text")
+    *fields, fraction, sign, hh, mm = match.groups()
+    local = datetime(*map(int, fields), int((fraction or "0")[:6].ljust(6, "0")))
+    offset = timedelta(0)
+    if sign:
+        if int(hh) > 23 or int(mm) > 59:
+            raise ValueError(f"{text!r} has an offset past 23:59")
+        offset = timedelta(hours=int(hh), minutes=int(mm)) * (-1 if sign == "-" else 1)
+    micros = (local - datetime(1970, 1, 1) - offset) // timedelta(microseconds=1)
+    return micros / 10**6
+
+
+def timestamp_field(value):
+    """What a record's timestamp field holds, as epoch seconds or None;
+    ValueError, TypeError or OverflowError if it is refused. None and blank
+    text are none; a number is itself; text is ASCII number text without
+    ``_`` or RFC 3339 text. The caller checks that the result is finite."""
+    if not isinstance(value, str):
+        return None if value is None else float(value)
+    text = value.strip()
+    if not text:
+        return None
+    if text.isascii() and "_" not in text:
+        try:
+            return float(text)
+        except ValueError:
+            pass
+    return rfc3339_seconds(text)
 
 
 def coerce_record(raw):

@@ -563,6 +563,13 @@ class TestSimulate:
         assert doc["simulation"]["n_records"] == 6 * 8 * 2
         assert doc["simulation"]["recovery"] is None
 
+    def test_rounds_past_year_9999_exit_3_before_writing(self, capsys, tmp_path):
+        cfg = self.sim_config(tmp_path, interval_per_round=[251_802_300_800])
+        out = tmp_path / "sim_far"
+        code, _, err = run(capsys, "simulate", "--sim-config", str(cfg), "--out", str(out))
+        assert code == 3 and error_of(err)["code"] == "InvalidConfig"
+        assert not out.exists()
+
     def test_end_to_end_recovery(self, capsys, tmp_path):
         cfg = self.sim_config(tmp_path, items_per_cause={"straightforward": 6})
         out = tmp_path / "sim_e2e"

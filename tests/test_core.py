@@ -26,7 +26,7 @@ from relistab.errors import (
     ValidationError,
 )
 
-from relistab.core import ColumnCodes
+from relistab.core import ColumnCodes, as_integer
 
 from conftest import assert_lookups_match, make_rounds, make_set
 
@@ -61,6 +61,15 @@ class TestLabelSchema:
             LabelSchema("t", ("x", "y"), "interval")
         with pytest.raises(InvalidConfigError):
             LabelSchema("t", ("x", "y"), "interval", {"x": 1.0})
+
+    def test_interval_schema_and_its_sets_hash(self):
+        schema = LabelSchema("t", ("x", "y"), "interval", {"x": 0, "y": 1})
+        same = LabelSchema("t", ("x", "y"), "interval", {" y": 1.0, "x": 0.0})
+        assert schema == same and hash(schema) == hash(same)
+        recs = [AnnotationRecord("t", "i0", "a", 1, "x"), AnnotationRecord("t", "i0", "b", 1, "y")]
+        aset = validate_dataset(recs, schema)
+        assert hash(aset) == hash(validate_dataset(recs, same))
+        assert len({aset, validate_dataset(recs, same)}) == 1
 
     def test_interval_numeric_lookup(self):
         schema = LabelSchema("t", ("x", "y"), "interval", {"x": 1, "y": 2.5})
@@ -162,7 +171,7 @@ def test_resolve_rounds_reads_each_round_as_an_integer(selector, resolved):
 
 
 @pytest.mark.parametrize("selector", [
-    [1.5], 1.9, [1, 1.9], True, [True], "x", ["1", "y"], 2.5, [None], object(),
+    [1.5], 1.9, [1, 1.9], True, [True], "x", ["1", "y"], 2.5, [None], object(), "1_0", ["٣"],
 ])
 def test_resolve_rounds_refuses_what_is_not_an_integer(selector):
     aset = make_rounds({"a": {1: ["x", "y"], 2: ["x", "y"]}, "b": {1: ["x", "y"]}})
@@ -170,6 +179,19 @@ def test_resolve_rounds_refuses_what_is_not_an_integer(selector):
         resolve_rounds(aset, selector)
     with pytest.raises(InvalidConfigError):
         krippendorff_alpha(aset, rounds=selector)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("01", 1), (" 2 ", 2), ("+3", 3), ("-4", -4), ("1_0", None), ("٣", None), ("１", None),
+    ("1e3", None), ("1.5", None), ("", None),
+])
+def test_integer_text_is_ascii(text, value):
+    """``int()`` alone reads ``1_0`` as 10 and other scripts' digits."""
+    if value is None:
+        with pytest.raises(ValueError):
+            as_integer(text)
+    else:
+        assert as_integer(text) == value
 
 
 class TestBuildRepeatPairs:

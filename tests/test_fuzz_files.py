@@ -10,7 +10,7 @@ import io
 import json
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from relistab import (
     LabelSchema,
@@ -187,6 +187,7 @@ def test_any_rationalisation_bytes_end_in_a_typed_outcome(base_files, data):
 
 @settings(max_examples=100)
 @given(data=FUZZED_JSON)
+@example(data=("edited", ([16, 0], 251_802_300_800)))
 def test_any_sim_config_bytes_end_in_a_typed_outcome(base_files, tmp_path_factory, data):
     config = fuzzed_copy(base_files, "base.sim.json", data)
     try:

@@ -1,13 +1,14 @@
 import calendar
 import csv
 import json
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from oracles import coerce_record
+from oracles import coerce_record, rfc3339_seconds, timestamp_field
 from relistab import (
     AnnotationRecord,
     LabelSchema,
@@ -45,6 +46,15 @@ class TestRfc3339:
 
     def test_format_uses_z(self):
         assert format_rfc3339(1_600_000_000.0) == "2020-09-13T12:26:40Z"
+
+    @pytest.mark.parametrize("stamp", [253_402_300_800.0, 3e11, -62_135_596_801.0, 1e308,
+                                       float("nan")])
+    def test_format_refuses_stamps_outside_years_1_to_9999(self, tmp_path, stamp):
+        with pytest.raises(ValidationError, match="outside years 0001-9999"):
+            format_rfc3339(stamp)
+        with pytest.raises(ValidationError, match="outside years 0001-9999"):
+            write_annotations_csv([AnnotationRecord("t", "i", "a", 1, "x", stamp)],
+                                  tmp_path / "ann.csv")
 
     def test_bad_text(self):
         with pytest.raises(ValidationError):
@@ -417,70 +427,178 @@ def near_stamps(draw):
     return text
 
 
-#: text at the edges of the canonical shape, each read by the block
-#: decode (True) or left to the per-value path (False)
-EDGE_STAMPS = {
-    "0001-01-01T00:00:00Z": True, "9999-12-31T23:59:59Z": True, "1970-01-01 00:00:00": True,
-    "2000-02-29t12:00:00z": True, "2024-02-29T00:00:00+00:00": True, "2023-01-01T00:00:00": True,
-    "1900-02-29T00:00:00Z": False, "2100-02-29T00:00:00Z": False,
-    "2023-02-29T00:00:00Z": False, "2024-02-30T00:00:00Z": False,
-    "2023-04-31T00:00:00Z": False, "2023-12-32T00:00:00Z": False,
-    "0000-01-01T00:00:00Z": False, "2023-00-01T00:00:00Z": False,
-    "2023-13-01T00:00:00Z": False, "2023-01-00T00:00:00Z": False,
-    "2023-01-01T24:00:00Z": False, "2023-01-01T23:60:00Z": False,
-    "2023-01-01T23:59:60Z": False, "2023-01-01x00:00:00Z": False,
-    "2023-01-01T00:00:00\x00": False, "2023-01-01T00:00:0\x00": False,
-    "2023-01-01T00:00:00-00:00": False, "2023-01-01T00:00:00+05:30": False,
-    "2023-01-01T00:00:00.5Z": False, " 2023-01-01T00:00:00Z": False,
-    "2023-01-01T00:00:00Z ": False, "٢٠٢٣-01-01T00:00:00Z": False,
-}
+@st.composite
+def rfc3339_texts(draw):
+    """RFC 3339 ``date-time`` text in any form the grammar has: a fraction
+    of 1-9 digits or none, any suffix, sometimes padded."""
+    text = draw(canonical_stamps())[:19]
+    if draw(st.booleans()):
+        text += "." + draw(st.text("0123456789", min_size=1, max_size=9))
+    text += draw(st.one_of(st.sampled_from(["", "Z", "z"]), st.builds(
+        "{}{:02d}:{:02d}".format, st.sampled_from("+-"), st.integers(0, 23), st.integers(0, 59))))
+    pad = draw(st.sampled_from(["", "", " ", "\t", "\u3000"]))
+    return pad + text + pad
+
+
+#: text at the edges of the grammar
+EDGE_STAMPS = (
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "1970-01-01 00:00:00",
+    "2000-02-29t12:00:00z", "2024-02-29T00:00:00+00:00", "2023-01-01T00:00:00",
+    "1900-02-29T00:00:00Z", "2100-02-29T00:00:00Z",
+    "2023-02-29T00:00:00Z", "2024-02-30T00:00:00Z",
+    "2023-04-31T00:00:00Z", "2023-12-32T00:00:00Z",
+    "0000-01-01T00:00:00Z", "2023-00-01T00:00:00Z",
+    "2023-13-01T00:00:00Z", "2023-01-00T00:00:00Z",
+    "2023-01-01T24:00:00Z", "2023-01-01T23:60:00Z",
+    "2023-01-01T23:59:60Z", "2023-01-01x00:00:00Z",
+    "2023-01-01T00:00:00\x00", "2023-01-01T00:00:0\x00",
+    "2023-01-01T00:00:00-00:00", "2023-01-01T00:00:00+05:30",
+    "2023-01-01T00:00:00.5Z", " 2023-01-01T00:00:00Z",
+    "2023-01-01T00:00:00Z ", "٢٠٢٣-01-01T00:00:00Z",
+)
 
 
 #: what a timestamp column may hold besides such text
 OTHER_STAMPS = st.one_of(
     st.none(), st.sampled_from(["", "  ", "1700000000", " 1700000000 ", "1e3", "-5", "nan",
-                                "inf", "x", "12:00", "2024-02-29", "２０２４-02-29T00:00:00"]),
+                                "inf", "x", "12:00", "2024-02-29", "２０２４-02-29T00:00:00",
+                                "1_700_000_000", "١٧٠٠٠٠٠٠٠٠"]),
     st.integers(-10**12, 10**12), st.floats(allow_nan=True), st.booleans())
 
 #: timestamp column values, canonical text most often
-STAMP_VALUES = st.one_of(canonical_stamps(), canonical_stamps(), near_stamps(),
-                         st.sampled_from(sorted(EDGE_STAMPS)), OTHER_STAMPS)
+STAMP_VALUES = st.one_of(canonical_stamps(), canonical_stamps(), rfc3339_texts(),
+                         near_stamps(), st.sampled_from(EDGE_STAMPS), OTHER_STAMPS)
 
 
 def per_value(column):
-    """``_coerce_timestamp`` of each value up to the first it refuses, and
-    that refusal as ``(position, type, message)``."""
+    """The oracle's reading of each value up to the first it refuses, and
+    the refusal the package must give for it as ``(position, type,
+    message)``."""
     stamps = []
     for position, value in enumerate(column):
         try:
-            stamps.append(core._coerce_timestamp(value))
-        except ValidationError as exc:
-            return stamps, (position, type(exc), str(exc))
+            stamp = timestamp_field(value)
+        except (TypeError, ValueError, OverflowError):
+            return stamps, (position, ValidationError, f"bad timestamp {value!r}")
+        if stamp is not None and not math.isfinite(stamp):
+            return stamps, (position, NonFiniteError, f"timestamp {value!r} is not finite")
+        stamps.append(stamp)
     return stamps, None
+
+
+def rfc3339_or_none(value):
+    """The oracle's seconds for RFC 3339 text, None for any other value."""
+    try:
+        return rfc3339_seconds(value) if isinstance(value, str) else None
+    except ValueError:
+        return None
+
+
+def decoded(column):
+    """The block decoder's seconds for each value, stripped, None where it
+    refuses it."""
+    texts = [value.strip() if isinstance(value, str) else "" for value in column]
+    ok, seconds = core._rfc3339_seconds(texts, np.array([len(t) for t in texts], dtype=np.int64))
+    return [stamp if taken else None for taken, stamp in zip(ok.tolist(), seconds.tolist())]
 
 
 @settings(max_examples=400)
 @given(st.lists(STAMP_VALUES, max_size=24))
-def test_canonical_decode_equals_per_value_coercion(column):
-    """Every value the block decode takes is one ``_coerce_timestamp``
-    accepts, with the same float."""
-    at, seconds = core._canonical_stamps(column)
-    for position, stamp in zip(at.tolist(), seconds.astype(float).tolist()):
-        assert stamp == core._coerce_timestamp(column[position])
+def test_block_decode_matches_the_oracle(column):
+    """The block decoder reads the text the oracle reads, to the same
+    float, and refuses the rest."""
+    assert decoded(column) == list(map(rfc3339_or_none, column))
 
 
-def test_edge_stamps_take_the_path_they_should():
-    column = list(EDGE_STAMPS)
-    at, seconds = core._canonical_stamps(column)
-    assert [column[k] for k in at.tolist()] == [v for v in column if EDGE_STAMPS[v]]
-    for value, stamp in zip((column[k] for k in at.tolist()), seconds.tolist()):
-        assert stamp == core._coerce_timestamp(value)
+def test_edge_stamps_match_the_oracle():
+    assert decoded(list(EDGE_STAMPS)) == list(map(rfc3339_or_none, EDGE_STAMPS))
 
 
-@given(st.lists(canonical_stamps(), max_size=24))
+@given(st.lists(st.one_of(canonical_stamps(), rfc3339_texts()), max_size=24))
 def test_canonical_text_is_all_decoded(column):
-    at, _ = core._canonical_stamps(column)
-    assert at.tolist() == list(range(len(column)))
+    assert None not in decoded(column)
+
+
+@example("2488-07-14T19:48:49.936711Z")
+@example("1600-01-01T00:00:00.000001+23:59")
+@given(rfc3339_texts())
+def test_rfc3339_text_matches_the_oracle(text):
+    """``==`` floats, also past 2**53 microseconds from the epoch, where a
+    float64 path rounds twice."""
+    assert parse_rfc3339(text) == rfc3339_seconds(text)
+
+
+#: RFC 3339 forms and the seconds each reads as, None where it is refused;
+#: the same on every Python
+RFC3339_FORMS = {
+    "2023-01-01T00:00:00Z": 1672531200.0,
+    "2023-01-01t00:00:00z": 1672531200.0,
+    "2023-01-01 00:00:00": 1672531200.0,
+    "2023-01-01T00:00:00+00:00": 1672531200.0,
+    "2023-01-01T00:00:00-00:00": 1672531200.0,
+    "2023-01-01T05:30:00+05:30": 1672531200.0,
+    "2022-12-31T23:00:00-01:00": 1672531200.0,
+    "2023-01-01T00:00:00.5Z": 1672531200.5,
+    "2023-01-01T00:00:00.25": 1672531200.25,
+    "2023-01-01T00:00:00.123456789Z": 1672531200.123456,
+    "2023-01-01T00:00:00.9999999Z": 1672531200.999999,
+    "2023-01-01T00:00:00.000001+23:59": 1672444860.000001,
+    " 2023-01-01T00:00:00Z\n": 1672531200.0,
+    "0001-01-01T00:00:00Z": -62135596800.0,
+    "0001-01-01T00:00:00+01:00": -62135600400.0,
+    "9999-12-31T23:59:59Z": 253402300799.0,
+    "9999-12-31T23:59:59.999999-23:59": 253402387140.0,
+    "2024-02-29T12:00:00Z": 1709208000.0,
+    "2000-02-29T00:00:00Z": 951782400.0,
+    "2488-07-14T19:48:49.936711Z": 16363453729.93671,
+    "2023-01-01": None,
+    "2023-01-01T00": None,
+    "2023-01-01T00:00Z": None,
+    "20230101T000000Z": None,
+    "2023-W01-1T00:00:00Z": None,
+    "2023-01-01x00:00:00Z": None,
+    "2023-01-01T00:00:00+0530": None,
+    "2023-01-01T00:00:00+05:30:00": None,
+    "2023-01-01T00:00:00,5Z": None,
+    "2023-01-01T00:00:00.Z": None,
+    "2023-01-01T00:00:00ZZ": None,
+    "2023-01-01T00:00:00+05:3Z": None,
+    "2023-01-01T23:59:60Z": None,
+    "2023-01-01T24:00:00Z": None,
+    "1900-02-29T00:00:00Z": None,
+    "0000-01-01T00:00:00Z": None,
+    "2023-01-01T00:00:00+24:00": None,
+    "2023-01-01T00:00:00+05:60": None,
+    "٢٠٢٣-01-01T00:00:00Z": None,
+}
+
+
+@pytest.mark.parametrize("text, seconds", RFC3339_FORMS.items())
+def test_rfc3339_forms(text, seconds):
+    """Each form reads to its seconds, or is refused, by the oracle, by
+    ``parse_rfc3339`` and in a timestamp column."""
+    assert rfc3339_or_none(text) == seconds
+    columns, error = coerce_columns(["t"], ["i"], ["a"], [1], ["x"], [text])
+    if seconds is None:
+        with pytest.raises(ValidationError, match="bad RFC 3339 timestamp"):
+            parse_rfc3339(text)
+        assert (error[0], str(error[1])) == (0, f"bad timestamp {text!r}")
+    else:
+        assert parse_rfc3339(text) == seconds
+        assert error is None and columns.timestamp == (seconds,)
+
+
+@pytest.mark.parametrize("text, seconds", [
+    ("1700000000", 1.7e9), (" 1700000000 ", 1.7e9), ("1e3", 1000.0), ("-5", -5.0),
+    ("1_700_000_000", None), ("١٧٠٠٠٠٠٠٠٠", None), ("１７", None), ("1\u00a0000", None),
+])
+def test_number_text_is_ascii(text, seconds):
+    """Epoch seconds as text are ASCII without ``_``, as integer text is."""
+    columns, error = coerce_columns(["t"], ["i"], ["a"], [1], ["x"], [text])
+    if seconds is None:
+        assert str(error[1]) == f"bad timestamp {text!r}"
+    else:
+        assert error is None and columns.timestamp == (seconds,)
 
 
 @given(st.lists(STAMP_VALUES, max_size=24), st.integers(1, 6))

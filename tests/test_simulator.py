@@ -70,6 +70,17 @@ class TestSimConfig:
         with pytest.raises(InvalidConfigError):
             config(**overrides)
 
+    @pytest.mark.parametrize("intervals", [(251_802_300_800.0,), (1e308,), (1e308, 1e308),
+                                           (200_000_000_000.0, 51_802_300_800.0)])
+    def test_rejects_rounds_past_year_9999(self, intervals):
+        with pytest.raises(InvalidConfigError, match="past 9999-12-31T23:59:59Z"):
+            config(rounds=len(intervals) + 1, interval_per_round=intervals)
+
+    def test_last_round_may_fall_on_the_last_second(self):
+        cfg = config(interval_per_round=(251_802_300_799.0,))
+        columns = simulate(cfg)[0].columns
+        assert max(columns.timestamp) == 253_402_300_799.0
+
     @pytest.mark.parametrize("overrides", [
         dict(drift=float("nan")),
         dict(drift=float("inf")),
