@@ -5,10 +5,14 @@ The central object is :class:`AnnotationSet`: an immutable collection of
 :class:`LabelSchema`, stored as integer codes (:class:`ColumnCodes`). Its
 records as :class:`RecordColumns`, one column per field, and as
 :class:`AnnotationRecord` objects are decoded only when a caller asks for
-them. Stability analyses consume :class:`RepeatPairs`: the repeat pairs of
-a set held as arrays, paired with one sort over the codes, with
-:class:`RepeatPair` objects built only when a caller indexes or iterates
-them. Krippendorff-style reliability consumes the coincidence matrix.
+them. :class:`RecordColumns` also carries records on their way in: each
+field as its distinct values and a code per record, so that
+:func:`coerce_record_columns` converts, and :func:`validate_dataset`
+checks and sorts, each distinct value once. Stability analyses consume
+:class:`RepeatPairs`: the repeat pairs of a set held as arrays, paired with
+one sort over the codes, with :class:`RepeatPair` objects built only when a
+caller indexes or iterates them. Krippendorff-style reliability consumes
+the coincidence matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import operator
 import unicodedata
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import chain
+from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -112,51 +116,130 @@ _REQUIRED_FIELDS = RECORD_FIELDS[:5]
 _fields_of = operator.attrgetter(*RECORD_FIELDS)
 
 
-class RecordColumns(Sequence):
-    """Annotation records held as six parallel field columns.
+#: value types of which no two compare equal, but for numbers with numbers
+_PLAIN_TYPES = {str, type(None), bool, int, float}
 
-    Each column is a tuple with one field of every record; the attributes
-    are named as in :data:`RECORD_FIELDS`. Indexing or iterating builds
-    :class:`AnnotationRecord` objects on demand, and ``==`` compares
-    records, so a list or tuple of the same records is equal to it. The
-    readers return one, and an :class:`AnnotationSet` decodes one from its
-    codes on demand.
+
+def _factorise(column: Iterable) -> tuple[tuple, np.ndarray]:
+    """``(values, codes)``: the distinct values of ``column`` in the order
+    they first come, and each entry's position among them.
+
+    ``1``, ``1.0`` and ``True`` are equal keys, so a column that mixes types
+    is keyed by ``(type, value)``; an unhashable value is a value of its own
+    each time it comes."""
+    column = column if isinstance(column, (list, tuple)) else list(column)
+    types = set(map(type, column))
+    keys = column if types <= _PLAIN_TYPES and len(types & {bool, int, float}) <= 1 \
+        else list(zip(map(type, column), column))
+    try:
+        distinct = list(dict.fromkeys(keys))
+    except TypeError:
+        index, values, codes = {}, [], []
+        for key, value in zip(keys, column):
+            try:
+                code = index.setdefault(key, len(values))
+            except TypeError:
+                code = len(values)
+            if code == len(values):
+                values.append(value)
+            codes.append(code)
+        return tuple(values), np.array(codes, dtype=np.intp)
+    index = dict(zip(distinct, range(len(distinct))))
+    codes = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
+    return tuple(distinct) if keys is column else tuple(value for _, value in distinct), codes
+
+
+def _compact(values: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """``values`` without those no code points at, and ``codes`` into them."""
+    used = np.bincount(codes, minlength=len(values)).astype(bool)
+    if used.all():
+        return values, codes
+    return tuple(compress(values, used.tolist())), (np.cumsum(used) - 1)[codes]
+
+
+class RecordColumns(Sequence):
+    """Annotation records held as six field columns.
+
+    Each field is stored as its values and one integer code per record:
+    ``values[k][codes[k][i]]`` is field ``k`` of record ``i``, the fields in
+    :data:`RECORD_FIELDS` order. The values of a field are distinct as
+    read; coercion can make two of them equal (``"1"`` and ``"01"`` are
+    both round 1), and nothing relies on them being distinct. Slicing keeps
+    only the values the slice's codes point at. The attributes named as in
+    :data:`RECORD_FIELDS` give a column as a tuple with one field of every
+    record, built on first access. Indexing or iterating builds
+    :class:`AnnotationRecord` objects, and ``==`` compares records, so a
+    list or tuple of the same records is equal to it. The readers return
+    one, and an :class:`AnnotationSet` decodes one from its codes on demand.
     """
 
-    __slots__ = RECORD_FIELDS
+    __slots__ = ("values", "codes", "_columns")
 
     def __init__(self, task_id, item_id, annotator_id, round, label, timestamp):
-        columns = tuple(map(tuple, (task_id, item_id, annotator_id, round, label, timestamp)))
-        if len(set(map(len, columns))) > 1:
+        fields = [_factorise(column) for column in
+                  (task_id, item_id, annotator_id, round, label, timestamp)]
+        self._set(*zip(*fields))
+
+    def _set(self, values, codes):
+        values, codes = tuple(values), tuple(codes)
+        if len(set(map(len, codes))) > 1:
             raise ValueError("record columns differ in length")
-        for name, column in zip(RECORD_FIELDS, columns):
-            object.__setattr__(self, name, column)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "codes", codes)
+        object.__setattr__(self, "_columns", {})
+
+    @classmethod
+    def from_codes(cls, values: Sequence[tuple], codes: Sequence[np.ndarray]) -> "RecordColumns":
+        """The records whose field ``k`` is ``values[k][codes[k][i]]``."""
+        columns = cls.__new__(cls)
+        columns._set(map(tuple, values), (np.asarray(c, dtype=np.intp) for c in codes))
+        return columns
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]) -> "RecordColumns":
+        """The records whose fields, in :data:`RECORD_FIELDS` order, are
+        the entries of ``rows``."""
+        return cls(*zip(*rows)) if rows else cls(*((),) * len(RECORD_FIELDS))
 
     @classmethod
     def of(cls, records: Iterable[AnnotationRecord]) -> "RecordColumns":
         """The fields of ``records``, taken as they are."""
         if isinstance(records, cls):
             return records
-        rows = list(map(_fields_of, records))
-        return cls(*zip(*rows)) if rows else cls(*((),) * len(RECORD_FIELDS))
+        return cls.from_rows(list(map(_fields_of, records)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return type(self), self.fields()
+        return type(self).from_codes, (self.values, self.codes)
+
+    def _column(self, k: int) -> tuple:
+        """Field ``k`` of every record."""
+        if k not in self._columns:
+            self._columns[k] = tuple(map(self.values[k].__getitem__, self.codes[k].tolist()))
+        return self._columns[k]
+
+    task_id = property(lambda self: self._column(0))
+    item_id = property(lambda self: self._column(1))
+    annotator_id = property(lambda self: self._column(2))
+    round = property(lambda self: self._column(3))
+    label = property(lambda self: self._column(4))
+    timestamp = property(lambda self: self._column(5))
 
     def fields(self) -> tuple[tuple, ...]:
         """The six columns in :data:`RECORD_FIELDS` order."""
-        return _fields_of(self)
+        return tuple(map(self._column, range(len(RECORD_FIELDS))))
 
     def __len__(self) -> int:
-        return len(self.item_id)
+        return len(self.codes[0])
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return RecordColumns(*(column[index] for column in self.fields()))
-        return AnnotationRecord(*(column[index] for column in self.fields()))
+            return RecordColumns.from_codes(*zip(*(
+                _compact(values, codes[index]) for values, codes in zip(self.values, self.codes))))
+        return AnnotationRecord(*(values[codes[index]]
+                                  for values, codes in zip(self.values, self.codes)))
 
     def __iter__(self):
         return map(AnnotationRecord, *self.fields())
@@ -187,12 +270,6 @@ class RepeatPair:
     @property
     def consistent(self) -> bool:
         return self.first_label == self.second_label
-
-
-def _encode(column: Sequence, values: Sequence) -> np.ndarray:
-    """Each entry of ``column`` as its position in ``values``."""
-    code = {value: i for i, value in enumerate(values)}
-    return np.fromiter(map(code.__getitem__, column), dtype=np.int64, count=len(column))
 
 
 #: the per-pair arrays of :class:`RepeatPairs`, in :class:`RepeatPair` field order
@@ -234,9 +311,8 @@ class RepeatPairs(Sequence):
         pairs = list(pairs)
 
         def coded(*names: str) -> list:
-            columns = [[getattr(p, name) for p in pairs] for name in names]
-            values = tuple(dict.fromkeys(chain(*columns)))
-            return [values, *(_encode(column, values) for column in columns)]
+            values, codes = _factorise([getattr(p, name) for name in names for p in pairs])
+            return [values, *np.split(codes, len(names))]
 
         intervals = [p.interval_seconds for p in pairs]
         try:
@@ -306,16 +382,14 @@ class ColumnCodes:
 
     @classmethod
     def of(cls, columns: "RecordColumns", categories: tuple[str, ...]) -> "ColumnCodes":
-        """The codes of ``columns``, labels coded against ``categories``."""
-        items, annotators, rounds = (tuple(sorted(set(column))) for column in (
-            columns.item_id, columns.annotator_id, columns.round))
-        labels = categories + tuple(sorted(set(columns.label) - set(categories)))
-        return cls(
-            items, annotators, rounds, labels,
-            _encode(columns.item_id, items), _encode(columns.annotator_id, annotators),
-            _encode(columns.round, rounds), _encode(columns.label, labels),
-            np.array(columns.timestamp, dtype=float),
-        )
+        """The codes of ``columns``, labels coded against ``categories``:
+        each field's distinct values sorted and recoded, no record visited."""
+        values, codes = columns.values, columns.codes
+        (items, item), (annotators, annotator), (rounds, round_) = (
+            _sorted_codes(values[k], codes[k]) for k in (1, 2, 3))
+        labels, label = _sorted_codes(values[4], codes[4], categories)
+        return cls(items, annotators, rounds, labels, item, annotator, round_, label,
+                   np.array(values[5], dtype=float)[codes[5]])
 
     def __eq__(self, other):
         if not isinstance(other, ColumnCodes):
@@ -380,6 +454,16 @@ class ColumnCodes:
         return grid
 
 
+def _sorted_codes(values: tuple, codes: np.ndarray, head: tuple = ()) -> tuple[tuple, np.ndarray]:
+    """``(ordered, recoded)``: ``head``, then the other values ``codes``
+    points at, sorted; and ``codes`` as positions in ``ordered``."""
+    values, codes = _compact(values, codes)
+    ordered = head + tuple(sorted(set(values).difference(head)))
+    position = {value: code for code, value in enumerate(ordered)}
+    recode = np.array([position[value] for value in values], dtype=np.intp)
+    return ordered, recode[codes]
+
+
 def _runs(within: np.ndarray, *group: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(order, bounds)``: the record positions sorted by the ``group``
     codes, then by ``within``, and where each run of equal ``group`` codes
@@ -426,11 +510,12 @@ class AnnotationSet:
     @cached_property
     def columns(self) -> RecordColumns:
         c = self.codes
-        stamps = c.timestamp.astype(object)
-        stamps[np.isnan(c.timestamp)] = None
-        decoded = (np.array(values, dtype=object)[code].tolist() for values, code in zip(
-            (c.items, c.annotators, c.rounds, c.labels), (c.item, c.annotator, c.round, c.label)))
-        return RecordColumns((self.schema.task_id,) * len(c.item), *decoded, stamps.tolist())
+        stamps, stamp = np.unique(c.timestamp, return_inverse=True)
+        stamps = [None if math.isnan(t) else t for t in stamps.tolist()]
+        return RecordColumns.from_codes(
+            ((self.schema.task_id,), c.items, c.annotators, c.rounds, c.labels, stamps),
+            (np.zeros(len(c.item), dtype=np.intp), c.item, c.annotator, c.round, c.label,
+             stamp.reshape(-1)))
 
     @cached_property
     def records(self) -> tuple[AnnotationRecord, ...]:
@@ -613,35 +698,6 @@ def raw_fields(raw) -> tuple:
     return tuple(map(raw.get, RECORD_FIELDS))
 
 
-#: value types no two of which compare equal, except numbers with numbers
-_HASHED_TYPES = {str, type(None), bool, int, float}
-
-
-def _convert_column(column: Sequence, convert: Callable) -> tuple[list, int]:
-    """``convert`` applied to the values of ``column`` up to the first one
-    it refuses, and that value's position (``len(column)`` if none is).
-    Text, None and at most one type of number convert once per distinct
-    value; ``1``, ``1.0`` and ``True`` are equal keys, so a mix of them
-    converts value by value."""
-    types = set(map(type, column))
-    if types <= _HASHED_TYPES and len(types & {bool, int, float}) <= 1:
-        table, refused = {}, set()
-        for value in set(column):
-            try:
-                table[value] = convert(value)
-            except ValidationError:
-                refused.add(value)
-        first = _first_in(column, refused)
-        return list(map(table.__getitem__, column[:first])), first
-    converted = []
-    for value in column:
-        try:
-            converted.append(convert(value))
-        except ValidationError:
-            break
-    return converted, len(converted)
-
-
 #: values per block of the timestamp column decode; bounds its scratch arrays
 TIMESTAMP_BLOCK = 8192
 #: the longest text the column decode takes into a block; longer text (a
@@ -653,8 +709,17 @@ _DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
 
 
 def _rfc3339_seconds(texts: Sequence[str], length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(ok, seconds)``: for each text, of the given length, whether it is
-    an RFC 3339 ``date-time`` (section 5.6), and its POSIX epoch seconds.
+    """:func:`_rfc3339_chars` of ``texts``, each of the given length."""
+    width = max(int(length.max(initial=0)), 20)
+    chars = np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(len(texts), width)
+    return _rfc3339_chars(chars, length)
+
+
+def _rfc3339_chars(chars: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(ok, seconds)``: for each row of ``chars``, the code points or the
+    UTF-8 bytes of a text of the given length followed by zeros, whether
+    the text is an RFC 3339 ``date-time`` (section 5.6), and its POSIX
+    epoch seconds.
 
     The grammar: ``YYYY-MM-DD``; ``T``, ``t`` or a space; ``HH:MM:SS``; an
     optional ``.`` and one or more digits, of which the first six are read;
@@ -663,9 +728,10 @@ def _rfc3339_seconds(texts: Sequence[str], length: np.ndarray) -> tuple[np.ndarr
     minutes, seconds and mm <= 59. The seconds are those
     ``datetime.timestamp()`` gives: whole microseconds / 10**6, rounded once.
     """
-    n = len(texts)
-    width = max(int(length.max(initial=0)), 20)
-    chars = np.array(texts, dtype=f"U{width}").view(np.uint32).reshape(n, width)
+    n, width = chars.shape
+    if width < 20:
+        chars = np.pad(chars, ((0, 0), (0, 20 - width)))
+        width = 20
     digits = chars[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
     ok = ((digits >= 0) & (digits <= 9)).all(axis=1)
     ok &= (chars[:, [4, 7, 13, 16]] == [ord(c) for c in "--::"]).all(axis=1)
@@ -711,73 +777,102 @@ def _rfc3339_seconds(texts: Sequence[str], length: np.ndarray) -> tuple[np.ndarr
     return ok, seconds
 
 
-def _coerce_timestamps(column: Sequence) -> tuple[list, int]:
-    """:func:`_convert_column` with :func:`_coerce_timestamp`, a block of
-    :data:`TIMESTAMP_BLOCK` values at a time. :func:`_rfc3339_seconds`
-    decodes the block's RFC 3339 text, stripped, to the float that
-    ``_coerce_timestamp`` gives; every other value goes through it."""
-    stamps: list = []
-    for start in range(0, len(column), TIMESTAMP_BLOCK):
-        block = column[start:start + TIMESTAMP_BLOCK]
-        texts = [value.strip() if type(value) is str else "" for value in block]
-        length = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+def _coerce_text(value) -> str:
+    """An id or label as text; None and blank are refused, and
+    :func:`coerce_fields` names the missing field."""
+    if value is None or value == "":
+        raise ValidationError("missing field")
+    return str(value)
+
+
+def _convert_each(values: Sequence, convert: Callable) -> tuple[list, list[int]]:
+    """``(converted, refused)``: ``convert`` of each value, None where it
+    raises ValidationError, and the positions of those values."""
+    converted, refused = [], []
+    for position, value in enumerate(values):
+        try:
+            converted.append(convert(value))
+        except ValidationError:
+            converted.append(None)
+            refused.append(position)
+    return converted, refused
+
+
+def _coerce_timestamps(values: Sequence) -> tuple[list, list[int]]:
+    """:func:`_convert_each` with :func:`_coerce_timestamp`, with two kinds
+    of value read without it: a float is itself where finite, and text
+    that :func:`_rfc3339_seconds` decodes, stripped, :data:`TIMESTAMP_BLOCK`
+    values at a time, is its seconds."""
+    objects = np.fromiter(values, dtype=object, count=len(values))
+    kinds = np.fromiter(map(type, values), dtype=object, count=len(values))
+    floats, texts = np.flatnonzero(kinds == float), np.flatnonzero(kinds == str)
+    refused = floats[~np.isfinite(objects[floats].astype(float))].tolist()
+    other = np.flatnonzero((kinds != float) & (kinds != str) & (kinds != type(None))).tolist()
+    for start in range(0, len(texts), TIMESTAMP_BLOCK):
+        block = texts[start:start + TIMESTAMP_BLOCK]
+        stripped = [text.strip() for text in objects[block].tolist()]
+        length = np.fromiter(map(len, stripped), dtype=np.int64, count=len(block))
         at = np.flatnonzero((length >= 19) & (length <= _STAMP_WIDTH))
-        ok, seconds = _rfc3339_seconds(
-            texts if len(at) == len(texts) else [texts[i] for i in at.tolist()], length[at])
-        at = at[ok]
-        decoded = np.empty(len(block), dtype=object)
-        decoded[at] = seconds[ok]
-        other = np.flatnonzero(np.bincount(at, minlength=len(block)) == 0)
-        converted, refused = _convert_column([block[i] for i in other.tolist()],
-                                             _coerce_timestamp)
-        decoded[other[:refused]] = converted
-        if refused < len(other):
-            end = int(other[refused])
-            return stamps + decoded[:end].tolist(), start + end
-        stamps += decoded.tolist()
-    return stamps, len(column)
+        ok, seconds = _rfc3339_seconds([stripped[i] for i in at.tolist()], length[at])
+        objects[block[at[ok]]] = seconds[ok]
+        other += block[np.bincount(at[ok], minlength=len(block)) == 0].tolist()
+    converted = objects.tolist()
+    for i in other:
+        try:
+            converted[i] = _coerce_timestamp(values[i])
+        except ValidationError:
+            refused.append(i)
+    return converted, refused
 
 
-def coerce_columns(task_id, item_id, annotator_id, round, label, timestamp):
-    """Raw field columns converted as :func:`coerce_fields` converts each
-    row, checked a column at a time.
+def _first_at(codes: np.ndarray, refused: Sequence[int]) -> int:
+    """Position of the first code in ``refused``, or ``len(codes)``."""
+    if not len(refused):
+        return len(codes)
+    hits = np.flatnonzero(np.isin(codes, refused))
+    return int(hits[0]) if len(hits) else len(codes)
 
-    Returns ``(columns, error)``. With no refused row, ``columns`` holds
-    every row and ``error`` is None. Otherwise ``columns`` holds the rows
-    before the first refused one and ``error`` is ``(its position, the
-    ValidationError coerce_fields raises for it)``.
+
+def coerce_record_columns(raw: RecordColumns):
+    """Raw fields converted as :func:`coerce_fields` converts each record,
+    once per distinct value of each field.
+
+    Returns ``(columns, error)``. With no refused record, ``columns`` holds
+    every record and ``error`` is None. Otherwise ``columns`` holds the
+    records before the first refused one and ``error`` is ``(its position,
+    the ValidationError coerce_fields raises for it)``.
     """
-    raw = (task_id, item_id, annotator_id, round, label, timestamp)
-    n = len(item_id)
-    first = n
-    texts = []
-    for column in (task_id, item_id, annotator_id, label):
-        types = set(map(type, column))
-        if type(None) in types:
-            first = min(first, column.index(None))
-        if str in types and "" in column:
-            first = min(first, column.index(""))
-        texts.append(column if types <= {str} else list(map(str, column)))
-    rounds, refused = _convert_column(round, _coerce_round)
-    first = min(first, refused)
-    stamps, refused = _coerce_timestamps(timestamp)
-    first = min(first, refused)
-    converted = (*texts[:3], rounds, texts[3], stamps)
+    n = len(raw)
+    first, values = n, []
+    for name, field_values, field_codes in zip(RECORD_FIELDS, raw.values, raw.codes):
+        if name == "timestamp":
+            converted, refused = _coerce_timestamps(field_values)
+        else:
+            converted, refused = _convert_each(
+                field_values, _coerce_round if name == "round" else _coerce_text)
+        first = min(first, _first_at(field_codes, refused))
+        values.append(converted)
+    columns = RecordColumns.from_codes(values, raw.codes)
     if first == n:
-        return RecordColumns(*converted), None
+        return columns, None
     try:
-        coerce_fields(*(column[first] for column in raw))
+        coerce_fields(*(v[c[first]] for v, c in zip(raw.values, raw.codes)))
     except ValidationError as exc:
-        return RecordColumns(*(column[:first] for column in converted)), (first, exc)
+        return columns[:first], (first, exc)
     raise AssertionError(f"row {first} refused by a column check but not by coerce_fields")
 
 
-def _first_in(column: Sequence, refused: set) -> int:
-    """Position of the first value of ``column`` in ``refused``, or
-    ``len(column)``."""
-    if not refused:
-        return len(column)
-    return next(i for i, value in enumerate(column) if value in refused)
+def coerce_columns(task_id, item_id, annotator_id, round, label, timestamp):
+    """:func:`coerce_record_columns` of raw field columns, one entry per
+    record each."""
+    return coerce_record_columns(
+        RecordColumns(task_id, item_id, annotator_id, round, label, timestamp))
+
+
+def _first_refused(columns: RecordColumns, k: int, refuse: Callable) -> int:
+    """Position of the first record whose field ``k`` ``refuse`` is true
+    of, or the record count."""
+    return _first_at(columns.codes[k], [i for i, v in enumerate(columns.values[k]) if refuse(v)])
 
 
 def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
@@ -788,13 +883,14 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
     :func:`coerce_columns` converts first. Labels are normalised. Raises
     :class:`DuplicateCellError`, :class:`UnknownLabelError`,
     :class:`SchemaMismatchError` or :class:`ValidationError` for the first
-    violating record; the record count is preserved on success.
+    violating record; the record count is preserved on success. Every check
+    runs on the distinct values of a field and on its codes.
     """
     if isinstance(records, RecordColumns):
         columns, error = records, None
-        if set(map(type, columns.round)) - {int}:  # not bool
-            bad_round = next(i for i, r in enumerate(columns.round) if type(r) is not int)
-            value = columns.round[bad_round]
+        bad_round = _first_refused(columns, 3, lambda r: type(r) is not int)  # not bool
+        if bad_round < len(columns):
+            value = columns[bad_round].round
             columns = columns[:bad_round]
             error = (bad_round, ValidationError(f"round {value!r} is not an integer"))
     else:
@@ -805,27 +901,25 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
             except ValidationError as exc:
                 error = (position, exc)
                 break
-        columns, coerce_error = coerce_columns(*(zip(*rows) if rows else ((),) * 6))
+        columns, coerce_error = coerce_record_columns(RecordColumns.from_rows(rows))
         error = coerce_error or error
-    normal = {label: normalize_label(label) for label in set(columns.label)}
-    if any(label != normal[label] for label in normal):
-        columns = RecordColumns(*columns.fields()[:4], map(normal.__getitem__, columns.label),
-                                columns.timestamp)
+    columns = RecordColumns.from_codes(
+        (*columns.values[:4], map(normalize_label, columns.values[4]), columns.values[5]),
+        columns.codes)
     codes = ColumnCodes.of(columns, schema.categories)
     categories = set(schema.categories)
-    task_ids, items, annotators, rounds, labels = (
-        columns.task_id, columns.item_id, columns.annotator_id, columns.round, columns.label)
     # the first faulty record wins; within a record, the checks run in this order
     faults = [
-        (_first_in(task_ids, set(task_ids) - {schema.task_id}), lambda p: SchemaMismatchError(
-            f"record task_id {task_ids[p]!r} != schema task_id {schema.task_id!r}")),
-        (_first_in(labels, set(labels) - categories), lambda p: UnknownLabelError(
-            f"label {labels[p]!r} not in schema categories for item {items[p]!r}")),
-        (_first_in(rounds, {r for r in set(rounds) if r < 1}), lambda p: ValidationError(
-            f"round must be >= 1, got {rounds[p]}")),
+        (_first_refused(columns, 0, lambda t: t != schema.task_id), lambda p: SchemaMismatchError(
+            f"record task_id {columns[p].task_id!r} != schema task_id {schema.task_id!r}")),
+        (_first_refused(columns, 4, lambda x: x not in categories), lambda p: UnknownLabelError(
+            f"label {columns[p].label!r} not in schema categories "
+            f"for item {columns[p].item_id!r}")),
+        (_first_refused(columns, 3, lambda r: r < 1), lambda p: ValidationError(
+            f"round must be >= 1, got {columns[p].round}")),
         (codes.first_repeat(), lambda p: DuplicateCellError(
             "duplicate record for (item, annotator, round) "
-            f"{(items[p], annotators[p], rounds[p])}")),
+            f"{(columns[p].item_id, columns[p].annotator_id, columns[p].round)}")),
     ]
     position, fault = min(faults, key=operator.itemgetter(0))
     if position < len(columns):

@@ -4,17 +4,29 @@ Two interchangeable container formats are supported for records — CSV with a
 fixed header and JSON Lines — plus a small JSON document for the label
 schema. Timestamps travel as RFC 3339 text, read in one grammar on every
 Python (:func:`parse_rfc3339`), and live in memory as POSIX epoch seconds.
+
+Every reader returns :class:`~relistab.core.RecordColumns`, each field as
+its distinct values and one integer code per record, converted once per
+distinct value by :func:`~relistab.core.coerce_record_columns`. CSV without
+quotes (:func:`_plain_csv`) goes from the file's bytes to those codes in
+numpy, a column at a time; any other CSV goes through ``csv.reader``, and
+JSON Lines through one JSON decode a line. Every file may start with a
+UTF-8 byte order mark, and a refused record names its physical line.
 """
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
+import itertools
 import json
 import operator
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
+
+import numpy as np
 
 from .core import RECORD_FIELDS as CSV_FIELDS
 from .core import (
@@ -22,7 +34,9 @@ from .core import (
     AnnotationSet,
     LabelSchema,
     RecordColumns,
-    coerce_columns,
+    _factorise,
+    _rfc3339_chars,
+    coerce_record_columns,
     raw_fields,
 )
 from .core import parse_rfc3339  # noqa: F401 - part of this module's API
@@ -44,56 +58,229 @@ def format_rfc3339(epoch_seconds: float) -> str:
 
 @contextlib.contextmanager
 def _open_text(path: str | Path, **kwargs):
-    """``path`` opened as UTF-8 text; undecodable bytes are a ValidationError."""
+    """``path`` opened as UTF-8 text, a leading byte order mark skipped;
+    undecodable bytes are a ValidationError."""
     try:
-        with open(path, encoding="utf-8", **kwargs) as handle:
+        with open(path, encoding="utf-8-sig", **kwargs) as handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _checked(raw: Sequence[list], line_of: Callable[[int], int], path) -> RecordColumns:
-    """``raw`` field columns through :func:`~relistab.core.coerce_columns`;
-    a refused row raises its error prefixed with ``path`` and its line."""
-    columns, error = coerce_columns(*raw)
+def _checked(raw: RecordColumns, line_of: Callable[[int], int], path) -> RecordColumns:
+    """``raw`` through :func:`~relistab.core.coerce_record_columns`; a
+    refused record raises its error prefixed with ``path`` and its line."""
+    columns, error = coerce_record_columns(raw)
     if error is not None:
         position, exc = error
         raise type(exc)(f"{path}:{line_of(position)}: {exc}") from exc
     return columns
 
 
+def _header_positions(header: list[str], path) -> list[int | None]:
+    """The header's column of each of :data:`CSV_FIELDS`, None for a
+    missing timestamp column; a repeated column name reads its last
+    column. A header without the required names, or with others, raises."""
+    required = set(CSV_FIELDS[:5])
+    if not required.issubset(header):
+        raise ValidationError(f"{path}: CSV header must contain {sorted(required)}, got {header}")
+    unknown = set(header) - set(CSV_FIELDS)
+    if unknown:
+        raise ValidationError(f"{path}: unknown CSV column(s) {sorted(unknown)}")
+    at = {name: i for i, name in enumerate(header)}
+    return [at.get(name) for name in CSV_FIELDS]
+
+
+#: rows per block of a CSV column cut into a byte matrix; bounds its scratch
+#: arrays, as :data:`~relistab.core.TIMESTAMP_BLOCK` bounds the timestamp
+#: decode's
+CSV_BLOCK = 8192
+#: bytes per block of the scans for delimiters and of the UTF-8 check
+_SCAN_BLOCK = 1 << 19
+#: the widest field a column's byte matrix holds; a column with a wider
+#: value is cut and coded value by value
+_FIELD_WIDTH = 64
+
+
+def _is_utf8(data: bytes) -> bool:
+    """Whether ``data`` decodes as UTF-8, decoded a block at a time."""
+    blocks = (data[at:at + _SCAN_BLOCK] for at in range(0, len(data), _SCAN_BLOCK))
+    try:
+        for _ in codecs.iterdecode(blocks, "utf-8"):
+            pass
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _positions(buf: np.ndarray, byte: str) -> np.ndarray:
+    """The positions of ``byte`` in ``buf``, in order."""
+    return np.concatenate([np.empty(0, dtype=np.intp)] + [
+        np.flatnonzero(buf[at:at + _SCAN_BLOCK] == ord(byte)) + at
+        for at in range(0, len(buf), _SCAN_BLOCK)])
+
+
+def _plain_csv(data: bytes, path) -> tuple[RecordColumns, np.ndarray] | None:
+    """The raw records of CSV bytes, coded a column at a time, and the
+    physical line of each; None unless the bytes are plain CSV.
+
+    Plain CSV has no ``"``, no NUL and no CR outside a CRLF; it is UTF-8
+    (a leading byte order mark is skipped), every line but blank ones has
+    as many fields as the header, and no field is longer than
+    ``csv.field_size_limit()``. ``csv.reader`` reads such text as its lines
+    split on ``,``, blank lines as ``[]``, which is how it is read here.
+    """
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if len(data) == bom or b'"' in data or b"\0" in data or (
+            b"\r" in data and data.count(b"\r") != data.count(b"\r\n")) or not _is_utf8(data):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newline = _positions(buf, "\n")
+    starts = np.concatenate(([bom], newline + 1))
+    ends = np.concatenate((newline, [len(buf)]))
+    if starts[-1] == len(buf):  # the last line ends in a newline
+        starts, ends = starts[:-1], ends[:-1]
+    ends -= buf[np.maximum(ends - 1, 0)] == ord("\r")  # a CR is always part of a CRLF
+    limit = csv.field_size_limit()
+    header = data[starts[0]:ends[0]].decode("utf-8").split(",")
+    if ends[0] == starts[0] or max(map(len, header)) > limit:
+        return None
+    positions = _header_positions(header, path)
+    lines = np.flatnonzero(ends[1:] > starts[1:]) + 1
+    comma = _positions(buf, ",")
+    per_line = np.diff(np.searchsorted(comma, ends), prepend=0)
+    if (per_line[lines] != len(header) - 1).any():
+        return None
+    # field j of a record runs from cut[j] + 1 to cut[j + 1]
+    cuts = comma[len(header) - 1:].reshape(len(lines), len(header) - 1)
+    cut = [starts[lines] - 1, *cuts.T, ends[lines]]
+    if any((end - start - 1).max(initial=0) > limit for start, end in zip(cut, cut[1:])):
+        return None
+    values, codes = [], []
+    for name, column in zip(CSV_FIELDS, positions):
+        if column is None:
+            values.append((None,))
+            codes.append(np.zeros(len(lines), dtype=np.intp))
+            continue
+        start, end = cut[column] + 1, cut[column + 1]
+        rows = _byte_rows(buf, start, end)
+        if rows is None:
+            field = _factorise([data[s:e].decode("utf-8") for s, e in zip(start.tolist(),
+                                                                          end.tolist())])
+        elif name == "timestamp":
+            field = _stamp_field(rows, end - start)
+        else:
+            field = _factorise_rows(rows)
+        values.append(field[0])
+        codes.append(field[1])
+    return RecordColumns.from_codes(values, codes), lines + 1
+
+
+def _byte_rows(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
+    """The bytes ``buf[start:end]`` of each field as a row of a matrix,
+    followed by zeros to a multiple of 8 bytes; None if a field is wider
+    than :data:`_FIELD_WIDTH`."""
+    length = end - start
+    width = int(length.max(initial=0))
+    if width > _FIELD_WIDTH:
+        return None
+    rows = np.zeros((len(start), max(-(-width // 8) * 8, 8)), dtype=np.uint8)
+    if not width:
+        return rows
+    windows = np.lib.stride_tricks.sliding_window_view(buf, width)
+    last = len(buf) - width
+    beyond = np.arange(width)
+    for at in range(0, len(start), CSV_BLOCK):
+        block = rows[at:at + CSV_BLOCK, :width]
+        block[:] = windows[np.minimum(start[at:at + CSV_BLOCK], last)]
+        block[beyond >= length[at:at + CSV_BLOCK, None]] = 0
+    # a window cannot start past ``last``: the fields there are copied
+    for i in np.flatnonzero(start > last).tolist():
+        rows[i, :width] = 0
+        rows[i, :length[i]] = buf[start[i]:end[i]]
+    return rows
+
+
+def _factorise_rows(rows: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
+    """``(values, codes)`` of the text in the rows of a byte matrix: the
+    distinct texts sorted, which for UTF-8 is code point order, and each
+    row's position among them."""
+    # big-endian words compare as the bytes do
+    words = rows.view(">u8")
+    order = np.lexsort(words.T[::-1])
+    new = np.zeros(len(rows), dtype=bool)
+    new[:1] = True
+    for word in words.T:
+        word = word[order]
+        new[1:] |= word[1:] != word[:-1]
+    codes = np.empty(len(rows), dtype=np.intp)
+    codes[order] = np.cumsum(new) - 1
+    texts = rows[order[new]].view(f"S{rows.shape[1]}").ravel().tolist()
+    return tuple(text.decode("utf-8") for text in texts), codes
+
+
+def _stamp_field(rows: np.ndarray, length: np.ndarray) -> tuple[tuple, np.ndarray]:
+    """``(values, codes)`` of a timestamp column's byte matrix: RFC 3339
+    text is decoded here, :data:`CSV_BLOCK` rows at a time, and coded by
+    its seconds; any other text is coded as text."""
+    ok = np.zeros(len(rows), dtype=bool)
+    seconds = np.zeros(len(rows))
+    for at in range(0, len(rows), CSV_BLOCK):
+        block = slice(at, at + CSV_BLOCK)
+        ok[block], seconds[block] = _rfc3339_chars(rows[block], length[block])
+    stamps, codes = np.unique(seconds[ok], return_inverse=True)
+    other = np.flatnonzero(~ok)
+    texts, other_codes = _factorise_rows(rows[other])
+    field = np.empty(len(rows), dtype=np.intp)
+    field[ok] = codes.reshape(-1)
+    field[other] = other_codes + len(stamps)
+    return (*stamps.tolist(), *texts), field
+
+
 def read_annotation_records_csv(path: str | Path) -> RecordColumns:
     """The records of a CSV file with a header row, as columns.
 
-    Blank rows are skipped and not counted in line numbers; a short row
-    leaves its last fields missing and extra trailing values are ignored.
+    Blank rows are skipped; a short row leaves its last fields missing and
+    extra trailing values are ignored. Errors name the physical line. Plain
+    CSV (see :func:`_plain_csv`) is read from the file's bytes in numpy,
+    a column at a time; any other file, quoted CSV among them, by
+    ``csv.reader``.
     """
+    with open(path, "rb") as handle:
+        plain = _plain_csv(handle.read(), path)
+    if plain is None:
+        return _read_csv_rows(path)
+    raw, lines = plain
+    return _checked(raw, lines.__getitem__, path)
+
+
+def _csv_line_of(path) -> Callable[[int], int]:
+    """The physical line of each record ``csv.reader`` reads from ``path``,
+    found by reading the file again: the line a record ends on."""
+    def line_of(position: int) -> int:
+        with _open_text(path, newline="") as handle:
+            reader = csv.reader(handle)
+            next(reader, None)
+            ends = (reader.line_num for row in reader if row)
+            return next(itertools.islice(ends, position, None))
+    return line_of
+
+
+def _read_csv_rows(path: str | Path) -> RecordColumns:
+    """:func:`read_annotation_records_csv` by ``csv.reader``."""
     raw = tuple([] for _ in CSV_FIELDS)
     add_task, add_item, add_annotator, add_round, add_label, add_stamp = (
         column.append for column in raw)
-
-    def line_of(position: int) -> int:
-        return position + 2
-
+    has_stamps, failure = True, None
     with _open_text(path, newline="") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader, [])
-            required = set(CSV_FIELDS[:5])
-            if not required.issubset(header):
-                raise ValidationError(
-                    f"{path}: CSV header must contain {sorted(required)}, got {header}"
-                )
-            unknown = set(header) - set(CSV_FIELDS)
-            if unknown:
-                raise ValidationError(f"{path}: unknown CSV column(s) {sorted(unknown)}")
-            # a repeated column name reads its last column
-            at = {name: i for i, name in enumerate(header)}
+            positions = _header_positions(next(reader, []), path)
             # without a timestamp column, read the task id in its place and
             # clear that column after the loop
-            positions = [at.get(name, at["task_id"]) for name in CSV_FIELDS]
-            pick = operator.itemgetter(*positions)
-            width = max(positions) + 1
+            has_stamps = positions[5] is not None
+            pick = operator.itemgetter(*positions[:5], positions[5 if has_stamps else 0])
+            width = max(p for p in positions if p is not None) + 1
             for row in reader:
                 if len(row) < width:
                     if not row:
@@ -107,34 +294,40 @@ def read_annotation_records_csv(path: str | Path) -> RecordColumns:
                 add_label(label)
                 add_stamp(stamp)
         except csv.Error as exc:
-            _checked(raw, line_of, path)  # a fault on an earlier row comes first
-            raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
-    if "timestamp" not in at:
+            failure = (reader.line_num, exc)
+    if not has_stamps:
         raw[5][:] = [None] * len(raw[5])
-    return _checked(raw, line_of, path)
+    columns = RecordColumns(*raw)
+    # the columns hold each distinct text once; free the text of each row
+    del raw, add_task, add_item, add_annotator, add_round, add_label, add_stamp
+    # a fault on a row read before the reader failed comes first
+    columns = _checked(columns, _csv_line_of(path), path)
+    if failure is not None:
+        line, exc = failure
+        raise ValidationError(f"{path}:{line}: {exc}") from exc
+    return columns
 
 
-def _columns_of(records: Iterable[AnnotationRecord] | AnnotationSet) -> RecordColumns:
-    return records.columns if isinstance(records, AnnotationSet) else RecordColumns.of(records)
-
-
-def _stamp_texts(stamps: Sequence[float | None], blank) -> dict:
-    """Each distinct timestamp's RFC 3339 text, and ``blank`` for None."""
-    return {s: blank if s is None else format_rfc3339(s) for s in set(stamps)}
+def _written_fields(records: Iterable[AnnotationRecord] | AnnotationSet, blank) -> tuple:
+    """The six columns of ``records``, each timestamp as its RFC 3339 text
+    and ``blank`` for None; each distinct timestamp is formatted once."""
+    columns = records.columns if isinstance(records, AnnotationSet) else RecordColumns.of(records)
+    stamps = [blank if s is None else format_rfc3339(s) for s in columns.values[5]]
+    return RecordColumns.from_codes((*columns.values[:5], stamps), columns.codes).fields()
 
 
 def write_annotations_csv(records: Iterable[AnnotationRecord] | AnnotationSet, path: str | Path) -> None:
-    columns = _columns_of(records)
-    texts = _stamp_texts(columns.timestamp, "")
+    fields = _written_fields(records, "")
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(CSV_FIELDS)
-        writer.writerows(zip(*columns.fields()[:5], map(texts.__getitem__, columns.timestamp)))
+        writer.writerows(zip(*fields))
 
 
 def read_annotation_records_jsonl(path: str | Path) -> RecordColumns:
     """The records of a JSON Lines file, one object a line, as columns;
     blank lines are skipped."""
+    decode = json.JSONDecoder().decode
     raw = tuple([] for _ in CSV_FIELDS)
     add_task, add_item, add_annotator, add_round, add_label, add_stamp = (
         column.append for column in raw)
@@ -144,9 +337,10 @@ def read_annotation_records_jsonl(path: str | Path) -> RecordColumns:
             if not line.strip():
                 continue
             try:
-                task, item, annotator, rnd, label, stamp = raw_fields(json.loads(line))
+                task, item, annotator, rnd, label, stamp = raw_fields(decode(line))
             except (json.JSONDecodeError, RecursionError, ValidationError) as exc:
-                _checked(raw, lines.__getitem__, path)  # a fault on an earlier line comes first
+                # a fault on an earlier line comes first
+                _checked(RecordColumns(*raw), lines.__getitem__, path)
                 reason = exc if isinstance(exc, ValidationError) else "invalid JSON"
                 raise ValidationError(f"{path}:{lineno}: {reason}") from exc
             add_task(task)
@@ -156,14 +350,16 @@ def read_annotation_records_jsonl(path: str | Path) -> RecordColumns:
             add_label(label)
             add_stamp(stamp)
             lines.append(lineno)
-    return _checked(raw, lines.__getitem__, path)
+    columns = RecordColumns(*raw)
+    # the columns hold each distinct text once; free the text of each row
+    del raw, add_task, add_item, add_annotator, add_round, add_label, add_stamp
+    return _checked(columns, lines.__getitem__, path)
 
 
 def write_annotations_jsonl(records: Iterable[AnnotationRecord] | AnnotationSet, path: str | Path) -> None:
-    columns = _columns_of(records)
-    texts = _stamp_texts(columns.timestamp, None)
+    fields = _written_fields(records, None)
     with open(path, "w", encoding="utf-8") as handle:
-        for task, item, annotator, rnd, label, stamp in zip(*columns.fields()):
+        for task, item, annotator, rnd, label, stamp in zip(*fields):
             obj = {
                 "task_id": task,
                 "item_id": item,
@@ -172,7 +368,7 @@ def write_annotations_jsonl(records: Iterable[AnnotationRecord] | AnnotationSet,
                 "label": label,
             }
             if stamp is not None:
-                obj["timestamp"] = texts[stamp]
+                obj["timestamp"] = stamp
             handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
@@ -199,9 +395,9 @@ def read_rationalisations_csv(path: str | Path):
             raise ValidationError(
                 f"{path}: header must be {','.join(RATIONALISATION_FIELDS)}, got {header}"
             )
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if any(row.get(f) in (None, "") for f in RATIONALISATION_FIELDS):
-                raise ValidationError(f"{path}:{lineno}: missing field(s)")
+                raise ValidationError(f"{path}:{reader.line_num}: missing field(s)")
             records.append(
                 RationalisationRecord(
                     item_id=row["item_id"], rater_id=row["rater_id"], label=row["label"]

@@ -288,16 +288,13 @@ def simulate(config: SimConfig) -> tuple[AnnotationSet, SimTruth]:
         label_blocks.append(labels)
 
     # records run item by item, then annotator, then round, as the blocks do
-    per_item = n_ann * n_rounds
-    n_records = len(causes) * per_item
-    columns = RecordColumns(
-        [config.task_id] * n_records,
-        [item for item in causes for _ in range(per_item)],
-        [ann for ann in annotator_ids for _ in range(n_rounds)] * len(causes),
-        list(range(1, n_rounds + 1)) * (n_ann * len(causes)),
-        map(config.categories.__getitem__,
-            np.concatenate([block.reshape(-1) for block in label_blocks]).tolist()),
-        timestamps.tolist() * (n_ann * len(causes)),
+    record = np.arange(len(causes) * n_ann * n_rounds)
+    round_code = record % n_rounds
+    columns = RecordColumns.from_codes(
+        ((config.task_id,), tuple(causes), annotator_ids, range(1, n_rounds + 1),
+         config.categories, timestamps.tolist()),
+        (np.zeros_like(record), record // (n_ann * n_rounds), record // n_rounds % n_ann,
+         round_code, np.concatenate([block.reshape(-1) for block in label_blocks]), round_code),
     )
     schema = LabelSchema(task_id=config.task_id, categories=config.categories)
     aset = validate_dataset(columns, schema)

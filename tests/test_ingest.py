@@ -1,7 +1,11 @@
 import calendar
+import codecs
 import csv
+import hashlib
 import json
 import math
+import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -27,10 +31,11 @@ from relistab import (
     write_annotations_jsonl,
     write_rationalisations_csv,
 )
-from relistab import core
+from relistab import core, ingest
 from relistab.core import RECORD_FIELDS as CSV_FIELDS
 from relistab.core import coerce_columns
 from relistab.errors import InvalidConfigError, NonFiniteError, ValidationError
+from relistab.reporting import file_sha256
 
 
 class TestRfc3339:
@@ -224,14 +229,16 @@ def test_rationalisations_header_check(tmp_path):
 def row_by_row_csv(path):
     """The CSV rows as ``csv.DictReader`` yields them, each through
     ``coerce_record``: the row-at-a-time reading the column reader must
-    match, line numbers and messages included."""
+    match, line numbers (the physical line a row ends on) and messages
+    included."""
     records = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        for lineno, row in enumerate(csv.DictReader(handle), start=2):
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.DictReader(handle)
+        for row in reader:
             try:
                 records.append(coerce_record(row))
             except ValidationError as exc:
-                raise type(exc)(f"{path}:{lineno}: {exc}") from exc
+                raise type(exc)(f"{path}:{reader.line_num}: {exc}") from exc
     return records
 
 
@@ -654,3 +661,227 @@ def test_bad_stamp_past_the_first_block_names_its_line(tmp_path, fmt):
                                               "'2023-02-30T00:00:00Z'"):
         read(path)
     assert outcome(read, path) == outcome(reference, path)
+
+
+# --- the plain CSV path, byte order marks and physical lines --------------------
+
+#: id text, ASCII or not, as plain CSV may hold it
+PLAIN_IDS = ["i0", "i1", "café", "é", "é", "日本", "i 2", "🙂"]
+
+
+@st.composite
+def plain_csv_files(draw):
+    """CSV text with no quotes: a header, rows that read cleanly but for
+    the odd bad or empty value or blank row, LF or CRLF line ends, with or
+    without a byte order mark and a final line end."""
+    header = [f for f in draw(st.permutations(CSV_FIELDS))
+              if f != "timestamp" or draw(st.booleans())]
+    good = {**GOOD, "item_id": PLAIN_IDS, "annotator_id": ["a", "b", "ß"]}
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 8))):
+        row = [draw(st.sampled_from(good[f])) for f in header]
+        edit = draw(st.sampled_from(["none", "none", "none", "value", "empty", "blank"]))
+        if edit == "value":
+            row[draw(st.integers(0, len(row) - 1))] = draw(CELL_TEXT)
+        elif edit == "empty":
+            row[draw(st.integers(0, len(row) - 1))] = ""
+        elif edit == "blank":
+            row = []
+        lines.append(",".join(row))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return draw(st.sampled_from(["", "﻿"])) + text
+
+
+@settings(max_examples=300)
+@given(plain_csv_files())
+def test_plain_csv_reads_as_csv_reader_does(tmp_path_factory, text):
+    """The numpy path gives the records, or the error, of the
+    ``csv.reader`` path and of row-by-row reading, line numbers included."""
+    path = tmp_path_factory.mktemp("csv") / "ann.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert ingest._plain_csv(path.read_bytes(), path) is not None
+    default = outcome(read_annotation_records_csv, path)
+    assert default == outcome(ingest._read_csv_rows, path)
+    assert default == outcome(row_by_row_csv, path)
+
+
+HEADER = ",".join(CSV_FIELDS)
+
+#: a file of each kind the numpy path leaves to ``csv.reader``, and what
+#: reading it gives: its records or an error's type and message
+FALLBACK = {
+    "quote": (f'{HEADER}\nt,"i,0",a,1,x,\n'.encode(), [AnnotationRecord("t", "i,0", "a", 1, "x")]),
+    "lone CR": (f"{HEADER}\rt,i0,a,1,x,\r".encode(), [AnnotationRecord("t", "i0", "a", 1, "x")]),
+    "CR in a field": (f"{HEADER}\nt,i\r0,a,1,x,\n".encode(), (ValidationError, "ann.csv:2: "
+                      "missing field(s) ['annotator_id', 'round', 'label']")),
+    # csv reads NUL as any other character from Python 3.11 on
+    "NUL": (f"{HEADER}\nt,i\x000,a,1,x,\n".encode(),
+            [AnnotationRecord("t", "i\x000", "a", 1, "x")] if sys.version_info >= (3, 11)
+            else (ValidationError, "ann.csv:2: line contains NUL")),
+    "short row": (f"{HEADER}\nt,i0,a,1,x\n".encode(), [AnnotationRecord("t", "i0", "a", 1, "x")]),
+    "long row": (f"{HEADER}\nt,i0,a,1,x,,extra\n".encode(),
+                 [AnnotationRecord("t", "i0", "a", 1, "x")]),
+    "field over the limit": (
+        f"{HEADER}\nt,i0,a,1,x,\nt,{'i' * (csv.field_size_limit() + 1)},a,1,x,\n".encode(),
+        (ValidationError, "ann.csv:3: field larger than field limit (131072)")),
+    # the task id column stands in for the missing timestamp column until
+    # the rows are read; it must not be read as timestamps before the error
+    "field over the limit, no timestamp column": (
+        "task_id,item_id,annotator_id,round,label\nt,i0,a,1,x\n"
+        f"t,{'i' * (csv.field_size_limit() + 1)},a,1,x\n".encode(),
+        (ValidationError, "ann.csv:3: field larger than field limit (131072)")),
+    "undecodable byte": (f"{HEADER}\nt,i0,a,1,x,\n".encode() + b"t,i\xff,a,1,x,\n",
+                         (ValidationError, "ann.csv: not UTF-8 text (invalid start byte)")),
+    "empty file": (b"", (ValidationError, "ann.csv: CSV header must contain ['annotator_id', "
+                                          "'item_id', 'label', 'round', 'task_id'], got []")),
+    "blank header line": (f"\n{HEADER}\n".encode(), (ValidationError, "ann.csv: CSV header must "
+                          "contain ['annotator_id', 'item_id', 'label', 'round', 'task_id'], "
+                          "got []")),
+}
+
+
+@pytest.mark.parametrize("name", FALLBACK)
+def test_files_the_numpy_path_leaves_to_csv_reader(tmp_path, name):
+    data, expected = FALLBACK[name]
+    path = tmp_path / "ann.csv"
+    path.write_bytes(data)
+    assert ingest._plain_csv(data, path) is None
+    assert outcome(read_annotation_records_csv, path) == (
+        expected if isinstance(expected, list) else (expected[0], f"{tmp_path}/{expected[1]}"))
+
+
+@pytest.mark.parametrize("text, records", [
+    (HEADER + "\n", []),
+    (HEADER, []),
+    ("﻿" + HEADER + "\r\n\r\n", []),
+    (HEADER + "\nt,i0,a,1,x,", [AnnotationRecord("t", "i0", "a", 1, "x")]),
+])
+def test_header_only_and_unterminated_files_take_the_numpy_path(tmp_path, text, records):
+    path = tmp_path / "ann.csv"
+    path.write_bytes(text.encode("utf-8"))
+    assert ingest._plain_csv(path.read_bytes(), path) is not None
+    assert read_annotation_records_csv(path) == records == ingest._read_csv_rows(path)
+
+
+def test_plain_csv_over_several_blocks_uses_no_csv_reader(tmp_path, monkeypatch):
+    """A quote-free file of many blocks, CRLF, blank lines, a byte order
+    mark and RFC 3339 stamps is read without ``csv.reader`` and without
+    one ``_coerce_timestamp`` call, to the records ``csv.reader`` gives."""
+    rows = [f"t,i{k % 97},a{k // 97},{1 + k % 3},{'xy'[k % 2]},"
+            f"2023-{1 + k % 12:02d}-{1 + k % 28:02d}T{k % 24:02d}:00:00Z" for k in range(2_000)]
+    for k in range(0, len(rows), 300):
+        rows[k] = ""
+    path = tmp_path / "ann.csv"
+    path.write_bytes(("﻿" + "\r\n".join([HEADER, *rows]) + "\r\n").encode("utf-8"))
+    expected = ingest._read_csv_rows(path)
+    calls = []
+    real_reader, real_stamp = csv.reader, core._coerce_timestamp
+    monkeypatch.setattr(csv, "reader",
+                        lambda *args: calls.append("reader") or real_reader(*args))
+    monkeypatch.setattr(core, "_coerce_timestamp",
+                        lambda value: calls.append(value) or real_stamp(value))
+    monkeypatch.setattr(ingest, "CSV_BLOCK", 64)
+    monkeypatch.setattr(core, "TIMESTAMP_BLOCK", 64)
+    assert read_annotation_records_csv(path) == expected
+    assert calls == []
+    assert len(expected) == 2_000 - 7
+
+
+def test_plain_csv_wide_fields_are_cut_value_by_value(tmp_path):
+    wide = "w" * (ingest._FIELD_WIDTH + 1)
+    path = tmp_path / "ann.csv"
+    path.write_text(f"{HEADER}\nt,{wide},a,1,x,2023-01-01T00:00:00Z\nt,i0,a,1,x,{wide}\n")
+    assert ingest._plain_csv(path.read_bytes(), path) is not None
+    assert outcome(read_annotation_records_csv, path) == outcome(ingest._read_csv_rows, path) \
+        == (ValidationError, f"{path}:3: bad timestamp {wide!r}")
+
+
+@pytest.mark.parametrize("rounds, error", [
+    ([1, 1.0, "1", " 01 "], None),
+    ([2, True], "ann.jsonl:2: round True is not an integer"),
+    ([1.0, [1]], "ann.jsonl:2: round [1] is not an integer"),
+    ([{"r": 1}, 1], "ann.jsonl:1: round {'r': 1} is not an integer"),
+])
+def test_jsonl_rounds_of_equal_value_and_unhashable_values(tmp_path, rounds, error):
+    """``1``, ``1.0`` and ``True`` are equal keys but coerce apart, and an
+    unhashable value is coerced on its own."""
+    rows = [{"task_id": "t", "item_id": f"i{k}", "annotator_id": "a", "round": rnd,
+             "label": "x"} for k, rnd in enumerate(rounds)]
+    path = tmp_path / "ann.jsonl"
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+    if error is None:
+        assert [r.round for r in read_annotation_records_jsonl(path)] == [1] * len(rounds)
+    else:
+        with pytest.raises(ValidationError, match=re.escape(error)):
+            read_annotation_records_jsonl(path)
+    assert outcome(read_annotation_records_jsonl, path) == outcome(row_by_row_jsonl, path)
+
+
+def test_unhashable_ids_and_stamps_coerce_as_text_or_are_refused():
+    rows = [{"task_id": "t", "item_id": ["i", 0], "annotator_id": {"a": 1}, "round": 1,
+             "label": "x"},
+            {"task_id": "t", "item_id": ["i", 0], "annotator_id": "b", "round": 1, "label": "x",
+             "timestamp": [5]}]
+    columns, error = coerce_columns(*zip(*(map(row.get, CSV_FIELDS) for row in rows)))
+    assert columns.item_id == ("['i', 0]",) and columns.annotator_id == ("{'a': 1}",)
+    assert (error[0], str(error[1])) == (1, "bad timestamp [5]")
+
+
+#: a bad round on physical line 4, after a blank line, a quoted line break
+#: or CRLF line ends
+PHYSICAL = [
+    ("csv", f"{HEADER}\nt,i0,a,1,x,\n\nt,i1,a,1.5,x,\n"),
+    ("csv", f"{HEADER}\r\nt,i0,a,1,x,\r\n\r\nt,i1,a,1.5,x,\r\n"),
+    ("csv", f'{HEADER}\nt,"i\n0",a,1,x,\nt,i1,a,1.5,x,\n'),
+    ("csv", f'{HEADER}\r\nt,"i\r\n0",a,1,x,\r\nt,i1,a,1.5,x,\r\n'),
+    ("csv", f'﻿{HEADER}\n\n"t",i0,a,1,x,\nt,i1,a,1.5,x,\n'),
+    ("jsonl", '{"task_id": "t", "item_id": "i0", "annotator_id": "a", "round": 1, "label": "x"}\n'
+              '\n  \n{"task_id": "t", "item_id": "i1", "annotator_id": "a", "round": 1.5, '
+              '"label": "x"}\n'),
+    ("jsonl", '﻿{"task_id": "t", "item_id": "i0", "annotator_id": "a", "round": 1, '
+              '"label": "x"}\r\n\r\n\r\n{"task_id": "t", "item_id": "i1", "annotator_id": "a", '
+              '"round": 1.5, "label": "x"}\r\n'),
+    ("jsonl", '{"task_id": "t", "item_id": "i \x85", "annotator_id": "a", "round": 1, '
+              '"label": "x"}\n\n\n{"task_id": "t", "item_id": "i1", "annotator_id": "a", '
+              '"round": 1.5, "label": "x"}\n'),
+]
+
+
+@pytest.mark.parametrize("fmt, text", PHYSICAL, ids=[
+    "csv-blank", "csv-crlf-blank", "csv-quoted-newline", "csv-quoted-crlf", "csv-bom-quoted",
+    "jsonl-blank", "jsonl-bom-crlf-blank", "jsonl-nel-in-value"])
+def test_refusals_name_the_physical_line(tmp_path, fmt, text):
+    path = tmp_path / f"ann.{fmt}"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(ValidationError, match=re.escape(f"ann.{fmt}:4: round ")):
+        read_annotation_records(path)
+
+
+def test_rationalisation_refusals_name_the_physical_line(tmp_path):
+    path = tmp_path / "why.csv"
+    path.write_text("﻿item_id,rater_id,label\ni0,r1,subjective\n\ni1,,ambiguous\n",
+                    encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape("why.csv:4: missing field(s)")):
+        read_rationalisations_csv(path)
+
+
+def test_byte_order_marks_are_skipped(tmp_path):
+    """Each file kind may start with a UTF-8 byte order mark, as
+    spreadsheet programs write them; its digest is of the file's bytes."""
+    records = [AnnotationRecord("t", "i0", "a", 1, "x", 100.0),
+               AnnotationRecord("t", "i1", "b", 2, "y")]
+    for name, write in (("ann.csv", write_annotations_csv), ("ann.jsonl", write_annotations_jsonl),
+                        ("quoted.csv", None)):
+        path = tmp_path / name
+        if write is None:
+            path.write_text(f'{HEADER}\n"t",i0,a,1,x,1970-01-01T00:01:40Z\nt,i1,b,2,y,\n')
+        else:
+            write(records, path)
+        path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        assert read_annotation_records(path) == records
+    schema = tmp_path / "schema.json"
+    save_schema(LabelSchema("t", ("x", "y")), schema)
+    schema.write_bytes(codecs.BOM_UTF8 + schema.read_bytes())
+    assert load_schema(schema) == LabelSchema("t", ("x", "y"))
+    assert file_sha256(schema) == hashlib.sha256(schema.read_bytes()).hexdigest()
