@@ -456,14 +456,16 @@ def cmd_report(args) -> int:
     for path in inputs:
 
         def refuse(constant: str, path=path):
-            # json.load reads NaN and Infinity, which JSON does not have
+            # json.loads reads NaN and Infinity, which JSON does not have
             raise ValidationError(f"{path}: {constant} is not a JSON value")
 
         with _open_text(path) as handle:
-            try:
-                doc = json.load(handle, parse_constant=refuse)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ValidationError(f"{path}: not valid JSON") from exc
+            text = handle.read()
+        try:
+            doc = json.loads(text, parse_constant=refuse)
+        # a plain ValueError for an integer past Python's digit limit
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"{path}: not valid JSON") from exc
         if not isinstance(doc, dict) or "report_kind" not in doc \
                 or not isinstance(doc.get("provenance"), dict):
             raise ValidationError(f"{path}: not a report document")

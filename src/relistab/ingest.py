@@ -8,10 +8,12 @@ Python (:func:`parse_rfc3339`), and live in memory as POSIX epoch seconds.
 Every reader returns :class:`~relistab.core.RecordColumns`, each field as
 its distinct values and one integer code per record, converted once per
 distinct value by :func:`~relistab.core.coerce_record_columns`. CSV without
-quotes (:func:`_plain_csv`) goes from the file's bytes to those codes in
-numpy, a column at a time; any other CSV goes through ``csv.reader``, and
-JSON Lines through one JSON decode a line. Every file may start with a
-UTF-8 byte order mark, and a refused record names its physical line.
+quotes (:func:`_plain_csv`) and JSON Lines whose lines all repeat one shape
+(:func:`_shaped_jsonl`) go from the file's bytes to those codes in numpy, a
+field at a time, by one coding loop (:func:`_byte_fields`); any other CSV
+goes through ``csv.reader``, and any other JSON Lines through one JSON
+decode a line. Every file may start with a UTF-8 byte order mark, and a
+refused record names its physical line.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import csv
 import itertools
 import json
 import operator
+import re
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Iterable
@@ -120,9 +123,9 @@ def _positions(buf: np.ndarray, byte: str) -> np.ndarray:
         for at in range(0, len(buf), _SCAN_BLOCK)])
 
 
-def _plain_csv(data: bytes, path) -> tuple[RecordColumns, np.ndarray] | None:
-    """The raw records of CSV bytes, coded a column at a time, and the
-    physical line of each; None unless the bytes are plain CSV.
+def _plain_csv(data: bytes, path) -> tuple[RecordColumns, Callable[[int], int]] | None:
+    """The raw records of CSV bytes, coded a column at a time, and each
+    one's physical line; None unless the bytes are plain CSV.
 
     Plain CSV has no ``"``, no NUL and no CR outside a CRLF; it is UTF-8
     (a leading byte order mark is skipped), every line but blank ones has
@@ -138,8 +141,6 @@ def _plain_csv(data: bytes, path) -> tuple[RecordColumns, np.ndarray] | None:
     newline = _positions(buf, "\n")
     starts = np.concatenate(([bom], newline + 1))
     ends = np.concatenate((newline, [len(buf)]))
-    if starts[-1] == len(buf):  # the last line ends in a newline
-        starts, ends = starts[:-1], ends[:-1]
     ends -= buf[np.maximum(ends - 1, 0)] == ord("\r")  # a CR is always part of a CRLF
     limit = csv.field_size_limit()
     header = data[starts[0]:ends[0]].decode("utf-8").split(",")
@@ -156,13 +157,23 @@ def _plain_csv(data: bytes, path) -> tuple[RecordColumns, np.ndarray] | None:
     cut = [starts[lines] - 1, *cuts.T, ends[lines]]
     if any((end - start - 1).max(initial=0) > limit for start, end in zip(cut, cut[1:])):
         return None
+    fields = {k: (cut[c] + 1, cut[c + 1]) for k, c in enumerate(positions) if c is not None}
+    return (RecordColumns.from_codes(*_byte_fields(data, buf, fields, len(lines))),
+            (lines + 1).__getitem__)
+
+
+def _byte_fields(data: bytes, buf: np.ndarray, cuts: dict, n: int) -> tuple[list, list]:
+    """``(values, codes)`` of each of :data:`CSV_FIELDS` in ``n`` records:
+    with ``cuts[k] = (start, end)``, field ``k`` of record ``i`` is the text
+    ``data[start[i]:end[i]]``, and without ``k`` in ``cuts`` it is None. RFC
+    3339 text in the timestamp field is decoded to its seconds."""
     values, codes = [], []
-    for name, column in zip(CSV_FIELDS, positions):
-        if column is None:
+    for k, name in enumerate(CSV_FIELDS):
+        if k not in cuts:
             values.append((None,))
-            codes.append(np.zeros(len(lines), dtype=np.intp))
+            codes.append(np.zeros(n, dtype=np.intp))
             continue
-        start, end = cut[column] + 1, cut[column + 1]
+        start, end = cuts[k]
         rows = _byte_rows(buf, start, end)
         if rows is None:
             field = _factorise([data[s:e].decode("utf-8") for s, e in zip(start.tolist(),
@@ -173,7 +184,7 @@ def _plain_csv(data: bytes, path) -> tuple[RecordColumns, np.ndarray] | None:
             field = _factorise_rows(rows)
         values.append(field[0])
         codes.append(field[1])
-    return RecordColumns.from_codes(values, codes), lines + 1
+    return values, codes
 
 
 def _byte_rows(buf: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray | None:
@@ -248,10 +259,7 @@ def read_annotation_records_csv(path: str | Path) -> RecordColumns:
     """
     with open(path, "rb") as handle:
         plain = _plain_csv(handle.read(), path)
-    if plain is None:
-        return _read_csv_rows(path)
-    raw, lines = plain
-    return _checked(raw, lines.__getitem__, path)
+    return _read_csv_rows(path) if plain is None else _checked(*plain, path)
 
 
 def _csv_line_of(path) -> Callable[[int], int]:
@@ -326,7 +334,105 @@ def write_annotations_csv(records: Iterable[AnnotationRecord] | AnnotationSet, p
 
 def read_annotation_records_jsonl(path: str | Path) -> RecordColumns:
     """The records of a JSON Lines file, one object a line, as columns;
-    blank lines are skipped."""
+    blank lines are skipped and errors name the physical line. A file of
+    one shape (:func:`_shaped_jsonl`) is read from its bytes in numpy."""
+    with open(path, "rb") as handle:
+        shaped = _shaped_jsonl(handle.read())
+    return _read_jsonl_lines(path) if shaped is None else _checked(*shaped, path)
+
+
+#: a bare JSON value: a number, true, false, null, NaN or Infinity
+_TOKEN = re.compile(r"[0-9A-Za-z+.-]+")
+_PAIRS_DECODER = json.JSONDecoder(object_pairs_hook=tuple)
+
+
+def _jsonl_shape(line: str) -> tuple[list[bytes], list[tuple[int, bool]]] | None:
+    """``(pieces, slots)``: the bytes of ``line`` around its values (with a
+    string's quotes), and each value's field in :data:`CSV_FIELDS` and
+    whether it is bare; None unless ``line`` is an object of record fields
+    that ``json.dumps(..., ensure_ascii=False)`` writes back with its
+    default separators or ``(",", ":")``."""
+    try:
+        pairs = _PAIRS_DECODER.raw_decode(line)[0]
+    except (ValueError, RecursionError):
+        return None
+    if type(pairs) is not tuple or not pairs or not {key for key, _ in pairs} <= set(CSV_FIELDS):
+        return None
+    written = {json.dumps(dict(pairs), ensure_ascii=False, separators=separators): separators
+               for separators in ((", ", ": "), (",", ":"))}
+    if line not in written:
+        return None
+    comma, colon = written[line]
+    pieces, slots, piece = [], [], "{"
+    for key, value in pairs:
+        quote = '"' if isinstance(value, str) else ""
+        pieces.append(piece + json.dumps(key, ensure_ascii=False) + colon + quote)
+        slots.append((CSV_FIELDS.index(key), not quote))
+        piece = quote + comma
+    pieces.append(piece.removesuffix(comma) + "}")
+    return [piece.encode("utf-8") for piece in pieces], slots
+
+
+def _shaped_jsonl(data: bytes) -> tuple[RecordColumns, Callable[[int], int]] | None:
+    """The raw records of JSON Lines bytes, coded a field at a time, and
+    each one's physical line; None unless every line has one shape: the
+    file is UTF-8 with no ``\\`` and no control byte but ``\\n``, and every
+    non-empty line repeats the pieces of the first (:func:`_jsonl_shape`)
+    around strings free of ``"``, whose UTF-8 text is their JSON value, and
+    :data:`_TOKEN` values, each distinct one decoded once."""
+    bom = len(codecs.BOM_UTF8) if data.startswith(codecs.BOM_UTF8) else 0
+    if b"\\" in data or not _is_utf8(data):
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    newline = _positions(buf, "\n")
+    if sum(np.count_nonzero(buf[at:at + _SCAN_BLOCK] < 0x20)
+           for at in range(0, len(buf), _SCAN_BLOCK)) != len(newline):
+        return None
+    starts = np.concatenate(([bom], newline + 1))
+    ends = np.concatenate((newline, [len(buf)]))
+    lines = np.flatnonzero(ends > starts)
+    starts, ends = starts[lines], ends[lines]
+    shape = len(lines) and _jsonl_shape(data[starts[0]:ends[0]].decode("utf-8"))
+    if not shape:
+        return None
+    pieces, slots = shape
+    first_quote = np.cumsum([0, *(piece.count(b'"') for piece in pieces)])
+    windows = [np.lib.stride_tricks.sliding_window_view(buf, len(piece)) for piece in pieces]
+    cuts = np.empty((len(slots), 2, len(lines)), dtype=np.intp)  # each value's start and end
+    for at in range(0, len(lines), CSV_BLOCK):
+        begin, stop = starts[at:at + CSV_BLOCK], ends[at:at + CSV_BLOCK]
+        quote = _positions(buf[begin[0]:stop[-1]], '"') + begin[0]
+        # a line of more or fewer quotes moves a first piece off its line
+        if len(quote) != first_quote[-1] * len(begin):
+            return None
+        quote = quote.reshape(len(begin), first_quote[-1])
+        found = [quote[:, first_quote[j]] - piece.index(b'"') if b'"' in piece
+                 else stop - len(piece) for j, piece in enumerate(pieces)]
+        done = [s + len(piece) for s, piece in zip(found, pieces)]
+        # a piece sits at its first quote or else ends the line; in place,
+        # two cannot overlap (at a string they meet at quotes, at a token
+        # ":" or " " meets "," or "}"), and clipping bounds one off its line
+        if (found[0] != begin).any() or (done[-1] != stop).any() or not all(
+                (window[np.clip(s, 0, len(window) - 1)] == np.frombuffer(piece, np.uint8)).all()
+                for window, s, piece in zip(windows, found, pieces)):
+            return None
+        cuts[:, 0, at:at + CSV_BLOCK] = done[:-1]
+        cuts[:, 1, at:at + CSV_BLOCK] = found[1:]
+    values, codes = _byte_fields(data, buf, dict(zip((k for k, _ in slots), cuts)), len(lines))
+    for k in (k for k, bare in slots if bare):
+        # bare values are coded as text, as no RFC 3339 stamp is a token;
+        # tokens hold no "," or "]", so they are read as one array
+        if not all(isinstance(text, str) and _TOKEN.fullmatch(text) for text in values[k]):
+            return None
+        try:
+            values[k] = _PAIRS_DECODER.raw_decode("[" + ",".join(values[k]) + "]")[0]
+        except ValueError:
+            return None
+    return RecordColumns.from_codes(values, codes), (lines + 1).__getitem__
+
+
+def _read_jsonl_lines(path: str | Path) -> RecordColumns:
+    """:func:`read_annotation_records_jsonl` by one JSON decode a line."""
     decode = json.JSONDecoder().decode
     raw = tuple([] for _ in CSV_FIELDS)
     add_task, add_item, add_annotator, add_round, add_label, add_stamp = (
@@ -338,7 +444,8 @@ def read_annotation_records_jsonl(path: str | Path) -> RecordColumns:
                 continue
             try:
                 task, item, annotator, rnd, label, stamp = raw_fields(decode(line))
-            except (json.JSONDecodeError, RecursionError, ValidationError) as exc:
+            # json raises a plain ValueError for an integer past the digit limit
+            except (ValueError, RecursionError, ValidationError) as exc:
                 # a fault on an earlier line comes first
                 _checked(RecordColumns(*raw), lines.__getitem__, path)
                 reason = exc if isinstance(exc, ValidationError) else "invalid JSON"
@@ -418,10 +525,12 @@ def read_json_object(path: str | Path, what: str) -> dict:
     """The JSON object in ``path``, a schema or config file; anything else
     is an InvalidConfigError naming the file."""
     with _open_text(path) as handle:
-        try:
-            obj = json.load(handle)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise InvalidConfigError(f"{path}: invalid JSON") from exc
+        text = handle.read()
+    try:
+        obj = json.loads(text)
+    # json raises a plain ValueError for an integer past Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        raise InvalidConfigError(f"{path}: invalid JSON") from exc
     if not isinstance(obj, dict):
         raise InvalidConfigError(f"{path}: {what} must be a JSON object")
     return obj

@@ -54,7 +54,13 @@ def round_sig(value: float, digits: int = 10) -> float:
 def canonicalize(obj):
     """Recursively coerce report values to plain JSON types with canonical
     float rounding."""
-    if isinstance(obj, Mapping):
+    # exact built-in types first: an ABC check costs more than the rest
+    kind = type(obj)
+    if kind is float:
+        return round_sig(obj)
+    if kind is str or kind is bool or kind is int or obj is None:
+        return obj
+    if kind is dict or isinstance(obj, Mapping):
         return {str(k): canonicalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]

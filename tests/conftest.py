@@ -1,11 +1,16 @@
 """Shared builders for the test suite."""
 
+import os
+
 from hypothesis import settings
 
 from relistab import AnnotationRecord, LabelSchema, validate_dataset
 
 settings.register_profile("suite", deadline=None)
-settings.load_profile("suite")
+# HYPOTHESIS_PROFILE=ci runs the properties at depth and prints a blob that
+# reproduces any failure with @reproduce_failure
+settings.register_profile("ci", deadline=None, max_examples=1000, print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 
 def make_set(labels_by_ann, cats=("x", "y"), scale="nominal", numeric_values=None,

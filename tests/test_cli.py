@@ -709,6 +709,40 @@ def test_undecodable_side_file_is_validation_error(capsys, workspace, tmp_path, 
     assert str(bad) in error["message"]
 
 
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python reads integer text of any length")
+@pytest.mark.parametrize("flag, code, where", [
+    ("--annotations", "Validation", ":2: invalid JSON"),
+    ("--schema", "InvalidConfig", ": invalid JSON"),
+    ("--config", "InvalidConfig", ": invalid JSON"),
+    ("--inputs", "Validation", ": not valid JSON"),
+])
+def test_integers_past_the_digit_limit_are_refused(capsys, workspace, tmp_path, flag, code,
+                                                   where):
+    """``json`` raises a plain ValueError for an integer of more digits
+    than ``int()`` reads from text; each JSON input names its file (and a
+    JSON Lines file its line) and exits 3."""
+    huge = "1" * 5_000
+    line = '{"task_id": "t", "item_id": "i0", "annotator_id": "a", "round": %s, "label": "x"}'
+    bad = tmp_path / ("bad.jsonl" if flag == "--annotations" else "bad.json")
+    bad.write_text({"--annotations": f"{line % 1}\n{line % huge}\n",
+                    "--schema": f'{{"task_id": "t", "categories": ["x", "y"], "n": {huge}}}',
+                    "--config": f'{{"seed": {huge}}}',
+                    "--inputs": f'{{"report_kind": "validate", "n": {huge}}}'}[flag])
+    annotations, schema = str(workspace / "annotations.csv"), str(workspace / "schema.json")
+    argv = {
+        "--annotations": ["validate", "--annotations", str(bad), "--schema", schema],
+        "--schema": ["validate", "--annotations", annotations, "--schema", str(bad)],
+        "--config": ["validate", "--annotations", annotations, "--schema", schema,
+                     "--config", str(bad)],
+        "--inputs": ["report", "--inputs", str(bad)],
+    }[flag]
+    exit_code, _, err = run(capsys, *argv)
+    assert exit_code == 3
+    error = error_of(err)
+    assert (error["code"], error["message"]) == (code, f"{bad}{where}")
+
+
 @pytest.fixture(scope="module")
 def fuzz_files(tmp_path_factory, workspace):
     """Per config key, the three path values the fuzz draws: a file that

@@ -244,13 +244,14 @@ def row_by_row_csv(path):
 
 def row_by_row_jsonl(path):
     records = []
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
                 records.append(coerce_record(json.loads(line)))
-            except json.JSONDecodeError as exc:
+            # json raises a plain ValueError for an integer past the digit limit
+            except ValueError as exc:
                 raise ValidationError(f"{path}:{lineno}: invalid JSON") from exc
             except ValidationError as exc:
                 raise type(exc)(f"{path}:{lineno}: {exc}") from exc
@@ -693,7 +694,12 @@ def plain_csv_files(draw):
     return draw(st.sampled_from(["", "﻿"])) + text
 
 
-@settings(max_examples=300)
+#: examples per reader-equivalence property: 300, or the loaded profile's
+#: count where that is more (``HYPOTHESIS_PROFILE=ci`` runs 1,000)
+READER_EQUIVALENCE = settings(max_examples=max(300, settings().max_examples))
+
+
+@READER_EQUIVALENCE
 @given(plain_csv_files())
 def test_plain_csv_reads_as_csv_reader_does(tmp_path_factory, text):
     """The numpy path gives the records, or the error, of the
@@ -795,6 +801,198 @@ def test_plain_csv_wide_fields_are_cut_value_by_value(tmp_path):
     assert ingest._plain_csv(path.read_bytes(), path) is not None
     assert outcome(read_annotation_records_csv, path) == outcome(ingest._read_csv_rows, path) \
         == (ValidationError, f"{path}:3: bad timestamp {wide!r}")
+
+
+# --- the shaped JSON Lines path -------------------------------------------------
+
+#: bare JSON values as ``json.dumps`` writes them
+TOKENS = ["1", "2", "-1", "0", "1.0", "2.5", "true", "false", "null", "NaN", "Infinity",
+          "1700000000", "1e+16"]
+#: bare values ``json.dumps`` writes otherwise, so never on the first line
+#: (the line whose shape the others repeat)
+OTHER_TOKENS = ["1e3", "2.50", "-0", "1E0", "-Infinity"]
+#: bare values that read cleanly as each field
+GOOD_TOKENS = {"task_id": ["1"], "item_id": ["0", "1", "2"], "annotator_id": ["1", "2"],
+               "round": ["1", "2", "1.0"], "label": ["1", "2"],
+               "timestamp": ["null", "1700000000", "1700000000.5"]}
+#: string contents, good and bad, for any field
+STRINGS = [*PLAIN_IDS, "t", "a", "ß", "x", "y", " x", "1", " 2 ", "1.5", "", "nan", "yesterday",
+           "2020-09-13T12:26:40Z", "2020-09-13T12:26:40", "2023-02-30T00:00:00Z", "1700000000"]
+
+
+@st.composite
+def shaped_jsonl_files(draw):
+    """JSON Lines text whose lines all have one shape: the record fields in
+    any order, now and then one left out of the whole file, each a string
+    on every line or bare on every line, with either separator style. The
+    values read cleanly but for the odd bad one (``true``, ``2.5``, ``""``,
+    a bad stamp); blank lines come anywhere, and the text may start with a
+    byte order mark and end without a line end."""
+    keys = [f for f in draw(st.permutations(CSV_FIELDS)) if draw(st.integers(0, 7))]
+    keys = keys or ["round"]
+    bare = {k: draw(st.booleans()) if k in ("round", "label", "timestamp")
+            else not draw(st.integers(0, 7)) for k in keys}
+    comma, colon = draw(st.sampled_from([(", ", ": "), (",", ":")]))
+    good = {**GOOD, "item_id": PLAIN_IDS, "annotator_id": ["a", "b", "ß"]}
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        first = not any(lines)
+        fields = []
+        for k in keys:
+            odd = not draw(st.integers(0, 4))
+            if bare[k]:
+                value = draw(st.sampled_from(
+                    GOOD_TOKENS[k] if not odd else TOKENS if first else TOKENS + OTHER_TOKENS))
+            else:
+                value = '"' + draw(st.sampled_from(STRINGS if odd else good[k])) + '"'
+            fields.append(f'"{k}"{colon}{value}')
+        lines.append("{" + comma.join(fields) + "}")
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+    return draw(st.sampled_from(["", "﻿"])) + text
+
+
+@READER_EQUIVALENCE
+@given(shaped_jsonl_files())
+def test_shaped_jsonl_reads_as_json_decoder_does(tmp_path_factory, text):
+    """The byte path gives the records, or the error, of one JSON decode a
+    line and of row-by-row reading, line numbers included."""
+    path = tmp_path_factory.mktemp("jsonl") / "ann.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert ingest._shaped_jsonl(path.read_bytes()) is not None
+    default = outcome(read_annotation_records_jsonl, path)
+    assert default == outcome(ingest._read_jsonl_lines, path)
+    assert default == outcome(row_by_row_jsonl, path)
+
+
+def jsonl_line(comma=", ", colon=": ", **fields):
+    """A record line of the fields t, i0, a, 1, x but for those given, as
+    JSON text; a field given as None is left out."""
+    fields = {**dict(task_id='"t"', item_id='"i0"', annotator_id='"a"', round="1",
+                     label='"x"'), **fields}
+    return "{" + comma.join(f'"{k}"{colon}{v}' for k, v in fields.items() if v is not None) + "}"
+
+
+LINE = jsonl_line()
+RECORD = AnnotationRecord("t", "i0", "a", 1, "x")
+
+
+def after_line(line: str) -> str:
+    """A file of :data:`LINE`, then ``line``."""
+    return f"{LINE}\n{line}\n"
+
+
+#: an integer past the digit limit of ``int()`` on text, where there is one
+HUGE = "1" * 5_000
+HUGE_READS = (ValidationError, "ann.jsonl:2: invalid JSON") \
+    if hasattr(sys, "get_int_max_str_digits") \
+    else [RECORD, AnnotationRecord("t", "i0", "a", int(HUGE), "x")]
+
+#: a file of each kind the byte path leaves to the JSON decoder, and what
+#: reading it gives: its records or an error's type and message
+JSONL_FALLBACK = {
+    "escaped quote": (after_line(jsonl_line(item_id=r'"i\"0"')),
+                      [RECORD, AnnotationRecord("t", 'i"0', "a", 1, "x")]),
+    "escaped non-ASCII": (after_line(jsonl_line(item_id=r'"\u00e9"')),
+                          [RECORD, AnnotationRecord("t", "é", "a", 1, "x")]),
+    "CRLF": (f"{LINE}\r\n{LINE}\r\n", [RECORD, RECORD]),
+    "lone CR": (f"{LINE}\r{jsonl_line(round='1.5')}\r",
+                (ValidationError, "ann.jsonl:2: round 1.5 is not an integer")),
+    "lone CR in a value": (after_line(jsonl_line(item_id='"i\r0"')),
+                           (ValidationError, "ann.jsonl:2: invalid JSON")),
+    "tab": (jsonl_line(colon=":\t"), [RECORD]),
+    "tab in a value": (after_line(jsonl_line(item_id='"i\t0"')),
+                       (ValidationError, "ann.jsonl:2: invalid JSON")),
+    "line of spaces": (f"{LINE}\n   \n{jsonl_line(round='1.5')}\n",
+                       (ValidationError, "ann.jsonl:3: round 1.5 is not an integer")),
+    "another key order": (after_line('{"round": 2, "task_id": "t", "item_id": "i0", '
+                                     '"annotator_id": "a", "label": "x"}'),
+                          [RECORD, AnnotationRecord("t", "i0", "a", 2, "x")]),
+    "extra key": (after_line(jsonl_line(note='"n"')), [RECORD, RECORD]),
+    "extra key on line 1": (jsonl_line(note='"n"'), [RECORD]),
+    "another separator": (after_line(jsonl_line(comma=",", colon=":")), [RECORD, RECORD]),
+    "nested value": (after_line(jsonl_line(round="[1]")),
+                     (ValidationError, "ann.jsonl:2: round [1] is not an integer")),
+    "nested value on line 1": (jsonl_line(round='{"r": 1}'),
+                               (ValidationError, "ann.jsonl:1: round {'r': 1} is not an integer")),
+    "duplicate keys on line 1": ('{"task_id": "u", ' + LINE[1:] + "\n", [RECORD]),
+    "byte order mark on line 2": (after_line("﻿" + LINE),
+                                  (ValidationError, "ann.jsonl:2: invalid JSON")),
+    "a byte after the object": (after_line(LINE + "x"), (ValidationError, "ann.jsonl:2: invalid JSON")),
+    "another opening byte": (after_line("[" + LINE[1:]),
+                             (ValidationError, "ann.jsonl:2: invalid JSON")),
+    "another closing byte": (after_line(LINE[:-1] + "]"),
+                             (ValidationError, "ann.jsonl:2: invalid JSON")),
+    "stamp text not in quotes": (
+        jsonl_line(timestamp="5") + "\n" + jsonl_line(timestamp="2020-09-13T12:26:40Z") + "\n",
+        (ValidationError, "ann.jsonl:2: invalid JSON")),
+    "a quote moved to the next line": (
+        after_line(jsonl_line(label='"x"y"')) + jsonl_line(label='"x') + "\n",
+        (ValidationError, "ann.jsonl:2: invalid JSON")),
+    "tru": (after_line(jsonl_line(label="tru")), (ValidationError, "ann.jsonl:2: invalid JSON")),
+    "1.5e": (after_line(jsonl_line(round="1.5e")), (ValidationError, "ann.jsonl:2: invalid JSON")),
+    "5,000-digit integer": (after_line(jsonl_line(round=HUGE)), HUGE_READS),
+    "stamp on some lines only": (after_line(jsonl_line(timestamp="5")),
+                                 [RECORD, AnnotationRecord("t", "i0", "a", 1, "x", 5.0)]),
+}
+
+
+@pytest.mark.parametrize("name", JSONL_FALLBACK)
+def test_files_the_byte_path_leaves_to_the_json_decoder(tmp_path, name):
+    text, expected = JSONL_FALLBACK[name]
+    path = tmp_path / "ann.jsonl"
+    path.write_bytes(text.encode("utf-8"))
+    assert ingest._shaped_jsonl(path.read_bytes()) is None
+    assert outcome(read_annotation_records_jsonl, path) == outcome(row_by_row_jsonl, path) == (
+        expected if isinstance(expected, list) else (expected[0], f"{tmp_path}/{expected[1]}"))
+
+
+def test_written_jsonl_takes_the_byte_path(tmp_path):
+    """What ``write_annotations_jsonl`` writes with every stamp present, and
+    the same records in the compact form, are read from bytes; a value
+    wider than a byte matrix holds is cut value by value."""
+    wide = "w" * (ingest._FIELD_WIDTH + 1)
+    records = [AnnotationRecord("t", "i0", "a", 1, "x", 100.0),
+               AnnotationRecord("t", wide, "日本", 2, "y", 1_700_000_000.5),
+               AnnotationRecord("t", "i0", "a", int("9" * 70), "x", 100.0)]
+    path = tmp_path / "ann.jsonl"
+    write_annotations_jsonl(records, path)
+    assert ingest._shaped_jsonl(path.read_bytes()) is not None
+    assert read_annotation_records_jsonl(path) == records
+    path.write_text("".join(json.dumps({**vars(rec), "timestamp": format_rfc3339(rec.timestamp)},
+                                       ensure_ascii=False, separators=(",", ":")) + "\n"
+                            for rec in records), encoding="utf-8")
+    assert ingest._shaped_jsonl(path.read_bytes()) is not None
+    assert read_annotation_records_jsonl(path) == records
+
+
+def test_shaped_jsonl_over_several_blocks_decodes_no_line(tmp_path, monkeypatch):
+    """A shaped file of many blocks, blank lines, a byte order mark and RFC
+    3339 stamps is read without a JSON decode of any line and without one
+    ``_coerce_timestamp`` call, to the records one decode a line gives."""
+    lines = [jsonl_line(item_id=f'"i{k % 97}é"', annotator_id=f'"a{k // 97}"', round=1 + k % 3,
+                        label=f'"{"xy"[k % 2]}"',
+                        timestamp=f'"2023-{1 + k % 12:02d}-{1 + k % 28:02d}T{k % 24:02d}:00:00Z"')
+             for k in range(2_000)]
+    for k in range(0, len(lines), 300):
+        lines[k] = ""
+    path = tmp_path / "ann.jsonl"
+    path.write_bytes(("﻿" + "\n".join(lines) + "\n").encode("utf-8"))
+    expected = ingest._read_jsonl_lines(path)
+    calls = []
+    real_stamp = core._coerce_timestamp
+
+    def no_decode(*args, **kwargs):
+        raise AssertionError("a line was decoded as JSON")
+
+    monkeypatch.setattr(json.JSONDecoder, "decode", no_decode)
+    monkeypatch.setattr(core, "_coerce_timestamp",
+                        lambda value: calls.append(value) or real_stamp(value))
+    monkeypatch.setattr(ingest, "CSV_BLOCK", 64)
+    monkeypatch.setattr(core, "TIMESTAMP_BLOCK", 64)
+    assert read_annotation_records_jsonl(path) == expected
+    assert calls == []
+    assert len(expected) == 2_000 - 7
 
 
 @pytest.mark.parametrize("rounds, error", [

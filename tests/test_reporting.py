@@ -1,6 +1,9 @@
 import json
 import re
+from collections import OrderedDict
+from types import MappingProxyType
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -130,6 +133,23 @@ class TestCanonicalFloats:
         out = canonicalize({"flag": True, "n": 1})
         assert out["flag"] is True
         assert out["n"] == 1 and out["n"] is not True
+
+    def test_numpy_and_abc_types_canonicalize_as_builtins(self):
+        """The exact built-in types take a shortcut; NumPy scalars, other
+        mappings and subclasses give what their built-in forms give."""
+        class Count(int):
+            pass
+
+        plain = {"a": [1, 2 / 3, True, None, "s"], "b": (3, {"c": 0.1 + 0.2, 4: -0.0})}
+        other = MappingProxyType({
+            "a": [np.int64(1), np.float64(2 / 3), True, None, "s"],
+            "b": (Count(3), OrderedDict([("c", np.float64(0.1 + 0.2)), (np.int8(4), -0.0)]))})
+        out = canonicalize(other)
+        assert out == canonicalize(plain) == {"a": [1, 0.6666666667, True, None, "s"],
+                                              "b": [3, {"c": 0.3, "4": -0.0}]}
+        assert json.dumps(out) == json.dumps(canonicalize(plain))
+        assert [type(v) for v in out["a"]] == [int, float, bool, type(None), str]
+        assert type(out["b"][0]) is int and type(out["b"][1]) is dict
 
     @given(st.floats(allow_nan=False, allow_infinity=False, width=64))
     def test_round_sig_idempotent(self, value):
