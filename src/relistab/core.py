@@ -124,13 +124,14 @@ def _factorise(column: Iterable) -> tuple[tuple, np.ndarray]:
     """``(values, codes)``: the distinct values of ``column`` in the order
     they first come, and each entry's position among them.
 
-    ``1``, ``1.0`` and ``True`` are equal keys, so a column that mixes types
-    is keyed by ``(type, value)``; an unhashable value is a value of its own
-    each time it comes."""
+    ``1``, ``1.0`` and ``True`` are equal keys, and so are ``0.0`` and
+    ``-0.0``, so a column that mixes types or holds a zero float is keyed by
+    type and sign; an unhashable value is a value of its own each time."""
     column = column if isinstance(column, (list, tuple)) else list(column)
     types = set(map(type, column))
-    keys = column if types <= _PLAIN_TYPES and len(types & {bool, int, float}) <= 1 \
-        else list(zip(map(type, column), column))
+    plain = types <= _PLAIN_TYPES and len(types & {bool, int, float}) <= 1
+    keys = column if plain and not (float in types and 0.0 in column) else [
+        (type(v), v, type(v) is float and v == 0 and math.copysign(1, v)) for v in column]
     try:
         distinct = list(dict.fromkeys(keys))
     except TypeError:
@@ -146,7 +147,7 @@ def _factorise(column: Iterable) -> tuple[tuple, np.ndarray]:
         return tuple(values), np.array(codes, dtype=np.intp)
     index = dict(zip(distinct, range(len(distinct))))
     codes = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
-    return tuple(distinct) if keys is column else tuple(value for _, value in distinct), codes
+    return tuple(distinct) if keys is column else tuple(key[1] for key in distinct), codes
 
 
 def _compact(values: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
@@ -227,10 +228,6 @@ class RecordColumns(Sequence):
     label = property(lambda self: self._column(4))
     timestamp = property(lambda self: self._column(5))
 
-    def fields(self) -> tuple[tuple, ...]:
-        """The six columns in :data:`RECORD_FIELDS` order."""
-        return tuple(map(self._column, range(len(RECORD_FIELDS))))
-
     def __len__(self) -> int:
         return len(self.codes[0])
 
@@ -242,12 +239,10 @@ class RecordColumns(Sequence):
                                   for values, codes in zip(self.values, self.codes)))
 
     def __iter__(self):
-        return map(AnnotationRecord, *self.fields())
+        return map(AnnotationRecord, *map(self._column, range(len(RECORD_FIELDS))))
 
     def __eq__(self, other):
-        if isinstance(other, RecordColumns):
-            return self.fields() == other.fields()
-        if not isinstance(other, (list, tuple)):
+        if not isinstance(other, (RecordColumns, list, tuple)):
             return NotImplemented
         return len(self) == len(other) and all(map(operator.eq, self, other))
 

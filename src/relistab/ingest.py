@@ -14,6 +14,9 @@ field at a time, by one coding loop (:func:`_byte_fields`); any other CSV
 goes through ``csv.reader``, and any other JSON Lines through one JSON
 decode a line. Every file may start with a UTF-8 byte order mark, and a
 refused record names its physical line.
+
+The writers format each distinct value once, as ``csv.writer`` or
+``json.dumps`` would, and gather the text by the codes (:func:`_write_pieces`).
 """
 
 from __future__ import annotations
@@ -53,10 +56,7 @@ def format_rfc3339(epoch_seconds: float) -> str:
         moment = datetime.fromtimestamp(float(epoch_seconds), tz=timezone.utc)
     except (ValueError, OverflowError, OSError) as exc:
         raise ValidationError(f"timestamp {epoch_seconds!r} is outside years 0001-9999") from exc
-    text = moment.isoformat()
-    if text.endswith("+00:00"):
-        text = text[:-6] + "Z"
-    return text
+    return moment.isoformat().replace("+00:00", "Z")
 
 
 @contextlib.contextmanager
@@ -94,9 +94,9 @@ def _header_positions(header: list[str], path) -> list[int | None]:
     return [at.get(name) for name in CSV_FIELDS]
 
 
-#: rows per block of a CSV column cut into a byte matrix; bounds its scratch
-#: arrays, as :data:`~relistab.core.TIMESTAMP_BLOCK` bounds the timestamp
-#: decode's
+#: rows per block of a CSV column cut into a byte matrix, and records per
+#: block a writer gathers; bounds their scratch arrays, as
+#: :data:`~relistab.core.TIMESTAMP_BLOCK` bounds the timestamp decode's
 CSV_BLOCK = 8192
 #: bytes per block of the scans for delimiters and of the UTF-8 check
 _SCAN_BLOCK = 1 << 19
@@ -316,20 +316,39 @@ def _read_csv_rows(path: str | Path) -> RecordColumns:
     return columns
 
 
-def _written_fields(records: Iterable[AnnotationRecord] | AnnotationSet, blank) -> tuple:
-    """The six columns of ``records``, each timestamp as its RFC 3339 text
-    and ``blank`` for None; each distinct timestamp is formatted once."""
+def _csv_piece(value, end: str) -> str:
+    """``value`` as ``csv.writer`` writes a field (None as empty), then ``end``."""
+    text = "" if value is None else str(value)
+    return ('"' + text.replace('"', '""') + '"' if re.search('[,"\r\n]', text) else text) + end
+
+
+def _write_pieces(path, head: str, pieces: list[list[str]], codes) -> None:
+    """``head``, then for each record ``i`` the piece ``pieces[k][codes[k][i]]``
+    of each field ``k`` in turn, gathered :data:`CSV_BLOCK` records at a time."""
+    pieces = [np.array(field, dtype=object) for field in pieces]
+    with open(path, "w", newline="", encoding="utf-8") as handle:
+        handle.write(head)
+        for at in range(0, len(codes[0]), CSV_BLOCK):
+            rows = np.stack([field[c[at:at + CSV_BLOCK]] for field, c in zip(pieces, codes)], 1)
+            handle.write("".join(rows.ravel().tolist()))
+
+
+def _write_csv(path, header: tuple, values, codes) -> None:
+    """``csv.writer``'s CSV of the records with fields ``values[k][codes[k][i]]``."""
+    ends = [","] * (len(header) - 1) + ["\r\n"]
+    _write_pieces(path, "".join(map(_csv_piece, header, ends)),
+                  [[_csv_piece(v, end) for v in field] for field, end in zip(values, ends)], codes)
+
+
+def _written_columns(records: Iterable[AnnotationRecord] | AnnotationSet) -> tuple[list, tuple]:
+    """``(values, codes)`` of each field of ``records``, stamps as RFC 3339 text."""
     columns = records.columns if isinstance(records, AnnotationSet) else RecordColumns.of(records)
-    stamps = [blank if s is None else format_rfc3339(s) for s in columns.values[5]]
-    return RecordColumns.from_codes((*columns.values[:5], stamps), columns.codes).fields()
+    stamps = [None if s is None else format_rfc3339(s) for s in columns.values[5]]
+    return [*columns.values[:5], stamps], columns.codes
 
 
 def write_annotations_csv(records: Iterable[AnnotationRecord] | AnnotationSet, path: str | Path) -> None:
-    fields = _written_fields(records, "")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CSV_FIELDS)
-        writer.writerows(zip(*fields))
+    _write_csv(path, CSV_FIELDS, *_written_columns(records))
 
 
 def read_annotation_records_jsonl(path: str | Path) -> RecordColumns:
@@ -464,19 +483,12 @@ def _read_jsonl_lines(path: str | Path) -> RecordColumns:
 
 
 def write_annotations_jsonl(records: Iterable[AnnotationRecord] | AnnotationSet, path: str | Path) -> None:
-    fields = _written_fields(records, None)
-    with open(path, "w", encoding="utf-8") as handle:
-        for task, item, annotator, rnd, label, stamp in zip(*fields):
-            obj = {
-                "task_id": task,
-                "item_id": item,
-                "annotator_id": annotator,
-                "round": rnd,
-                "label": label,
-            }
-            if stamp is not None:
-                obj["timestamp"] = stamp
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    """One ``json.dumps(obj, ensure_ascii=False)`` a line; no ``timestamp`` key for None."""
+    values, codes = _written_columns(records)
+    pieces = [[f'{", " if k else "{"}"{name}": {json.dumps(v, ensure_ascii=False)}' for v in field]
+              for k, (name, field) in enumerate(zip(CSV_FIELDS[:5], values))]
+    pieces.append([f', "timestamp": "{s}"}}\n' if s else "}\n" for s in values[5]])
+    _write_pieces(path, "", pieces, codes)
 
 
 def read_annotation_records(path: str | Path) -> RecordColumns:
@@ -514,11 +526,9 @@ def read_rationalisations_csv(path: str | Path):
 
 
 def write_rationalisations_csv(records, path: str | Path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(RATIONALISATION_FIELDS)
-        for rec in records:
-            writer.writerow([rec.item_id, rec.rater_id, rec.label])
+    records = list(records)
+    fields = [_factorise([getattr(r, name) for r in records]) for name in RATIONALISATION_FIELDS]
+    _write_csv(path, RATIONALISATION_FIELDS, *zip(*fields))
 
 
 def read_json_object(path: str | Path, what: str) -> dict:

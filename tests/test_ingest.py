@@ -2,6 +2,7 @@ import calendar
 import codecs
 import csv
 import hashlib
+import io
 import json
 import math
 import re
@@ -1083,3 +1084,100 @@ def test_byte_order_marks_are_skipped(tmp_path):
     schema.write_bytes(codecs.BOM_UTF8 + schema.read_bytes())
     assert load_schema(schema) == LabelSchema("t", ("x", "y"))
     assert file_sha256(schema) == hashlib.sha256(schema.read_bytes()).hexdigest()
+
+
+# --- the writers --------------------------------------------------------------
+
+#: text a written value may hold: what CSV quotes, what JSON escapes, and
+#: non-ASCII text
+WRITTEN_TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "a", "b", " ", "é", "日", "🙂"]),
+                       max_size=4)
+#: rounds of several types in one column; 1, 1.0 and True are equal keys,
+#: and so are 0.0 and -0.0
+WRITTEN_ROUNDS = st.one_of(st.integers(-2, 3), st.booleans(), st.floats(),
+                           st.sampled_from([0.0, -0.0, 1.0, 1.5, 0, False]))
+WRITTEN_STAMPS = st.one_of(st.none(), st.sampled_from([0.0, -0.0, 0.25, 1e9, 0]),
+                           st.floats(-6e10, 2.5e11), st.integers(0, 2_000_000_000))
+
+
+@st.composite
+def written_records(draw):
+    """Raw records of any written values, or a validated set whose ids,
+    labels and stamps hold the same kinds of text."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.builds(
+            AnnotationRecord, WRITTEN_TEXT, WRITTEN_TEXT, WRITTEN_TEXT, WRITTEN_ROUNDS,
+            WRITTEN_TEXT, WRITTEN_STAMPS), max_size=12))
+    labels = ("x", "a,b", 'say "y"', "é\nz")
+    cells = draw(st.lists(st.tuples(WRITTEN_TEXT.filter(bool), WRITTEN_TEXT.filter(bool),
+                                    st.integers(1, 3)), unique=True, max_size=12))
+    return validate_dataset([AnnotationRecord("t", *cell, draw(st.sampled_from(labels)),
+                                              draw(WRITTEN_STAMPS)) for cell in cells],
+                            LabelSchema("t", labels))
+
+
+def written_rows(records):
+    """The fields of each record, its timestamp as RFC 3339 text."""
+    return [(*fields[:5], None if fields[5] is None else format_rfc3339(fields[5]))
+            for fields in map(core._fields_of, getattr(records, "records", records))]
+
+
+@READER_EQUIVALENCE
+@example([], 1)
+@example([AnnotationRecord("t", "i", "a", -0.0, "x", None),
+          AnnotationRecord("t", "i", "a", 0.0, "x", -0.0)], 1)
+@given(written_records(), st.integers(1, 4))
+def test_csv_writer_writes_as_csv_writer_does(tmp_path_factory, records, block):
+    """Each distinct value formatted once and gathered by codes, blocks of
+    records at a time, gives ``csv.writer``'s bytes for the raw rows."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(CSV_FIELDS)
+    writer.writerows(written_rows(records))
+    path = tmp_path_factory.mktemp("csv") / "ann.csv"
+    with mock.patch.object(ingest, "CSV_BLOCK", block):
+        write_annotations_csv(records, path)
+    assert path.read_bytes() == out.getvalue().encode("utf-8")
+
+
+@READER_EQUIVALENCE
+@example([], 1)
+@given(written_records(), st.integers(1, 4))
+def test_jsonl_writer_writes_one_json_dumps_a_record(tmp_path_factory, records, block):
+    """One ``json.dumps`` a record, the ``timestamp`` key left out where
+    there is none, gives the bytes of the pieces gathered by codes."""
+    lines = []
+    for *fields, stamp in written_rows(records):
+        obj = dict(zip(CSV_FIELDS, fields))
+        if stamp is not None:
+            obj["timestamp"] = stamp
+        lines.append(json.dumps(obj, ensure_ascii=False) + "\n")
+    path = tmp_path_factory.mktemp("jsonl") / "ann.jsonl"
+    with mock.patch.object(ingest, "CSV_BLOCK", block):
+        write_annotations_jsonl(records, path)
+    assert path.read_bytes() == "".join(lines).encode("utf-8")
+
+
+def test_signed_zero_is_a_value_of_its_own():
+    """``0.0`` and ``-0.0`` are kept apart as values, so each is written
+    as it is; they still compare equal as records."""
+    values, codes = core._factorise([0.0, -0.0, 0.0, 1.5])
+    assert [math.copysign(1, v) for v in values[:2]] == [1, -1]
+    assert codes.tolist() == [0, 1, 0, 2]
+    columns = RecordColumns(["t"] * 2, ["i"] * 2, ["a"] * 2, [-0.0, 0.0], ["x"] * 2, [None] * 2)
+    assert columns == [AnnotationRecord("t", "i", "a", 0.0, "x")] * 2
+    assert str(columns.round) == "(-0.0, 0.0)"
+
+
+def test_rationalisations_written_as_csv_writer_does(tmp_path):
+    records = [RationalisationRecord("i,0", 'r"1', "subjective"),
+               RationalisationRecord("é\r\n", "r2", "ambiguous"),
+               RationalisationRecord("i,0", "", "subjective")]
+    out = io.StringIO()
+    csv.writer(out).writerows([("item_id", "rater_id", "label"),
+                               *((r.item_id, r.rater_id, r.label) for r in records)])
+    path = tmp_path / "rat.csv"
+    write_rationalisations_csv(records, path)
+    assert path.read_bytes() == out.getvalue().encode("utf-8")
+    write_rationalisations_csv([], path)
+    assert path.read_bytes() == b"item_id,rater_id,label\r\n"
