@@ -26,7 +26,6 @@ from .core import (
     AnnotationSet,
     LabelSchema,
     RecordColumns,
-    RepeatPair,
     RepeatPairs,
     build_repeat_pairs,
     coincidence_counts,
@@ -116,7 +115,6 @@ from .stability import (
     item_stability_labels,
     items_without_repeats,
     repeat_table,
-    self_agreement,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

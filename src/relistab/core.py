@@ -2,17 +2,16 @@
 
 The central object is :class:`AnnotationSet`: an immutable collection of
 ``(item, annotator, round) -> label`` records against a
-:class:`LabelSchema`, stored as integer codes (:class:`ColumnCodes`). Its
-records as :class:`RecordColumns`, one column per field, and as
-:class:`AnnotationRecord` objects are decoded only when a caller asks for
-them. :class:`RecordColumns` also carries records on their way in: each
-field as its distinct values and a code per record, so that
+:class:`LabelSchema`, stored as integer codes (:class:`ColumnCodes`), which
+every kernel reads. Its records as :class:`RecordColumns`, one column per
+field, and as :class:`AnnotationRecord` objects are decoded only when a
+caller asks for them. :class:`RecordColumns` also carries records on their
+way in: each field as its distinct values and a code per record, so that
 :func:`coerce_record_columns` converts, and :func:`validate_dataset`
 checks and sorts, each distinct value once. Stability analyses consume
 :class:`RepeatPairs`: the repeat pairs of a set held as arrays, paired with
-one sort over the codes, with :class:`RepeatPair` objects built only when a
-caller indexes or iterates them. Krippendorff-style reliability consumes
-the coincidence matrix.
+one sort over the codes. Krippendorff-style reliability consumes the
+coincidence matrix.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from __future__ import annotations
 import math
 import operator
 import unicodedata
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
 from typing import Callable, Iterable, Mapping, Sequence
@@ -90,9 +89,6 @@ class LabelSchema:
                     f"interval schema lacks numeric_values for {missing}"
                 )
 
-    def category_index(self) -> dict[str, int]:
-        return {c: i for i, c in enumerate(self.categories)}
-
     def numeric_value(self, label: str) -> float:
         if self.numeric_values is None or label not in self.numeric_values:
             raise InvalidConfigError(f"no numeric value for category {label!r}")
@@ -125,13 +121,15 @@ def _factorise(column: Iterable) -> tuple[tuple, np.ndarray]:
     they first come, and each entry's position among them.
 
     ``1``, ``1.0`` and ``True`` are equal keys, and so are ``0.0`` and
-    ``-0.0``, so a column that mixes types or holds a zero float is keyed by
-    type and sign; an unhashable value is a value of its own each time."""
+    ``-0.0``, or ``Decimal("1.0")`` and ``Decimal("1.00")``, which print
+    differently. So a column that mixes types, holds a zero float or holds
+    a value of another type is keyed by type, value and text; an unhashable
+    value is a value of its own each time."""
     column = column if isinstance(column, (list, tuple)) else list(column)
     types = set(map(type, column))
     plain = types <= _PLAIN_TYPES and len(types & {bool, int, float}) <= 1
     keys = column if plain and not (float in types and 0.0 in column) else [
-        (type(v), v, type(v) is float and v == 0 and math.copysign(1, v)) for v in column]
+        (type(v), v, str(v)) for v in column]
     try:
         distinct = list(dict.fromkeys(keys))
     except TypeError:
@@ -250,39 +248,15 @@ class RecordColumns(Sequence):
         return f"{type(self).__name__}({list(self)!r})"
 
 
-@dataclass(frozen=True)
-class RepeatPair:
-    """One annotator's labels for the same item from two rounds."""
-
-    item_id: str
-    annotator_id: str
-    first_label: str
-    second_label: str
-    first_round: int
-    second_round: int
-    interval_seconds: float | None = None
-
-    @property
-    def consistent(self) -> bool:
-        return self.first_label == self.second_label
-
-
-#: the per-pair arrays of :class:`RepeatPairs`, in :class:`RepeatPair` field order
-_PAIR_ARRAYS = ("item", "annotator", "first_label", "second_label", "first_round",
-                "second_round", "interval")
-
-
-@dataclass(frozen=True, eq=False, repr=False)
-class RepeatPairs(Sequence):
+@dataclass(frozen=True, eq=False)
+class RepeatPairs:
     """Repeat pairs held as parallel arrays, one entry per pair.
 
     ``item``, ``annotator``, ``first_label``/``second_label`` and
     ``first_round``/``second_round`` are integer codes: positions in
     ``items``, ``annotators``, ``labels`` and ``rounds``. ``interval`` is in
-    seconds, NaN where the pair has none. Indexing or iterating builds
-    :class:`RepeatPair` objects on demand, and ``==`` compares pairs, so a
-    list of the same pairs is equal to it. :func:`build_repeat_pairs`
-    returns one; :meth:`of` takes pairs built by hand.
+    seconds, NaN where the pair has none. :func:`build_repeat_pairs`
+    returns one.
     """
 
     items: tuple
@@ -297,31 +271,6 @@ class RepeatPairs(Sequence):
     second_round: np.ndarray
     interval: np.ndarray
 
-    @classmethod
-    def of(cls, pairs: Iterable[RepeatPair]) -> "RepeatPairs":
-        """``pairs`` as arrays, coded in first-seen order of their values.
-        A NaN interval raises ValidationError: NaN stands for none."""
-        if isinstance(pairs, cls):
-            return pairs
-        pairs = list(pairs)
-
-        def coded(*names: str) -> list:
-            values, codes = _factorise([getattr(p, name) for name in names for p in pairs])
-            return [values, *np.split(codes, len(names))]
-
-        intervals = [p.interval_seconds for p in pairs]
-        try:
-            interval = np.array([math.nan if t is None else t for t in intervals], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ValidationError("repeat pair intervals must be non-negative numbers") from exc
-        if np.isnan(interval).sum() != intervals.count(None):
-            raise ValidationError("repeat pair intervals must be non-negative numbers")
-        (items, item), (annotators, annotator) = coded("item_id"), coded("annotator_id")
-        labels, first_label, second_label = coded("first_label", "second_label")
-        rounds, first_round, second_round = coded("first_round", "second_round")
-        return cls(items, annotators, labels, rounds, item, annotator, first_label,
-                   second_label, first_round, second_round, interval)
-
     @property
     def consistent(self) -> np.ndarray:
         """Per pair, whether its two labels are the same."""
@@ -329,28 +278,6 @@ class RepeatPairs(Sequence):
 
     def __len__(self) -> int:
         return len(self.item)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return replace(self, **{name: getattr(self, name)[index] for name in _PAIR_ARRAYS})
-        position = range(len(self))[index]
-        return next(iter(self[position:position + 1]))
-
-    def __iter__(self):
-        items, annotators, labels, rounds = self.items, self.annotators, self.labels, self.rounds
-        for item, annotator, first, second, r1, r2, interval in zip(
-            *(getattr(self, name).tolist() for name in _PAIR_ARRAYS)
-        ):
-            yield RepeatPair(items[item], annotators[annotator], labels[first], labels[second],
-                             rounds[r1], rounds[r2], None if math.isnan(interval) else interval)
-
-    def __eq__(self, other):
-        if not isinstance(other, (RepeatPairs, list, tuple)):
-            return NotImplemented
-        return len(self) == len(other) and all(map(operator.eq, self, other))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({list(self)!r})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,16 +399,6 @@ def _runs(within: np.ndarray, *group: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return order, np.flatnonzero(bound)
 
 
-def _first_seen_runs(runs: tuple[np.ndarray, np.ndarray]) -> list[list[int]]:
-    """The record positions of each run of ``(order, bounds)``, the runs in
-    the order their first records come in the columns."""
-    order, bounds = runs
-    if not len(order):
-        return []
-    first = np.minimum.reduceat(order, bounds[:-1])
-    return [order[bounds[run]:bounds[run + 1]].tolist() for run in np.argsort(first).tolist()]
-
-
 @dataclass(frozen=True)
 class AnnotationSet:
     """Immutable, validated collection of annotation records.
@@ -527,56 +444,6 @@ class AnnotationSet:
 
     def rounds(self) -> tuple[int, ...]:
         return self.codes.rounds
-
-    def label(self, item_id: str, annotator_id: str, round: int) -> str | None:
-        history = self.cell_history(item_id, annotator_id)
-        return next((lbl for rnd, lbl, _ in history if rnd == round), None)
-
-    def unit_labels(self, rounds: Sequence[int]) -> dict[str, list[str]]:
-        """Labels pooled per item over the given rounds (annotator-sorted).
-
-        Rounds are taken in the given order, and within a round units in
-        the order their first records come in the columns."""
-        units = self.round_units(rounds)
-        pooled: dict[str, list[str]] = {}
-        for rnd in rounds:
-            for (item, r), entries in units.items():
-                if r == rnd:
-                    pooled.setdefault(item, []).extend(lbl for _, lbl in entries)
-        return pooled
-
-    def round_units(self, rounds: Sequence[int]) -> dict[tuple[str, int], list[tuple[str, str]]]:
-        """(item, round) -> [(annotator, label)] for the given rounds, in
-        annotator order, keys in the order their first records come in."""
-        wanted, c, codes = set(rounds), self.columns, self.codes
-        return {
-            (c.item_id[run[0]], c.round[run[0]]): [(c.annotator_id[p], c.label[p]) for p in run]
-            for run in _first_seen_runs(_runs(codes.annotator, codes.item, codes.round))
-            if c.round[run[0]] in wanted
-        }
-
-    def cell_history(self, item_id: str, annotator_id: str) -> list[tuple[int, str, float | None]]:
-        """(round, label, timestamp) of the cell's records in round order."""
-        codes = self.codes
-        try:
-            item, annotator = codes.items.index(item_id), codes.annotators.index(annotator_id)
-        except ValueError:
-            return []
-        where = np.flatnonzero((codes.item == item) & (codes.annotator == annotator))
-        return self._history(where[np.argsort(codes.round[where])].tolist())
-
-    def cells(self) -> dict[tuple[str, str], list[tuple[int, str, float | None]]]:
-        """(item, annotator) -> its :meth:`cell_history`, keys in the order
-        their first records come in."""
-        c = self.columns
-        return {
-            (c.item_id[run[0]], c.annotator_id[run[0]]): self._history(run)
-            for run in _first_seen_runs(self.codes.cell_runs)
-        }
-
-    def _history(self, positions: list[int]) -> list[tuple[int, str, float | None]]:
-        c = self.columns
-        return [(c.round[p], c.label[p], c.timestamp[p]) for p in positions]
 
 
 def parse_rfc3339(text: str) -> float:
@@ -857,13 +724,6 @@ def coerce_record_columns(raw: RecordColumns):
     raise AssertionError(f"row {first} refused by a column check but not by coerce_fields")
 
 
-def coerce_columns(task_id, item_id, annotator_id, round, label, timestamp):
-    """:func:`coerce_record_columns` of raw field columns, one entry per
-    record each."""
-    return coerce_record_columns(
-        RecordColumns(task_id, item_id, annotator_id, round, label, timestamp))
-
-
 def _first_refused(columns: RecordColumns, k: int, refuse: Callable) -> int:
     """Position of the first record whose field ``k`` ``refuse`` is true
     of, or the record count."""
@@ -875,8 +735,8 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
 
     ``records`` is :class:`RecordColumns` as the readers return them, or an
     iterable of :class:`AnnotationRecord` objects or field mappings, which
-    :func:`coerce_columns` converts first. Labels are normalised. Raises
-    :class:`DuplicateCellError`, :class:`UnknownLabelError`,
+    :func:`coerce_record_columns` converts first. Labels are normalised.
+    Raises :class:`DuplicateCellError`, :class:`UnknownLabelError`,
     :class:`SchemaMismatchError` or :class:`ValidationError` for the first
     violating record; the record count is preserved on success. Every check
     runs on the distinct values of a field and on its codes.
@@ -993,11 +853,10 @@ def build_repeat_pairs(aset: AnnotationSet, pairing: str = "consecutive") -> Rep
     )
     reversed_pairs = np.flatnonzero(pairs.interval < 0)
     if len(reversed_pairs):
-        pair = pairs[int(reversed_pairs[0])]
-        raise ValidationError(
-            f"round {pair.second_round} predates round {pair.first_round} "
-            f"for ({pair.item_id!r}, {pair.annotator_id!r})"
-        )
+        i = reversed_pairs[0]
+        item, annotator = codes.items[pairs.item[i]], codes.annotators[pairs.annotator[i]]
+        raise ValidationError(f"round {codes.rounds[pairs.second_round[i]]} predates round "
+                              f"{codes.rounds[pairs.first_round[i]]} for ({item!r}, {annotator!r})")
     return pairs
 
 
@@ -1009,15 +868,16 @@ def coincidence_blocks(
     An item with m >= 2 labels and per-category counts c contributes
     ``outer(c, c)``, with ``c(c-1)`` on the diagonal, divided by m-1; items
     with fewer labels are left out. Returns ``(items, lowest, blocks)``:
-    the item codes of the items that contribute, in
-    :meth:`AnnotationSet.unit_labels` order, the order
-    :func:`coincidence_counts` adds the blocks in; the code of the lowest
-    selected round each has; and their blocks, stacked in that order.
+    the item codes of the items that contribute, ordered by the lowest
+    selected round each has, then by the position of its first record in
+    that round, which is the order :func:`coincidence_counts` adds the
+    blocks in; the code of that lowest round for each; and their blocks,
+    stacked in that order.
     """
     codes = aset.codes
     at = codes.in_rounds(resolve_rounds(aset, rounds))
     # by round, then by position: an item's first record in this order is
-    # the one whose unit places it in unit_labels order
+    # its first record in its lowest selected round
     at = at[np.argsort(codes.round[at], kind="stable")]
     items, counts, first = codes.label_counts(codes.item, at)
     order = np.argsort(first)

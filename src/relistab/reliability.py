@@ -378,11 +378,12 @@ def krippendorff_alpha(
 def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray], float]:
     """Alpha's gather (see :class:`Metric`).
 
-    A rebuilt replicate pools its draws in :meth:`AnnotationSet.unit_labels`
-    order: by the lowest selected round each draw has, then in draw order.
-    So each item's :func:`coincidence_blocks` block is computed once per
-    round selection, and a replicate adds the drawn blocks in that order,
-    one after another as :func:`coincidence_counts` does: the same float.
+    A rebuilt replicate pools its draws by the lowest selected round each
+    draw has, then by the position of the draw's first record in that
+    round, which is draw order. So each item's :func:`coincidence_blocks`
+    block is computed once per round selection, and a replicate adds the
+    drawn blocks in that order, one after another as
+    :func:`coincidence_counts` does: the same float.
     """
     codes = aset.codes
     order, bounds = codes.item_runs

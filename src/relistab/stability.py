@@ -3,10 +3,10 @@
 The unit of analysis is the repeat pair: one annotator's (first, second)
 labels for one item. Pairs are held as arrays
 (:class:`~relistab.core.RepeatPairs`), and every function here reads those
-arrays or the set's integer-coded columns rather than pair objects. Three
-scopes are reported — per annotator, per item (a binary stable/unstable
-call plus a graded rate), and pooled over the dataset — and consistency can
-be profiled against the elapsed time between rounds.
+arrays or the set's integer-coded columns. Three scopes are reported — per
+annotator, per item (a binary stable/unstable call plus a graded rate), and
+pooled over the dataset — and consistency can be profiled against the
+elapsed time between rounds.
 
 The annotator and dataset scopes read a :class:`RepeatTable`, the pairs
 counted per (item, annotator, first label, second label). Every number they
@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import AnnotationSet, RepeatPair, RepeatPairs, build_repeat_pairs
+from .core import AnnotationSet, RepeatPairs, build_repeat_pairs
 from .errors import (
     InvalidConfigError,
     NoIntervalsError,
@@ -148,10 +148,9 @@ class RepeatTable:
         return replace(self, count=self.count * weights[self.item])
 
 
-def repeat_table(aset: AnnotationSet, pairs: Sequence[RepeatPair]) -> RepeatTable:
+def repeat_table(aset: AnnotationSet, pairs: RepeatPairs) -> RepeatTable:
     """The :class:`RepeatTable` of ``pairs``, which
     :func:`~relistab.core.build_repeat_pairs` made from ``aset``."""
-    pairs = RepeatPairs.of(pairs)
     items, annotators = aset.items(), aset.annotators()
     categories = aset.schema.categories
     k = len(categories)
@@ -194,16 +193,6 @@ def _annotator_counts(table: RepeatTable) -> list[tuple[str, int, int, float | N
         (table.annotators[a], n[a], agree[a], counts_kappa(n[a], agree[a], chance[a]))
         for a in present[np.argsort(first_row)].tolist()
     ]
-
-
-def self_agreement(
-    aset: AnnotationSet, annotator_id: str, pairing: str = "consecutive"
-) -> StabilityResult:
-    """One annotator's repeat consistency over their own RepeatPairs."""
-    for result in annotator_stability(aset, pairing):
-        if result.subject_id == annotator_id:
-            return result
-    raise NoRepeatsError(f"annotator {annotator_id!r} has no repeat pair")
 
 
 def annotator_stability(
@@ -319,7 +308,7 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def interval_profile(
-    pairs: Sequence[RepeatPair],
+    pairs: RepeatPairs,
     bucket_edges: Sequence[float] = DEFAULT_BUCKET_EDGES,
     permutation_replicates: int = 1000,
     seed: int | None = None,
@@ -330,6 +319,8 @@ def interval_profile(
     dropped. The trend is the Spearman correlation between bucket order and
     bucket consistency; its p-value comes from shuffling pairs across
     buckets (bucket sizes fixed) and is only computed when a seed is given.
+    A negative interval in ``pairs``, which may be built by hand, raises
+    ValidationError.
     """
     edges = sorted(float(e) for e in bucket_edges)
     if len(edges) != len(set(edges)) or any(not 0 < e < math.inf for e in edges):
@@ -337,7 +328,6 @@ def interval_profile(
     if seed is not None and permutation_replicates < 1:
         raise InvalidConfigError("permutation replicates must be >= 1")
     bounds = [0.0, *edges, math.inf]
-    pairs = RepeatPairs.of(pairs)
     timed = ~np.isnan(pairs.interval)
     if not timed.any():
         raise NoIntervalsError("no repeat pair carries an interval")

@@ -2,9 +2,10 @@
 
 import os
 
+import numpy as np
 from hypothesis import settings
 
-from relistab import AnnotationRecord, LabelSchema, validate_dataset
+from relistab import AnnotationRecord, LabelSchema, RepeatPairs, validate_dataset
 
 settings.register_profile("suite", deadline=None)
 # HYPOTHESIS_PROFILE=ci runs the properties at depth and prints a blob that
@@ -48,41 +49,19 @@ def make_rounds(rounds_by_ann, cats=("x", "y"), scale="nominal", numeric_values=
     return validate_dataset(records, schema)
 
 
-def brute_force_indexes(records):
-    """(item, round) -> sorted [(annotator, label)] and (item, annotator) ->
-    sorted [(round, label, timestamp)], built record by record with keys in
-    the records' order."""
-    by_item_round, by_cell = {}, {}
-    for rec in records:
-        by_item_round.setdefault((rec.item_id, rec.round), []).append(
-            (rec.annotator_id, rec.label))
-        by_cell.setdefault((rec.item_id, rec.annotator_id), []).append(
-            (rec.round, rec.label, rec.timestamp))
-    for entries in (*by_item_round.values(), *by_cell.values()):
-        entries.sort()
-    return by_item_round, by_cell
+def pair_tuples(pairs):
+    """``RepeatPairs`` decoded into the tuples ``oracles.brute_repeat_pairs``
+    returns, an interval of NaN as None."""
+    return [(pairs.items[i], pairs.annotators[a], pairs.labels[l1], pairs.labels[l2],
+             pairs.rounds[r1], pairs.rounds[r2], None if np.isnan(t) else t)
+            for i, a, l1, l2, r1, r2, t in zip(*(getattr(pairs, name).tolist() for name in (
+                "item", "annotator", "first_label", "second_label", "first_round",
+                "second_round", "interval")))]
 
 
-def assert_lookups_match(aset, records):
-    """The set's public lookups, key order included, equal the ones
-    :func:`brute_force_indexes` builds from ``records``, the set's records."""
-    by_item_round, by_cell = brute_force_indexes(records)
-    assert list(aset.cells().items()) == list(by_cell.items())
-    for rounds in ([1], [2, 1], [1, 3], [3, 2, 1], [4], [1, 2, 3]):
-        units = {key: entries for key, entries in by_item_round.items() if key[1] in rounds}
-        assert list(aset.round_units(rounds).items()) == list(units.items())
-        pooled = {}
-        for rnd in rounds:
-            for (item, r), entries in by_item_round.items():
-                if r == rnd:
-                    pooled.setdefault(item, []).extend(label for _, label in entries)
-        assert list(aset.unit_labels(rounds).items()) == list(pooled.items())
-    items = {item for item, _ in by_cell} | {"absent"}
-    annotators = {annotator for _, annotator in by_cell} | {"absent"}
-    for item in items:
-        for annotator in annotators:
-            history = by_cell.get((item, annotator), [])
-            assert aset.cell_history(item, annotator) == history
-            for rnd in range(5):
-                found = [label for r, label, _ in history if r == rnd]
-                assert aset.label(item, annotator, rnd) == (found[0] if found else None)
+def timed_pairs(intervals, consistent):
+    """``RepeatPairs`` of one cell with these intervals, labelled ``x, x``
+    where ``consistent`` is true and ``x, y`` where not."""
+    zeros = np.zeros(len(intervals), dtype=np.intp)
+    return RepeatPairs(("i0",), ("a",), ("x", "y"), (1, 2), zeros, zeros, zeros,
+                       np.logical_not(consistent) + zeros, zeros, zeros + 1, np.array(intervals))

@@ -16,6 +16,7 @@ import pytest
 from relistab import (
     Quadrant,
     SimConfig,
+    annotator_stability,
     build_repeat_pairs,
     classify_dataset,
     classify_items,
@@ -29,7 +30,6 @@ from relistab import (
     percent_agreement,
     permutation_p,
     phi,
-    self_agreement,
     simulate,
     validate_dataset,
 )
@@ -309,7 +309,8 @@ def test_c7_trivial_exactness_and_determinism():
         "A": {1: ["x", "y", "x"], 2: ["x", "y", "x"]},
         "B": {1: ["y", "y", "x"], 2: ["y", "y", "x"]},
     })
-    values["self_kappa"] = self_agreement(repeat_perfect, "A").self_kappa
+    per_annotator = {r.subject_id: r for r in annotator_stability(repeat_perfect)}
+    values["self_kappa"] = per_annotator["A"].self_kappa
     values["exact_rate"] = dataset_stability(repeat_perfect).exact_rate
     print(f"\n[C7] perfect-data values: {values}")
     for name, value in values.items():

@@ -12,7 +12,6 @@ from relistab import (
     AnnotationSet,
     LabelSchema,
     RationalisationRecord,
-    RepeatPair,
     SimConfig,
     load_report_schema,
     save_schema,
@@ -408,38 +407,25 @@ def test_subcommands_build_no_annotation_records(capsys, monkeypatch, workspace,
     ("matrix", "--out", "{out}"),
     ("phi", "--rationalisations", "{why}"),
 ])
-def test_stability_runs_build_no_pair_objects_or_cell_index(capsys, monkeypatch, workspace,
-                                                            tmp_path, fmt, argv):
+def test_stability_runs_decode_no_columns(capsys, monkeypatch, workspace, tmp_path, fmt, argv):
     """Pairing, the repeat table, the interval profile, the item votes and
-    the reliability kernels read arrays: no RepeatPair is built, none of
-    the set's per-call lookups (cells, cell histories, labels, units) runs
-    and no set decodes its columns from its codes."""
+    the reliability kernels read the set's codes: no set decodes its
+    columns from them."""
     annotations = workspace / "annotations.csv"
     if fmt == "jsonl":
         annotations = tmp_path / "annotations.jsonl"
         write_annotations_jsonl(read_annotation_records(workspace / "annotations.csv"),
                                 annotations)
-    built = []
-    real_init = RepeatPair.__init__
-
-    def counted_init(self, *args, **kwargs):
-        built.append(args)
-        real_init(self, *args, **kwargs)
-
-    monkeypatch.setattr(RepeatPair, "__init__", counted_init)
-    for name in ("cells", "cell_history", "label", "round_units", "unit_labels"):
-        lookup = getattr(AnnotationSet, name)
-        monkeypatch.setattr(AnnotationSet, name, lambda aset, *args, name=name, lookup=lookup:
-                            built.append(name) or lookup(aset, *args))
+    decoded = []
     decode = AnnotationSet.columns.func
     monkeypatch.setattr(AnnotationSet, "columns",
-                        property(lambda aset: built.append("columns") or decode(aset)))
+                        property(lambda aset: decoded.append("columns") or decode(aset)))
     argv = [a.format(out=tmp_path / "out", why=workspace / "rationalisations.csv")
             for a in argv]
     code, _, err = run(capsys, *argv, "--annotations", str(annotations),
                        "--schema", str(workspace / "schema.json"))
     assert code == 0, err
-    assert built == []
+    assert decoded == []
 
 
 class TestMatrix:

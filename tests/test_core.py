@@ -1,3 +1,4 @@
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -28,7 +29,7 @@ from relistab.errors import (
 
 from relistab.core import ColumnCodes, as_integer
 
-from conftest import assert_lookups_match, make_rounds, make_set
+from conftest import make_rounds, make_set, pair_tuples
 
 
 def test_normalize_label_trims_and_composes():
@@ -41,7 +42,6 @@ class TestLabelSchema:
     def test_basic(self):
         schema = LabelSchema("t", ("x", "y"))
         assert schema.categories == ("x", "y")
-        assert schema.category_index() == {"x": 0, "y": 1}
 
     def test_categories_normalized(self):
         schema = LabelSchema("t", (" x ", "y"))
@@ -88,8 +88,7 @@ class TestValidateDataset:
         ]
         aset = validate_dataset(recs, schema)
         assert len(aset) == 2
-        assert aset.label("i0", "b", 1) == "y"
-        assert aset.records[1].timestamp == 12.5
+        assert aset.records[1] == AnnotationRecord("t", "i0", "b", 1, "y", 12.5)
 
     def test_normalizes_labels(self):
         schema = LabelSchema("t", ("x", "y"))
@@ -139,20 +138,6 @@ class TestAnnotationSetAccessors:
         assert aset.annotators() == ("a", "b")
         assert aset.rounds() == (1, 2)
 
-    def test_unit_labels_and_round_units(self):
-        aset = make_set({"a": ["x", "y"], "b": ["x", None]})
-        assert aset.unit_labels([1]) == {"i0": ["x", "x"], "i1": ["y"]}
-        units = aset.round_units([1])
-        assert units[("i0", 1)] == [("a", "x"), ("b", "x")]
-
-    def test_cell_history_sorted_by_round(self):
-        aset = make_rounds({"a": {2: ["y"], 1: ["x"]}}, timestamps={1: 10.0, 2: 20.0})
-        assert aset.cell_history("i0", "a") == [(1, "x", 10.0), (2, "y", 20.0)]
-
-    def test_label_missing_cell(self):
-        aset = make_set({"a": ["x"]})
-        assert aset.label("i0", "a", 2) is None
-
 
 def test_resolve_rounds():
     aset = make_rounds({"a": {1: ["x"], 3: ["y"]}})
@@ -199,28 +184,27 @@ class TestBuildRepeatPairs:
         aset = make_rounds({"a": {1: ["x", "y"], 2: ["x", "x"]}})
         for pairing in ("consecutive", "first_last", "all_pairs"):
             pairs = build_repeat_pairs(aset, pairing)
-            assert [(p.item_id, p.first_label, p.second_label) for p in pairs] == [
+            assert [(item, l1, l2) for item, _, l1, l2, *_ in pair_tuples(pairs)] == [
                 ("i0", "x", "x"), ("i1", "y", "x")]
-        assert pairs[0].consistent and not pairs[1].consistent
+        assert pairs.consistent.tolist() == [True, False]
 
     def test_policies_differ_on_three_rounds(self):
         aset = make_rounds({"a": {1: ["x"], 2: ["y"], 3: ["x"]}})
         assert len(build_repeat_pairs(aset, "consecutive")) == 2
         assert len(build_repeat_pairs(aset, "first_last")) == 1
         assert len(build_repeat_pairs(aset, "all_pairs")) == 3
-        first_last = build_repeat_pairs(aset, "first_last")[0]
-        assert (first_last.first_round, first_last.second_round) == (1, 3)
-        assert first_last.consistent
+        first_last = build_repeat_pairs(aset, "first_last")
+        assert pair_tuples(first_last) == [("i0", "a", "x", "x", 1, 3, None)]
+        assert first_last.consistent.tolist() == [True]
 
     def test_interval_from_timestamps(self):
         aset = make_rounds({"a": {1: ["x"], 2: ["x"]}}, timestamps={1: 100.0, 2: 250.0})
-        (pair,) = build_repeat_pairs(aset)
-        assert pair.interval_seconds == 150.0
+        assert build_repeat_pairs(aset).interval.tolist() == [150.0]
 
     def test_interval_none_when_timestamp_missing(self):
         aset = make_rounds({"a": {1: ["x"], 2: ["x"]}}, timestamps={2: 250.0})
-        (pair,) = build_repeat_pairs(aset)
-        assert pair.interval_seconds is None
+        (pair,) = pair_tuples(build_repeat_pairs(aset))
+        assert pair[-1] is None
 
     def test_negative_interval_rejected(self):
         aset = make_rounds({"a": {1: ["x"], 2: ["x"]}}, timestamps={1: 300.0, 2: 250.0})
@@ -257,7 +241,7 @@ def test_repeat_pair_count_matches_multiround_cells(grid, n_rounds):
             for rnd in range(1, n_rounds + 1):
                 records.append(AnnotationRecord("t", f"i{i}", f"a{j}", rnd, lbl))
     aset = validate_dataset(records, LabelSchema("t", ("x", "y")))
-    expected = sum(1 for hist in aset.cells().values() if len(hist) >= 2)
+    expected = sum(n >= 2 for n in Counter((r.item_id, r.annotator_id) for r in records).values())
     if expected == 0:
         with pytest.raises(NoRepeatsError):
             build_repeat_pairs(aset, "first_last")
@@ -274,8 +258,8 @@ def test_coincidence_mass_equals_contributing_labels(grid):
         if lbl is not None
     ]
     aset = validate_dataset(records, LabelSchema("t", ("x", "y")))
-    units = aset.unit_labels([1])
-    expected = sum(len(u) for u in units.values() if len(u) >= 2)
+    per_item = Counter(rec.item_id for rec in aset.records)
+    expected = sum(n for n in per_item.values() if n >= 2)
     if expected == 0:
         with pytest.raises(DegenerateError):
             coincidence_counts(aset)
@@ -323,7 +307,6 @@ def test_column_set_matches_record_by_record_build(records):
     expected = [AnnotationRecord(r.task_id, r.item_id, r.annotator_id, r.round,
                                  normalize_label(r.label), r.timestamp) for r in records]
     assert aset.records == tuple(expected)
-    assert_lookups_match(aset, expected)
     assert aset.items() == tuple(sorted({r.item_id for r in expected}))
     assert aset.annotators() == tuple(sorted({r.annotator_id for r in expected}))
     assert aset.rounds() == tuple(sorted({r.round for r in expected}))
@@ -356,7 +339,6 @@ def test_annotation_set_keeps_working_with_replace():
     assert moved.records == aset.records
     swapped = replace(aset, schema=LabelSchema("t", ("y", "x")))
     assert swapped.codes.labels == ("y", "x") and swapped.records == aset.records
-    assert moved.cell_history("i1", "a") == aset.cell_history("i1", "a")
     assert moved != aset and replace(moved, schema=aset.schema) == aset
 
 

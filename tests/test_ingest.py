@@ -7,6 +7,7 @@ import json
 import math
 import re
 import sys
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -34,7 +35,7 @@ from relistab import (
 )
 from relistab import core, ingest
 from relistab.core import RECORD_FIELDS as CSV_FIELDS
-from relistab.core import coerce_columns
+from relistab.core import coerce_record_columns
 from relistab.errors import InvalidConfigError, NonFiniteError, ValidationError
 from relistab.reporting import file_sha256
 
@@ -587,7 +588,7 @@ def test_rfc3339_forms(text, seconds):
     """Each form reads to its seconds, or is refused, by the oracle, by
     ``parse_rfc3339`` and in a timestamp column."""
     assert rfc3339_or_none(text) == seconds
-    columns, error = coerce_columns(["t"], ["i"], ["a"], [1], ["x"], [text])
+    columns, error = coerce_record_columns(RecordColumns(["t"], ["i"], ["a"], [1], ["x"], [text]))
     if seconds is None:
         with pytest.raises(ValidationError, match="bad RFC 3339 timestamp"):
             parse_rfc3339(text)
@@ -603,7 +604,7 @@ def test_rfc3339_forms(text, seconds):
 ])
 def test_number_text_is_ascii(text, seconds):
     """Epoch seconds as text are ASCII without ``_``, as integer text is."""
-    columns, error = coerce_columns(["t"], ["i"], ["a"], [1], ["x"], [text])
+    columns, error = coerce_record_columns(RecordColumns(["t"], ["i"], ["a"], [1], ["x"], [text]))
     if seconds is None:
         assert str(error[1]) == f"bad timestamp {text!r}"
     else:
@@ -617,8 +618,8 @@ def test_timestamp_column_matches_per_value_coercion(column, block):
     gives, whatever the block size."""
     n = len(column)
     with mock.patch.object(core, "TIMESTAMP_BLOCK", block):
-        columns, error = coerce_columns(["t"] * n, ["i"] * n, ["a"] * n, [1] * n, ["x"] * n,
-                                        column)
+        columns, error = coerce_record_columns(
+            RecordColumns(["t"] * n, ["i"] * n, ["a"] * n, [1] * n, ["x"] * n, column))
     stamps, refusal = per_value(column)
     assert columns.timestamp == tuple(stamps)
     assert [type(s) for s in columns.timestamp] == [type(s) for s in stamps]
@@ -1022,7 +1023,8 @@ def test_unhashable_ids_and_stamps_coerce_as_text_or_are_refused():
              "label": "x"},
             {"task_id": "t", "item_id": ["i", 0], "annotator_id": "b", "round": 1, "label": "x",
              "timestamp": [5]}]
-    columns, error = coerce_columns(*zip(*(map(row.get, CSV_FIELDS) for row in rows)))
+    columns, error = coerce_record_columns(
+        RecordColumns(*zip(*(map(row.get, CSV_FIELDS) for row in rows))))
     assert columns.item_id == ("['i', 0]",) and columns.annotator_id == ("{'a': 1}",)
     assert (error[0], str(error[1])) == (1, "bad timestamp [5]")
 
@@ -1167,6 +1169,24 @@ def test_signed_zero_is_a_value_of_its_own():
     columns = RecordColumns(["t"] * 2, ["i"] * 2, ["a"] * 2, [-0.0, 0.0], ["x"] * 2, [None] * 2)
     assert columns == [AnnotationRecord("t", "i", "a", 0.0, "x")] * 2
     assert str(columns.round) == "(-0.0, 0.0)"
+
+
+@pytest.mark.parametrize("values", [
+    (Decimal("1.0"), Decimal("1.00")), (Decimal("10"), Decimal("1E+1")),
+    (np.float64(0.0), np.float64(-0.0)),
+])
+def test_equal_values_that_print_differently_stay_apart(tmp_path, values):
+    """Values equal as keys but not as text are coerced and written each as
+    its own text, as one record at a time does."""
+    rows = [{"task_id": "t", "item_id": v, "annotator_id": "a", "round": 1, "label": "x"}
+            for v in values]
+    aset = validate_dataset(rows, LabelSchema("t", ("x", "y")))
+    assert aset.records == tuple(map(coerce_record, rows))
+    records = [AnnotationRecord("t", v, "a", v, "x") for v in values]
+    out = io.StringIO()
+    csv.writer(out).writerows([CSV_FIELDS, *written_rows(records)])
+    write_annotations_csv(records, tmp_path / "ann.csv")
+    assert (tmp_path / "ann.csv").read_bytes() == out.getvalue().encode("utf-8")
 
 
 def test_rationalisations_written_as_csv_writer_does(tmp_path):

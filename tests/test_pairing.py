@@ -1,7 +1,7 @@
 """Repeat pairing and item votes on integer-coded columns against the
 cell-by-cell walks of ``tests/oracles.py``."""
 
-import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from relistab import (
     AnnotationRecord,
     LabelSchema,
-    RepeatPair,
     RepeatPairs,
     build_repeat_pairs,
     interval_profile,
@@ -20,7 +19,7 @@ from relistab.core import PAIRING_POLICIES
 from relistab.errors import NoRepeatsError, RelistabError, ValidationError
 from relistab.stability import item_votes, repeat_table
 
-from conftest import make_rounds
+from conftest import make_rounds, pair_tuples, timed_pairs
 from oracles import brute_item_votes, brute_repeat_pairs
 
 SCHEMA = LabelSchema("t", ("x", "y", "z"))
@@ -57,7 +56,7 @@ def outcome(fn):
 def test_pairs_match_the_cell_walk(records, pairing):
     aset = validate_dataset(records, SCHEMA)
     try:
-        expected = [RepeatPair(*pair) for pair in brute_repeat_pairs(records, pairing)]
+        expected = brute_repeat_pairs(records, pairing)
     except ValueError as exc:
         with pytest.raises(ValidationError) as raised:
             build_repeat_pairs(aset, pairing)
@@ -69,15 +68,21 @@ def test_pairs_match_the_cell_walk(records, pairing):
         return
     pairs = build_repeat_pairs(aset, pairing)
     assert isinstance(pairs, RepeatPairs)
-    assert pairs == expected and expected == pairs
-    assert len(pairs) == len(expected) and list(pairs) == expected
-    assert pairs[-1] == expected[-1] and pairs[1:] == expected[1:]
-    assert RepeatPairs.of(expected) == pairs
-    assert repeat_table(aset, pairs).count.tolist() == repeat_table(aset, expected).count.tolist()
-    profile = outcome(lambda: interval_profile(pairs, bucket_edges=(30.0, 110.0), seed=3,
-                                               permutation_replicates=20))
-    assert profile == outcome(lambda: interval_profile(
-        list(pairs), bucket_edges=(30.0, 110.0), seed=3, permutation_replicates=20))
+    assert len(pairs) == len(expected) and pair_tuples(pairs) == expected
+    consistent = [l1 == l2 for _, _, l1, l2, *_ in expected]
+    assert pairs.consistent.tolist() == consistent
+    table, k = repeat_table(aset, pairs), len(SCHEMA.categories)
+    assert Counter(tuple(pair[:4]) for pair in expected) == {
+        (table.items[i], table.annotators[j // k**2], SCHEMA.categories[j // k % k],
+         SCHEMA.categories[j % k]): n
+        for i, j, n in zip(table.item.tolist(), table.joint.tolist(), table.count.tolist())}
+
+    def profile(pairs):
+        return outcome(lambda: interval_profile(pairs, bucket_edges=(30.0, 110.0), seed=3,
+                                                permutation_replicates=20))
+
+    hand_built = timed_pairs([np.nan if t is None else t for *_, t in expected], consistent)
+    assert profile(pairs) == profile(hand_built)
 
 
 @given(repeat_records())
@@ -90,40 +95,11 @@ def test_item_votes_match_the_cell_walk(records):
         item: sorted(v) for item, v in expected.items()}
 
 
-def test_interval_profile_reads_pairs_and_lists_alike():
-    aset = make_rounds(
-        {"a": {1: ["x", "x", "y", "x"], 2: ["x", "y", "y", "x"], 3: ["y", "y", "y", "x"]},
-         "b": {1: ["x", "y", "x", "x"], 2: ["x", "y", "y", "y"], 3: ["x", "x", "y", "y"]}},
-        timestamps={1: 0.0, 2: 1800.0, 3: 1800.0 + 7200.0},
-    )
-    pairs = build_repeat_pairs(aset, "all_pairs")
-    assert interval_profile(pairs, seed=11, permutation_replicates=50) == interval_profile(
-        list(pairs), seed=11, permutation_replicates=50)
-
-
-def test_repeat_pairs_index_like_a_list():
-    expected = [RepeatPair("i0", "a", "x", "y", 1, 2, 5.0), RepeatPair("i1", "b", "y", "y", 1, 3)]
-    pairs = RepeatPairs.of(expected)
-    assert pairs == expected and pairs == tuple(expected) and pairs != expected[:1]
-    assert pairs[0] == expected[0] and pairs[-2] == expected[0] and pairs[1] == expected[1]
-    assert pairs[::-1] == expected[::-1] and pairs[2:] == []
-    assert pairs.consistent.tolist() == [False, True]
-    assert math.isnan(pairs.interval[1])
-    with pytest.raises(IndexError):
-        pairs[2]
-    with pytest.raises(IndexError):
-        pairs[-3]
-    with pytest.raises(ValidationError):
-        RepeatPairs.of([RepeatPair("i0", "a", "x", "y", 1, 2, float("nan"))])
-    with pytest.raises(TypeError):
-        hash(pairs)
-
-
 def test_a_round_beyond_int64_still_pairs():
     huge = 2**70
     records = [AnnotationRecord("t", "i0", "a", rnd, "x") for rnd in (1, huge)]
-    (pair,) = build_repeat_pairs(validate_dataset(records, SCHEMA))
-    assert (pair.first_round, pair.second_round) == (1, huge)
+    pairs = build_repeat_pairs(validate_dataset(records, SCHEMA))
+    assert pair_tuples(pairs) == [("i0", "a", "x", "x", 1, huge, None)]
 
 
 def test_pairing_fills_no_cell_index():

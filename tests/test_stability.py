@@ -7,7 +7,6 @@ from hypothesis import assume, given, strategies as st
 from relistab import (
     AnnotationRecord,
     LabelSchema,
-    RepeatPair,
     annotator_stability,
     build_repeat_pairs,
     dataset_stability,
@@ -16,7 +15,6 @@ from relistab import (
     items_without_repeats,
     repeat_table,
     resample_items,
-    self_agreement,
     validate_dataset,
 )
 from relistab.core import PAIRING_POLICIES
@@ -26,42 +24,40 @@ from relistab.errors import (
     NoRepeatsError,
     RelistabError,
     TooFewBucketsError,
+    ValidationError,
 )
 from relistab.stability import DEFAULT_BUCKET_EDGES
 
-from conftest import make_rounds
-
-
-def pair(interval, consistent, item="i0", ann="a"):
-    return RepeatPair(item, ann, "x", "x" if consistent else "y", 1, 2, interval)
+from conftest import make_rounds, timed_pairs
 
 
 class TestSelfAgreement:
     def test_two_thirds(self):
         aset = make_rounds({"a": {1: ["x", "y", "x"], 2: ["x", "y", "y"]}})
-        result = self_agreement(aset, "a")
+        (result,) = annotator_stability(aset)
         assert result.exact_rate == pytest.approx(2 / 3, abs=1e-9)
         assert result.n_pairs == 3
         assert result.scope == "annotator" and result.subject_id == "a"
 
     def test_identical_rounds(self):
         aset = make_rounds({"a": {1: ["x", "y"], 2: ["x", "y"]}})
-        result = self_agreement(aset, "a")
+        (result,) = annotator_stability(aset)
         assert result.exact_rate == 1.0 and result.self_kappa == 1.0
 
     def test_self_kappa_half(self):
         aset = make_rounds({"a": {1: ["x", "x", "y", "y"], 2: ["x", "x", "y", "x"]}})
-        assert self_agreement(aset, "a").self_kappa == pytest.approx(0.5, abs=1e-9)
+        (result,) = annotator_stability(aset)
+        assert result.self_kappa == pytest.approx(0.5, abs=1e-9)
 
     def test_no_repeats_for_annotator(self):
         aset = make_rounds({"a": {1: ["x"], 2: ["x"]}, "b": {1: ["y"]}})
-        with pytest.raises(NoRepeatsError):
-            self_agreement(aset, "b")
+        # b has no repeat pair, so no result
+        assert [(r.subject_id, r.n_pairs) for r in annotator_stability(aset)] == [("a", 1)]
 
     def test_first_last_equals_consecutive_on_two_rounds(self):
         aset = make_rounds({"a": {1: ["x", "y", "x"], 2: ["x", "x", "x"]}})
-        assert (self_agreement(aset, "a", "first_last")
-                == self_agreement(aset, "a", "consecutive"))
+        assert (annotator_stability(aset, "first_last")
+                == annotator_stability(aset, "consecutive"))
 
 
 def test_annotator_stability_matches_individual_calls():
@@ -71,7 +67,10 @@ def test_annotator_stability_matches_individual_calls():
     })
     batch = annotator_stability(aset)
     assert [r.subject_id for r in batch] == ["a", "b"]
-    assert batch == [self_agreement(aset, "a"), self_agreement(aset, "b")]
+    # each annotator's result is the one their records alone give
+    alone = [validate_dataset([r for r in aset.records if r.annotator_id == a], aset.schema)
+             for a in "ab"]
+    assert batch == [annotator_stability(only)[0] for only in alone]
 
 
 class TestItemStability:
@@ -174,20 +173,20 @@ def test_monotone_damage():
         "a": {1: ["x", "y", "x"], 2: ["x", "y", "x"]},
         "b": {1: ["x", "y"], 2: ["x", "x"]},
     }
-    before_ann = self_agreement(make_rounds(rounds), "a")
+    before_ann = annotator_stability(make_rounds(rounds))[0]
     before_data = dataset_stability(make_rounds(rounds))
     damaged = {**rounds, "a": {1: ["x", "y", "x"], 2: ["x", "y", "y"]}}
-    after_ann = self_agreement(make_rounds(damaged), "a")
+    after_ann = annotator_stability(make_rounds(damaged))[0]
     after_data = dataset_stability(make_rounds(damaged))
+    assert before_ann.subject_id == after_ann.subject_id == "a"
     assert after_ann.exact_rate < before_ann.exact_rate
     assert after_data.exact_rate <= before_data.exact_rate
 
 
 class TestIntervalProfile:
     def test_decreasing_profile(self):
-        pairs = ([pair(60.0, True)] * 5
-                 + [pair(7200.0, True)] * 4 + [pair(7200.0, False)]
-                 + [pair(100_000.0, True)] * 3 + [pair(100_000.0, False)] * 2)
+        pairs = timed_pairs([60.0] * 5 + [7200.0] * 5 + [100_000.0] * 5,
+                            [True] * 9 + [False] + [True] * 3 + [False] * 2)
         profile = interval_profile(pairs)
         assert [b.exact_rate for b in profile.buckets] == [1.0, 0.8, 0.6]
         assert [b.n_pairs for b in profile.buckets] == [5, 5, 5]
@@ -195,46 +194,50 @@ class TestIntervalProfile:
         assert profile.trend_p is None
 
     def test_flat_profile_zero_trend(self):
-        pairs = [pair(60.0, True)] * 3 + [pair(7200.0, True)] * 3
-        profile = interval_profile(pairs)
+        profile = interval_profile(timed_pairs([60.0] * 3 + [7200.0] * 3, [True] * 6))
         assert profile.trend_rho == 0.0
 
     def test_bucket_bounds_follow_edges(self):
-        pairs = [pair(10.0, True), pair(3600.0, False)]
+        pairs = timed_pairs([10.0, 3600.0], [True, False])
         profile = interval_profile(pairs)
         # an interval exactly at an edge belongs to the next bucket
         assert [(b.low, b.high) for b in profile.buckets] == [
             (0.0, 3600.0), (3600.0, 86400.0)]
 
     def test_open_last_bucket_reports_null_high(self):
-        pairs = [pair(60.0, True), pair(10**9, False)]
+        pairs = timed_pairs([60.0, 1e9], [True, False])
         profile = interval_profile(pairs)
         assert math.isinf(profile.buckets[-1].high)
         assert profile.buckets[-1].to_report()["high"] is None
 
     def test_no_intervals(self):
         with pytest.raises(NoIntervalsError):
-            interval_profile([pair(None, True), pair(None, False)])
+            interval_profile(timed_pairs([math.nan, math.nan], [True, False]))
+
+    def test_negative_interval_refused(self):
+        with pytest.raises(ValidationError, match="non-negative"):
+            interval_profile(timed_pairs([60.0, -1.0, 7200.0], [True] * 3))
 
     def test_too_few_buckets(self):
         with pytest.raises(TooFewBucketsError):
-            interval_profile([pair(60.0, True), pair(61.0, False)])
+            interval_profile(timed_pairs([60.0, 61.0], [True, False]))
 
     def test_bad_edges(self):
+        pairs = timed_pairs([60.0], [True])
         with pytest.raises(InvalidConfigError):
-            interval_profile([pair(60.0, True)], bucket_edges=(0.0, 60.0))
+            interval_profile(pairs, bucket_edges=(0.0, 60.0))
         with pytest.raises(InvalidConfigError):
-            interval_profile([pair(60.0, True)], bucket_edges=(60.0, 60.0))
+            interval_profile(pairs, bucket_edges=(60.0, 60.0))
         for edges in [(float("nan"), 60.0), (60.0, float("inf"))]:
             with pytest.raises(InvalidConfigError):
-                interval_profile([pair(60.0, True)], bucket_edges=edges)
+                interval_profile(pairs, bucket_edges=edges)
 
     def test_permutation_p_deterministic_and_small_for_strong_trend(self):
         # five strictly decreasing buckets: a permuted profile is this
         # monotone with probability well under 2/5!
         consistent_of_8 = {60.0: 8, 7200.0: 6, 100_000.0: 4, 1e6: 2, 1e7: 0}
-        pairs = [pair(interval, i < k)
-                 for interval, k in consistent_of_8.items() for i in range(8)]
+        pairs = timed_pairs([interval for interval in consistent_of_8 for _ in range(8)],
+                            [i < k for k in consistent_of_8.values() for i in range(8)])
         one = interval_profile(pairs, seed=5, permutation_replicates=400)
         two = interval_profile(pairs, seed=5, permutation_replicates=400)
         assert one == two
@@ -242,13 +245,12 @@ class TestIntervalProfile:
         assert one.trend_p < 0.05
 
     def test_permutation_p_large_when_no_signal(self):
-        pairs = ([pair(60.0, True)] * 10 + [pair(60.0, False)] * 10
-                 + [pair(7200.0, True)] * 10 + [pair(7200.0, False)] * 10)
+        pairs = timed_pairs([60.0] * 20 + [7200.0] * 20, ([True] * 10 + [False] * 10) * 2)
         profile = interval_profile(pairs, seed=5, permutation_replicates=200)
         assert profile.trend_p > 0.2
 
     def test_custom_edges(self):
-        pairs = [pair(5.0, True), pair(50.0, True), pair(500.0, False)]
+        pairs = timed_pairs([5.0, 50.0, 500.0], [True, True, False])
         profile = interval_profile(pairs, bucket_edges=(10.0, 100.0))
         assert [b.n_pairs for b in profile.buckets] == [1, 1, 1]
 
@@ -320,7 +322,7 @@ def test_table_counts_pairs_per_item_annotator_and_labels():
     })
     table = repeat_table(aset, build_repeat_pairs(aset, "all_pairs"))
     assert table.items == ("i0", "i1", "i2") and table.annotators == ("a", "b")
-    x, y = (aset.schema.category_index()[c] for c in "xy")
+    x, y = (aset.schema.categories.index(c) for c in "xy")
 
     def row(item, annotator, first, second, count):
         return item, (annotator * 2 + first) * 2 + second, count
