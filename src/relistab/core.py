@@ -21,7 +21,7 @@ import operator
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress
+from itertools import compress, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -195,17 +195,14 @@ class RecordColumns(Sequence):
         return columns
 
     @classmethod
-    def from_rows(cls, rows: Sequence[tuple]) -> "RecordColumns":
-        """The records whose fields, in :data:`RECORD_FIELDS` order, are
-        the entries of ``rows``."""
-        return cls(*zip(*rows)) if rows else cls(*((),) * len(RECORD_FIELDS))
-
-    @classmethod
     def of(cls, records: Iterable[AnnotationRecord]) -> "RecordColumns":
         """The fields of ``records``, taken as they are."""
         if isinstance(records, cls):
             return records
-        return cls.from_rows(list(map(_fields_of, records)))
+        columns, fault = collect_rows(map(_fields_of, records))
+        if fault is not None:
+            raise fault
+        return columns
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -666,10 +663,11 @@ def _coerce_timestamps(values: Sequence) -> tuple[list, list[int]]:
     that :func:`_rfc3339_seconds` decodes, stripped, :data:`TIMESTAMP_BLOCK`
     values at a time, is its seconds."""
     objects = np.fromiter(values, dtype=object, count=len(values))
-    kinds = np.fromiter(map(type, values), dtype=object, count=len(values))
-    floats, texts = np.flatnonzero(kinds == float), np.flatnonzero(kinds == str)
+    kinds = np.fromiter(map({type(None): 0, float: 1, str: 2}.get, map(type, values), repeat(3)),
+                        dtype=np.int8, count=len(values))
+    floats, texts = np.flatnonzero(kinds == 1), np.flatnonzero(kinds == 2)
     refused = floats[~np.isfinite(objects[floats].astype(float))].tolist()
-    other = np.flatnonzero((kinds != float) & (kinds != str) & (kinds != type(None))).tolist()
+    other = np.flatnonzero(kinds == 3).tolist()
     for start in range(0, len(texts), TIMESTAMP_BLOCK):
         block = texts[start:start + TIMESTAMP_BLOCK]
         stripped = [text.strip() for text in objects[block].tolist()]
@@ -724,6 +722,27 @@ def coerce_record_columns(raw: RecordColumns):
     raise AssertionError(f"row {first} refused by a column check but not by coerce_fields")
 
 
+def collect_rows(rows: Iterable[tuple]) -> tuple[RecordColumns, ValidationError | None]:
+    """``(columns, fault)``: the rows of six raw fields, in
+    :data:`RECORD_FIELDS` order, gathered into :class:`RecordColumns`. A
+    ValidationError raised while iterating ``rows`` ends the gathering and
+    is the fault, with the rows read before it; otherwise fault is None."""
+    raw = tuple([] for _ in RECORD_FIELDS)
+    add_task, add_item, add_annotator, add_round, add_label, add_stamp = (
+        column.append for column in raw)
+    try:
+        for task, item, annotator, rnd, label, stamp in rows:
+            add_task(task)
+            add_item(item)
+            add_annotator(annotator)
+            add_round(rnd)
+            add_label(label)
+            add_stamp(stamp)
+    except ValidationError as exc:
+        return RecordColumns(*raw), exc
+    return RecordColumns(*raw), None
+
+
 def _first_refused(columns: RecordColumns, k: int, refuse: Callable) -> int:
     """Position of the first record whose field ``k`` ``refuse`` is true
     of, or the record count."""
@@ -745,19 +764,12 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
         columns, error = records, None
         bad_round = _first_refused(columns, 3, lambda r: type(r) is not int)  # not bool
         if bad_round < len(columns):
-            value = columns[bad_round].round
+            error = (bad_round, ValidationError(f"round {columns[bad_round].round!r} is not an integer"))
             columns = columns[:bad_round]
-            error = (bad_round, ValidationError(f"round {value!r} is not an integer"))
     else:
-        rows, error = [], None
-        for position, rec in enumerate(records):
-            try:
-                rows.append(raw_fields(rec))
-            except ValidationError as exc:
-                error = (position, exc)
-                break
-        columns, coerce_error = coerce_record_columns(RecordColumns.from_rows(rows))
-        error = coerce_error or error
+        raw, fault = collect_rows(map(raw_fields, records))
+        columns, error = coerce_record_columns(raw)
+        error = error or (fault and (len(raw), fault))
     columns = RecordColumns.from_codes(
         (*columns.values[:4], map(normalize_label, columns.values[4]), columns.values[5]),
         columns.codes)

@@ -24,13 +24,13 @@ from __future__ import annotations
 import codecs
 import contextlib
 import csv
-import itertools
 import json
 import operator
 import re
+from array import array
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -43,6 +43,7 @@ from .core import (
     _factorise,
     _rfc3339_chars,
     coerce_record_columns,
+    collect_rows,
     raw_fields,
 )
 from .core import parse_rfc3339  # noqa: F401 - part of this module's API
@@ -70,13 +71,16 @@ def _open_text(path: str | Path, **kwargs):
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
 
 
-def _checked(raw: RecordColumns, line_of: Callable[[int], int], path) -> RecordColumns:
+def _checked(raw: RecordColumns, line_of: Callable[[int], int], path, fault=None) -> RecordColumns:
     """``raw`` through :func:`~relistab.core.coerce_record_columns`; a
-    refused record raises its error prefixed with ``path`` and its line."""
+    refused record raises its error prefixed with ``path`` and its line,
+    and else ``fault``, the ValidationError that ended the read, if any."""
     columns, error = coerce_record_columns(raw)
     if error is not None:
         position, exc = error
         raise type(exc)(f"{path}:{line_of(position)}: {exc}") from exc
+    if fault is not None:
+        raise fault
     return columns
 
 
@@ -262,58 +266,31 @@ def read_annotation_records_csv(path: str | Path) -> RecordColumns:
     return _read_csv_rows(path) if plain is None else _checked(*plain, path)
 
 
-def _csv_line_of(path) -> Callable[[int], int]:
-    """The physical line of each record ``csv.reader`` reads from ``path``,
-    found by reading the file again: the line a record ends on."""
-    def line_of(position: int) -> int:
-        with _open_text(path, newline="") as handle:
-            reader = csv.reader(handle)
-            next(reader, None)
-            ends = (reader.line_num for row in reader if row)
-            return next(itertools.islice(ends, position, None))
-    return line_of
-
-
 def _read_csv_rows(path: str | Path) -> RecordColumns:
     """:func:`read_annotation_records_csv` by ``csv.reader``."""
-    raw = tuple([] for _ in CSV_FIELDS)
-    add_task, add_item, add_annotator, add_round, add_label, add_stamp = (
-        column.append for column in raw)
-    has_stamps, failure = True, None
+    lines = array("Q")
     with _open_text(path, newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            positions = _header_positions(next(reader, []), path)
-            # without a timestamp column, read the task id in its place and
-            # clear that column after the loop
-            has_stamps = positions[5] is not None
-            pick = operator.itemgetter(*positions[:5], positions[5 if has_stamps else 0])
-            width = max(p for p in positions if p is not None) + 1
-            for row in reader:
-                if len(row) < width:
-                    if not row:
-                        continue
-                    row += [None] * (width - len(row))
-                task, item, annotator, rnd, label, stamp = pick(row)
-                add_task(task)
-                add_item(item)
-                add_annotator(annotator)
-                add_round(rnd)
-                add_label(label)
-                add_stamp(stamp)
-        except csv.Error as exc:
-            failure = (reader.line_num, exc)
-    if not has_stamps:
-        raw[5][:] = [None] * len(raw[5])
-    columns = RecordColumns(*raw)
-    # the columns hold each distinct text once; free the text of each row
-    del raw, add_task, add_item, add_annotator, add_round, add_label, add_stamp
-    # a fault on a row read before the reader failed comes first
-    columns = _checked(columns, _csv_line_of(path), path)
-    if failure is not None:
-        line, exc = failure
-        raise ValidationError(f"{path}:{line}: {exc}") from exc
-    return columns
+        columns, fault = collect_rows(_csv_rows(csv.reader(handle), path, lines))
+    return _checked(columns, lines.__getitem__, path, fault)
+
+
+def _csv_rows(reader, path, lines: array) -> Iterator[tuple]:
+    """The raw fields of each non-blank row after the header; the line it
+    ends on goes to ``lines``, and a missing timestamp column reads as None."""
+    try:
+        positions = _header_positions(next(reader, []), path)
+        width = max(p for p in positions if p is not None) + 1
+        pick = operator.itemgetter(*positions) if positions[5] is not None else (
+            lambda row, fields=operator.itemgetter(*positions[:5]): (*fields(row), None))
+        for row in reader:
+            if len(row) < width:
+                if not row:
+                    continue
+                row += [None] * (width - len(row))
+            lines.append(reader.line_num)
+            yield pick(row)
+    except csv.Error as exc:
+        raise ValidationError(f"{path}:{reader.line_num}: {exc}") from exc
 
 
 def _csv_piece(value, end: str) -> str:
@@ -452,34 +429,26 @@ def _shaped_jsonl(data: bytes) -> tuple[RecordColumns, Callable[[int], int]] | N
 
 def _read_jsonl_lines(path: str | Path) -> RecordColumns:
     """:func:`read_annotation_records_jsonl` by one JSON decode a line."""
-    decode = json.JSONDecoder().decode
-    raw = tuple([] for _ in CSV_FIELDS)
-    add_task, add_item, add_annotator, add_round, add_label, add_stamp = (
-        column.append for column in raw)
-    lines: list[int] = []
+    lines = array("Q")
     with _open_text(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                task, item, annotator, rnd, label, stamp = raw_fields(decode(line))
-            # json raises a plain ValueError for an integer past the digit limit
-            except (ValueError, RecursionError, ValidationError) as exc:
-                # a fault on an earlier line comes first
-                _checked(RecordColumns(*raw), lines.__getitem__, path)
-                reason = exc if isinstance(exc, ValidationError) else "invalid JSON"
-                raise ValidationError(f"{path}:{lineno}: {reason}") from exc
-            add_task(task)
-            add_item(item)
-            add_annotator(annotator)
-            add_round(rnd)
-            add_label(label)
-            add_stamp(stamp)
-            lines.append(lineno)
-    columns = RecordColumns(*raw)
-    # the columns hold each distinct text once; free the text of each row
-    del raw, add_task, add_item, add_annotator, add_round, add_label, add_stamp
-    return _checked(columns, lines.__getitem__, path)
+        columns, fault = collect_rows(_jsonl_rows(handle, path, lines))
+    return _checked(columns, lines.__getitem__, path, fault)
+
+
+def _jsonl_rows(handle, path, lines: array) -> Iterator[tuple]:
+    """The raw fields of each non-blank line of ``handle``; its number goes to ``lines``."""
+    decode = json.JSONDecoder().decode
+    for lineno, line in enumerate(handle, start=1):
+        if not line.strip():
+            continue
+        try:
+            fields = raw_fields(decode(line))
+        # json raises a plain ValueError for an integer past the digit limit
+        except (ValueError, RecursionError, ValidationError) as exc:
+            reason = exc if isinstance(exc, ValidationError) else "invalid JSON"
+            raise ValidationError(f"{path}:{lineno}: {reason}") from exc
+        lines.append(lineno)
+        yield fields
 
 
 def write_annotations_jsonl(records: Iterable[AnnotationRecord] | AnnotationSet, path: str | Path) -> None:
