@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AnnotationSet, build_repeat_pairs
+from .core import AnnotationSet, build_repeat_pairs, resolve_rounds
 from .errors import (
     DegenerateError,
     EmptyInputError,
@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     ZeroMarginError,
 )
-from .reliability import FIRST_ROUND, MetricCall, draw_positions, percentile_ci, replicate_value
+from .reliability import MetricCall, draw_positions, percentile_ci, replicate_value
 from .stability import ItemStabilityLabel, dataset_stability, repeat_table
 
 RATIONALISATION_LABELS = ("subjective", "ambiguous", "difficult")
@@ -246,18 +246,19 @@ def compare_reliability(
 ) -> tuple[float, tuple[float, float]]:
     """Reliability difference between two datasets with a bootstrap CI.
 
-    The metric runs on each set's first present round (a replicate's own
-    first round); items are resampled within each set independently, see
+    The metric runs on each set's first round, and so does every replicate
+    of that set: one without items labelled in that round is degenerate.
+    Items are resampled within each set independently, see
     :func:`replicate_value`.
     """
     if metric not in COMPARE_RELIABILITY_METRICS:
         raise InvalidConfigError(
             f"reliability metric must be one of {sorted(COMPARE_RELIABILITY_METRICS)}"
         )
-    call = MetricCall(metric, FIRST_ROUND)
-    value_a, value_b = replicate_value(set_a, call), replicate_value(set_b, call)
+    call_a, call_b = (MetricCall(metric, resolve_rounds(s, None)[0]) for s in (set_a, set_b))
+    value_a, value_b = replicate_value(set_a, call_a), replicate_value(set_b, call_b)
     return percentile_ci(
-        lambda: call(set_a).value - call(set_b).value,
+        lambda: call_a(set_a).value - call_b(set_b).value,
         lambda seed_, r: value_a(seed_, r, 0) - value_b(seed_, r, 1),
         replicates, confidence, seed, "comparison",
     )

@@ -79,23 +79,17 @@ METRICS: dict[str, Metric] = {
         lambda s, r: icc(s, r, "twoway_random_single"), -math.inf, 1.0),
 }
 
-#: ``MetricCall.rounds`` that selects the lowest round of the set the metric
-#: runs on; a replicate missing that round's items falls to its own lowest
-FIRST_ROUND = "first"
-
-
 @dataclass(frozen=True)
 class MetricCall:
     """A registered metric bound to its round selector and options:
     ``call(aset)`` runs ``METRICS[name].kernel`` on ``aset``."""
 
     name: str
-    rounds: int | Sequence[int] | str | None = 1
+    rounds: int | Sequence[int] | None = 1
     options: Mapping = field(default_factory=dict)
 
     def __call__(self, aset: AnnotationSet) -> "AgreementResult":
-        rounds = resolve_rounds(aset, None)[0] if self.rounds == FIRST_ROUND else self.rounds
-        return METRICS[self.name].kernel(aset, rounds, **self.options)
+        return METRICS[self.name].kernel(aset, self.rounds, **self.options)
 
 
 _RANGE_TOL = 1e-9
@@ -381,20 +375,18 @@ def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray
     A rebuilt replicate pools its draws by the lowest selected round each
     draw has, then by the position of the draw's first record in that
     round, which is draw order. So each item's :func:`coincidence_blocks`
-    block is computed once per round selection, and a replicate adds the
-    drawn blocks in that order, one after another as
-    :func:`coincidence_counts` does: the same float.
+    block is computed once, and a replicate adds the drawn blocks in that
+    order, one after another as :func:`coincidence_counts` does: the same
+    float. ``None`` selects the source's rounds: the ones a replicate lacks
+    hold none of its labels, so they change nothing.
     """
     codes = aset.codes
-    order, bounds = codes.item_runs
-    first_rounds = np.minimum.reduceat(codes.round[order], bounds[:-1])
-    selected = cache(lambda: resolve_rounds(aset, call.rounds))
 
     @cache
-    def table(resolved: tuple[int, ...]):
+    def table():
         """Each item's block and the code of its lowest selected round, by
         position in ``items``; an item with < 2 labels has round -1."""
-        items, lowest_rounds, blocks = coincidence_blocks(aset, resolved)
+        items, lowest_rounds, blocks = coincidence_blocks(aset, call.rounds)
         k = len(codes.labels)
         stacked = np.zeros((len(codes.items), k, k))
         lowest = np.full(len(codes.items), -1)
@@ -402,13 +394,7 @@ def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray
         return stacked, lowest
 
     def value(positions: np.ndarray) -> float:
-        if call.rounds == FIRST_ROUND:
-            resolved = (codes.rounds[first_rounds[positions].min()],)
-        else:
-            # ``None`` resolves against the source's rounds: the ones a
-            # replicate lacks hold none of its labels, so they change nothing
-            resolved = selected()
-        stacked, lowest = table(resolved)
+        stacked, lowest = table()
         drawn = positions[lowest[positions] >= 0]
         if not drawn.size:
             raise DegenerateError("no item has >= 2 labels in the selected rounds")

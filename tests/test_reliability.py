@@ -22,6 +22,7 @@ from relistab import (
     SimConfig,
     bootstrap_ci,
     cohens_kappa,
+    compare_reliability,
     fleiss_kappa,
     icc,
     krippendorff_alpha,
@@ -41,7 +42,7 @@ from relistab.errors import (
     TooManyDegenerateError,
 )
 from relistab.core import ColumnCodes, coincidence_blocks, resolve_rounds
-from relistab.reliability import DISTANCES, FIRST_ROUND, METRICS, alpha_from_coincidence
+from relistab.reliability import DISTANCES, METRICS, alpha_from_coincidence, draw_positions
 
 from conftest import make_rounds, make_set
 
@@ -494,7 +495,7 @@ def test_resample_duplicate_id_never_merges_with_a_source_item():
 
 #: ordinal labels with numeric values, so every alpha distance applies
 ALPHA_SCHEMA = LabelSchema("t", ("x", "y", "z"), "ordinal", {"x": 1.0, "y": 2.0, "z": 4.0})
-ALPHA_ROUNDS = (None, 1, 2, (1, 2), (1, 3), (2, 3, 4), (4,), FIRST_ROUND)
+ALPHA_ROUNDS = (None, 1, 2, (1, 2), (1, 3), (2, 3, 4), (4,))
 
 
 @st.composite
@@ -525,9 +526,8 @@ def test_alpha_gather_equals_alpha_of_rebuilt_replicate(aset, rounds, distance, 
     call = MetricCall("krippendorff_alpha", rounds, {"distance": distance})
     gathered = METRICS["krippendorff_alpha"].gather(aset, call)
     rebuilt = resample_items(aset, [items[i] for i in positions])
-    selector = min(rebuilt.rounds()) if rounds == FIRST_ROUND else rounds
     try:
-        expected = krippendorff_alpha(rebuilt, selector, distance).value
+        expected = krippendorff_alpha(rebuilt, rounds, distance).value
     except DegenerateError:
         with pytest.raises(DegenerateError):
             gathered(np.array(positions))
@@ -560,11 +560,26 @@ def test_alpha_gather_adds_blocks_in_lowest_round_order():
     assert alpha_from_coincidence(aset.schema, in_draw_order) != expected
 
 
-def test_alpha_gather_first_round_is_the_replicates_own():
+def test_compare_reliability_measures_replicates_on_the_sources_first_round():
+    # i0 has round 2 only, so a replicate that draws it twice has no label in
+    # round 1, the source's first: it is degenerate and dropped
     aset = _order_sensitive_set()
-    call = MetricCall("krippendorff_alpha", FIRST_ROUND)
-    expected = krippendorff_alpha(resample_items(aset, ["i0", "i0"]), 2).value
-    assert METRICS["krippendorff_alpha"].gather(aset, call)(np.array([0, 0])) == expected
+    items = aset.items()
+
+    def alpha(*key):
+        drawn = [items[i] for i in draw_positions(len(items), *key).tolist()]
+        return krippendorff_alpha(resample_items(aset, drawn), 1).value
+
+    values = []
+    for r in range(200):
+        try:
+            values.append(alpha(3, r, 0) - alpha(3, r, 1))
+        except DegenerateError:
+            pass
+    assert 0 < 200 - len(values) <= 100
+    low, high = np.percentile(values, [25.0, 75.0])
+    assert compare_reliability(aset, aset, 200, 3, confidence=0.5) == (
+        0.0, (min(low, 0.0), max(high, 0.0)))
 
 
 def test_resample_unknown_item_names_it():
@@ -753,6 +768,6 @@ def test_resample_gathers_the_codes_of_a_record_level_rebuild(aset, data):
         nominal_icc = name.startswith("icc") and aset.schema.scale_kind == "nominal"
         mine, theirs = (replace(s, schema=interval if nominal_icc else aset.schema)
                         for s in (gathered, rebuilt))
-        for rounds in (FIRST_ROUND, None, 2):
+        for rounds in (1, None, 2):
             call = MetricCall(name, rounds, options)
             assert _outcome(lambda: call(mine)) == _outcome(lambda: call(theirs))
