@@ -64,8 +64,6 @@ def canonicalize(obj):
         return {str(k): canonicalize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [canonicalize(v) for v in obj]
-    if isinstance(obj, bool):
-        return obj
     if isinstance(obj, numbers.Integral):
         return int(obj)
     if isinstance(obj, numbers.Real):

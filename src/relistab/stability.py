@@ -150,21 +150,13 @@ class RepeatTable:
 
 def repeat_table(aset: AnnotationSet, pairs: RepeatPairs) -> RepeatTable:
     """The :class:`RepeatTable` of ``pairs``, which
-    :func:`~relistab.core.build_repeat_pairs` made from ``aset``."""
+    :func:`~relistab.core.build_repeat_pairs` made from ``aset``: their
+    codes are positions in ``aset.codes``."""
     items, annotators = aset.items(), aset.annotators()
-    categories = aset.schema.categories
-    k = len(categories)
-
-    def recoded(codes: np.ndarray, values: tuple, targets: Sequence) -> np.ndarray:
-        """``codes`` into ``values`` as positions in ``targets``."""
-        position = {value: i for i, value in enumerate(targets)}
-        return np.array([position[value] for value in values], dtype=np.int64)[codes]
-
-    labels = (recoded(pairs.first_label, pairs.labels, categories),
-              recoded(pairs.second_label, pairs.labels, categories))
-    cell = (recoded(pairs.item, pairs.items, items) * len(annotators)
-            + recoded(pairs.annotator, pairs.annotators, annotators))
-    keys, count = np.unique((cell * k + labels[0]) * k + labels[1], return_counts=True)
+    k = len(aset.schema.categories)
+    cell = pairs.item * len(annotators) + pairs.annotator
+    keys, count = np.unique((cell * k + pairs.first_label) * k + pairs.second_label,
+                            return_counts=True)
     item, joint = np.divmod(keys, len(annotators) * k * k)
     return RepeatTable(items, annotators, k, item, joint, count)
 
