@@ -9,6 +9,8 @@ whose per-item causes provide ground truth for the whole pipeline.
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .association import (
     AssociationResult,
     ContingencyTable,
@@ -117,4 +119,5 @@ from .stability import (
     repeat_table,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -15,18 +15,17 @@ PUBLIC_NAMES = [
     "RecordColumns", "RelistabError", "RepeatPairs", "RepeatTable", "SchemaMismatchError",
     "SimConfig", "SimTruth", "StabilityResult", "TooFewBucketsError", "TooManyDegenerateError",
     "UnknownLabelError", "ValidationError", "ZeroMarginError", "annotator_stability",
-    "association", "bootstrap_ci", "build_contingency", "build_provenance",
-    "build_repeat_pairs", "canonicalize", "classify", "classify_dataset", "classify_items",
-    "cohens_kappa", "coincidence_counts", "compare_item_scores", "compare_reliability",
-    "compare_stability", "core", "dataset_stability", "dumps_report", "errors", "fleiss_kappa",
-    "format_rfc3339", "icc", "ingest", "interval_profile", "item_stability_labels",
-    "items_without_repeats", "krippendorff_alpha", "load_report_schema", "load_schema",
-    "normalize_label", "parse_rfc3339", "percent_agreement", "permutation_p", "phi", "quadrant",
-    "read_annotation_records", "read_annotation_records_csv", "read_annotation_records_jsonl",
-    "read_rationalisations_csv", "recovery_accuracy", "reliability", "render_markdown",
-    "render_svg_quadrant", "repeat_table", "reporting", "resample_items",
-    "resolve_rationalisation", "resolve_rounds", "round_sig", "save_schema", "simulate",
-    "simulator", "stability", "validate_dataset", "write_annotations_csv",
+    "bootstrap_ci", "build_contingency", "build_provenance", "build_repeat_pairs",
+    "canonicalize", "classify", "classify_dataset", "classify_items", "cohens_kappa",
+    "coincidence_counts", "compare_item_scores", "compare_reliability", "compare_stability",
+    "dataset_stability", "dumps_report", "fleiss_kappa", "format_rfc3339", "icc",
+    "interval_profile", "item_stability_labels", "items_without_repeats", "krippendorff_alpha",
+    "load_report_schema", "load_schema", "normalize_label", "parse_rfc3339",
+    "percent_agreement", "permutation_p", "phi", "read_annotation_records",
+    "read_annotation_records_csv", "read_annotation_records_jsonl",
+    "read_rationalisations_csv", "recovery_accuracy", "render_markdown", "render_svg_quadrant",
+    "repeat_table", "resample_items", "resolve_rationalisation", "resolve_rounds", "round_sig",
+    "save_schema", "simulate", "validate_dataset", "write_annotations_csv",
     "write_annotations_jsonl", "write_rationalisations_csv",
 ]
 
