@@ -12,8 +12,11 @@ quotes (:func:`_plain_csv`) and JSON Lines whose lines all repeat one shape
 (:func:`_shaped_jsonl`) go from the file's bytes to those codes in numpy, a
 field at a time, by one coding loop (:func:`_byte_fields`); any other CSV
 goes through ``csv.reader``, and any other JSON Lines through one JSON
-decode a line. Every file may start with a UTF-8 byte order mark, and a
-refused record names its physical line.
+decode a line, each a generator of rows that
+:func:`~relistab.core.collect_rows` gathers while the line of each record
+is kept. Every file may start with a UTF-8 byte order mark, and a refused
+record names its physical line. Every path is checked to be a regular
+file before it is read (:func:`_regular`).
 
 The writers format each distinct value once, as ``csv.writer`` or
 ``json.dumps`` would, and gather the text by the codes (:func:`_write_pieces`).
@@ -26,7 +29,9 @@ import contextlib
 import csv
 import json
 import operator
+import os
 import re
+import stat
 from array import array
 from datetime import datetime, timezone
 from pathlib import Path
@@ -60,12 +65,21 @@ def format_rfc3339(epoch_seconds: float) -> str:
     return moment.isoformat().replace("+00:00", "Z")
 
 
+def _regular(path: str | Path) -> str | Path:
+    """``path``, checked before it is read: anything but a regular file (a
+    pipe, a FIFO, a directory) is an OSError naming it, as a pipe can be
+    read only once and a FIFO blocks until something writes to it."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        raise OSError(f"{path}: not a regular file")
+    return path
+
+
 @contextlib.contextmanager
 def _open_text(path: str | Path, **kwargs):
     """``path`` opened as UTF-8 text, a leading byte order mark skipped;
     undecodable bytes are a ValidationError."""
     try:
-        with open(path, encoding="utf-8-sig", **kwargs) as handle:
+        with open(_regular(path), encoding="utf-8-sig", **kwargs) as handle:
             yield handle
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text ({exc.reason})") from exc
@@ -261,8 +275,7 @@ def read_annotation_records_csv(path: str | Path) -> RecordColumns:
     a column at a time; any other file, quoted CSV among them, by
     ``csv.reader``.
     """
-    with open(path, "rb") as handle:
-        plain = _plain_csv(handle.read(), path)
+    plain = _plain_csv(Path(_regular(path)).read_bytes(), path)
     return _read_csv_rows(path) if plain is None else _checked(*plain, path)
 
 
@@ -332,8 +345,7 @@ def read_annotation_records_jsonl(path: str | Path) -> RecordColumns:
     """The records of a JSON Lines file, one object a line, as columns;
     blank lines are skipped and errors name the physical line. A file of
     one shape (:func:`_shaped_jsonl`) is read from its bytes in numpy."""
-    with open(path, "rb") as handle:
-        shaped = _shaped_jsonl(handle.read())
+    shaped = _shaped_jsonl(Path(_regular(path)).read_bytes())
     return _read_jsonl_lines(path) if shaped is None else _checked(*shaped, path)
 
 

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -856,3 +857,52 @@ def test_console_script_version():
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0
     assert proc.stdout.startswith("relistab ")
+
+
+def _refused_in_a_child(argv, pass_fds=()):
+    """``relistab *argv`` run in a child: it must exit 2 with an IO error
+    naming the input that is not a regular file, and must not block."""
+    proc = subprocess.run([sys.executable, "-m", "relistab", *argv], capture_output=True,
+                          text=True, timeout=30, pass_fds=pass_fds)
+    assert proc.returncode == 2, proc.stderr
+    error = error_of(proc.stderr)
+    assert error["code"] == "IO" and "not a regular file" in error["message"]
+    return error["message"]
+
+
+#: a subcommand with each input the CLI reads in turn at ``{fifo}``
+FILE_INPUTS = {
+    "annotations": ["validate", "--annotations", "{fifo}", "--schema", "{ws}/schema.json"],
+    "schema": ["validate", "--annotations", "{ws}/annotations.csv", "--schema", "{fifo}"],
+    "config": ["validate", "--config", "{fifo}"],
+    "rationalisations": ["phi", "--annotations", "{ws}/annotations.csv",
+                         "--schema", "{ws}/schema.json", "--rationalisations", "{fifo}"],
+    "sim-config": ["simulate", "--sim-config", "{fifo}", "--out", "{tmp}/sim"],
+    "inputs": ["report", "--inputs", "{fifo}"],
+}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+@pytest.mark.parametrize("option", FILE_INPUTS)
+def test_a_fifo_input_is_refused_before_it_is_read(workspace, tmp_path, option):
+    # opening a FIFO for reading blocks until something opens it to write
+    fifo = tmp_path / "input"
+    os.mkfifo(fifo)
+    argv = [arg.format(fifo=fifo, ws=workspace, tmp=tmp_path) for arg in FILE_INPUTS[option]]
+    assert str(fifo) in _refused_in_a_child(argv)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_a_pipe_input_is_refused_before_it_is_read(workspace):
+    # a pipe can be read once, so its digest would be that of no bytes
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, (workspace / "annotations.csv").read_bytes())
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        message = _refused_in_a_child(
+            ["validate", "--annotations", path, "--schema", str(workspace / "schema.json")],
+            pass_fds=(read_end,))
+        assert path in message
+    finally:
+        os.close(read_end)
