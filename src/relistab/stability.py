@@ -131,8 +131,8 @@ class RepeatTable:
     stands for. ``item`` indexes ``items`` (the set's items in
     ``aset.items()`` order, with or without pairs); ``joint`` is the row's
     position in the flattened annotators x labels x labels count table,
-    annotators indexing ``annotators`` and labels ``schema.categories``
-    (``n_labels`` of them).
+    annotators indexing ``annotators`` and labels ``aset.codes.labels``
+    (the categories, then any other label; ``n_labels`` of them).
     """
 
     items: tuple[str, ...]
@@ -153,7 +153,7 @@ def repeat_table(aset: AnnotationSet, pairs: RepeatPairs) -> RepeatTable:
     :func:`~relistab.core.build_repeat_pairs` made from ``aset``: their
     codes are positions in ``aset.codes``."""
     items, annotators = aset.items(), aset.annotators()
-    k = len(aset.schema.categories)
+    k = len(pairs.labels)
     cell = pairs.item * len(annotators) + pairs.annotator
     keys, count = np.unique((cell * k + pairs.first_label) * k + pairs.second_label,
                             return_counts=True)

@@ -2,6 +2,7 @@
 cell-by-cell walks of ``tests/oracles.py``."""
 
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,22 @@ def test_a_round_beyond_int64_still_pairs():
     records = [AnnotationRecord("t", "i0", "a", rnd, "x") for rnd in (1, huge)]
     pairs = build_repeat_pairs(validate_dataset(records, SCHEMA))
     assert pair_tuples(pairs) == [("i0", "a", "x", "x", 1, huge, None)]
+
+
+def test_a_label_outside_the_schema_keeps_its_own_code_in_the_repeat_table():
+    # a set recoded under a schema without one of its labels codes that
+    # label after the categories; its pairs count as that label's
+    records = [AnnotationRecord("t", "i0", "a", rnd, label)
+               for rnd, label in ((1, "x"), (2, "z"), (3, "z"))]
+    aset = replace(validate_dataset(records, LabelSchema("t", ("x", "y", "z"))),
+                   schema=LabelSchema("t", ("x", "y")))
+    table = repeat_table(aset, build_repeat_pairs(aset))
+    k = table.n_labels
+    assert aset.codes.labels == ("x", "y", "z") and k == 3
+    assert {(aset.codes.labels[j // k % k], aset.codes.labels[j % k]): n
+            for j, n in zip(table.joint.tolist(), table.count.tolist())} == {
+        ("x", "z"): 1, ("z", "z"): 1}
+    assert table.item.tolist() == [0, 0]
 
 
 def test_pairing_fills_no_cell_index():
