@@ -8,7 +8,9 @@ field, and as :class:`AnnotationRecord` objects are decoded only when a
 caller asks for them. :class:`RecordColumns` also carries records on their
 way in: each field as its distinct values and a code per record, so that
 :func:`coerce_record_columns` converts, and :func:`validate_dataset`
-checks and sorts, each distinct value once. Stability analyses consume
+checks and sorts, each distinct value once. Records that come one at a
+time (``csv.reader`` rows, JSON lines, mappings) reach it through one
+collector, :func:`collect_rows`. Stability analyses consume
 :class:`RepeatPairs`: the repeat pairs of a set held as arrays, paired with
 one sort over the codes. Krippendorff-style reliability consumes the
 coincidence matrix.
@@ -21,7 +23,7 @@ import operator
 import unicodedata
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import compress, count, repeat
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -130,8 +132,10 @@ def _factorise(column: Iterable) -> tuple[tuple, np.ndarray]:
     plain = types <= _PLAIN_TYPES and len(types & {bool, int, float}) <= 1
     keys = column if plain and not (float in types and 0.0 in column) else [
         (type(v), v, str(v)) for v in column]
+    first = {}
     try:
-        distinct = list(dict.fromkeys(keys))
+        # each entry's first position, in one pass over the keys
+        at = np.fromiter(map(first.setdefault, keys, count()), dtype=np.intp, count=len(keys))
     except TypeError:
         index, values, codes = {}, [], []
         for key, value in zip(keys, column):
@@ -143,9 +147,8 @@ def _factorise(column: Iterable) -> tuple[tuple, np.ndarray]:
                 values.append(value)
             codes.append(code)
         return tuple(values), np.array(codes, dtype=np.intp)
-    index = dict(zip(distinct, range(len(distinct))))
-    codes = np.fromiter(map(index.__getitem__, keys), dtype=np.intp, count=len(keys))
-    return tuple(distinct) if keys is column else tuple(key[1] for key in distinct), codes
+    codes = (np.cumsum(at == np.arange(len(keys))) - 1)[at]
+    return tuple(first) if keys is column else tuple(key[1] for key in first), codes
 
 
 def _compact(values: tuple, codes: np.ndarray) -> tuple[tuple, np.ndarray]:
