@@ -247,9 +247,8 @@ def compare_reliability(
     """Reliability difference between two datasets with a bootstrap CI.
 
     The metric runs on each set's first round, and so does every replicate
-    of that set: one without items labelled in that round is degenerate.
-    Items are resampled within each set independently, see
-    :func:`replicate_value`.
+    of that set (one without that round is degenerate); items are resampled
+    within each set independently, see :func:`replicate_value`.
     """
     if metric not in COMPARE_RELIABILITY_METRICS:
         raise InvalidConfigError(
