@@ -79,6 +79,12 @@ STDOUT_RUNS = {
                                "--bootstrap", "20", "--seed", "3"],
     "stability.json": ["stability", "--annotations", A, "--schema", SCHEMA,
                        "--permutation", "200", "--seed", "4"],
+    # three occupied buckets (gaps 2 h, 14 d and 14 d 2 h), so the trend
+    # p-value comes from the permutation loop and its RNG stream
+    "stability_three_buckets.json": ["stability", "--annotations", A, "--schema", SCHEMA,
+                                     "--pairing", "all_pairs",
+                                     "--bucket-edges", "3600,86400,1213200",
+                                     "--permutation", "200", "--seed", "11"],
     "phi.json": ["phi", "--annotations", A, "--schema", SCHEMA,
                  "--rationalisations", "a/rationalisations.csv",
                  "--permutation", "500", "--seed", "5"],
