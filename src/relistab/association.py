@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
     ZeroMarginError,
 )
-from .reliability import MetricCall, draw_positions, percentile_ci, replicate_value
+from .reliability import MetricCall, draw_positions, percentile_ci, replicate_value, require_seed
 from .stability import ItemStabilityLabel, dataset_stability, repeat_table
 
 RATIONALISATION_LABELS = ("subjective", "ambiguous", "difficult")
@@ -172,14 +172,13 @@ def permutation_p(table: ContingencyTable, replicates: int = 10000, seed: int | 
     integer numerator |bc - ad|, which keeps the test exact in floating
     point. Add-one smoothing keeps p in (0, 1].
     """
-    if seed is None:
-        raise InvalidConfigError("permutation_p requires an explicit seed")
+    seed = require_seed(seed, "permutation_p")
     if replicates < 1:
         raise InvalidConfigError("replicates must be >= 1")
     row_stable, _row_unstable, col_subjective, col_ambiguous = table.margins()
     if min(table.margins()) == 0:
         raise ZeroMarginError(f"phi undefined: margins {table.margins()} include zero")
-    rng = np.random.default_rng(int(seed))
+    rng = np.random.default_rng(seed)
     a = rng.hypergeometric(col_subjective, col_ambiguous, row_stable, size=replicates).astype(np.int64)
     b = row_stable - a
     c = col_subjective - a

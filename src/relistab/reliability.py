@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -514,6 +515,20 @@ def resample_items(aset: AnnotationSet, item_ids: Sequence[str]) -> AnnotationSe
     ))
 
 
+def require_seed(seed, what: str) -> int:
+    """``seed`` as an int. InvalidConfigError for ``None``, for what
+    ``operator.index`` refuses (``2.5`` is not truncated) and below 0."""
+    if seed is None:
+        raise InvalidConfigError(f"{what} requires an explicit seed")
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise InvalidConfigError(f"{what} seed {seed!r} is not an integer") from None
+    if value < 0:
+        raise InvalidConfigError(f"{what} seed {seed!r} is negative")
+    return value
+
+
 def percentile_ci(
     estimate: Callable[[], float],
     replicate: Callable[[int, int], float],
@@ -530,8 +545,7 @@ def percentile_ci(
     is widened, when needed, to bracket the point estimate so that reported
     (value, ci) pairs always nest.
     """
-    if seed is None:
-        raise InvalidConfigError(f"{what} requires an explicit seed")
+    seed = require_seed(seed, what)
     if replicates < 1:
         raise InvalidConfigError("replicates must be >= 1")
     if not 0.0 < confidence < 1.0:
@@ -540,7 +554,7 @@ def percentile_ci(
     values = []
     for r in range(replicates):
         try:
-            values.append(replicate(int(seed), r))
+            values.append(replicate(seed, r))
         except DegenerateError:
             pass
     degenerate = replicates - len(values)

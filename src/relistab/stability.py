@@ -30,7 +30,7 @@ from .errors import (
     TooFewBucketsError,
     ValidationError,
 )
-from .reliability import counts_kappa
+from .reliability import counts_kappa, require_seed
 
 #: bucket edges in seconds: same-session, < 1 day, < 1 week, < 1 month, rest
 DEFAULT_BUCKET_EDGES = (3600.0, 86400.0, 604800.0, 2592000.0)
@@ -276,27 +276,30 @@ def dataset_stability(
     )
 
 
+def _ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, a tied group sharing the mean of its positions."""
+    ordered = np.sort(values)
+    below, upto = np.searchsorted(ordered, values), np.searchsorted(ordered, values, "right")
+    return (below + upto + 1) / 2.0
+
+
 def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     """Spearman rank correlation with average ranks; 0.0 when either side
     is constant (the all-ties convention)."""
-
-    def ranks(values: np.ndarray) -> np.ndarray:
-        order = np.argsort(values, kind="stable")
-        ranked = np.empty(len(values), dtype=float)
-        i = 0
-        while i < len(values):
-            j = i
-            while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-                j += 1
-            ranked[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-            i = j + 1
-        return ranked
-
-    rx, ry = ranks(x), ranks(y)
+    rx, ry = _ranks(x), _ranks(y)
     sx, sy = rx.std(), ry.std()
     if sx == 0.0 or sy == 0.0:
         return 0.0
     return float(np.mean((rx - rx.mean()) * (ry - ry.mean())) / (sx * sy))
+
+
+def _every_shuffle_hits(rho: float, sizes: np.ndarray, total: int) -> bool:
+    """Whether every shuffle of ``total`` consistent pairs into buckets of
+    ``sizes`` reaches ``|rho| - 1e-12``: when rho is 0, or with two buckets
+    (``s0 + s1 = n``) whose rates never tie (so |rho| is 1): ``total * s0 / n``
+    is not whole; below 2**26 pairs a bucket, floats tie only as fractions do."""
+    return abs(rho) <= 1e-12 or (len(sizes) == 2 and sizes.max() < 2**26
+                                 and total * int(sizes[0]) % int(sizes.sum()) != 0)
 
 
 def interval_profile(
@@ -310,13 +313,15 @@ def interval_profile(
     Buckets partition [0, inf) at ``bucket_edges``; empty buckets are
     dropped. The trend is the Spearman correlation between bucket order and
     bucket consistency; its p-value comes from shuffling pairs across
-    buckets (bucket sizes fixed) and is only computed when a seed is given.
+    buckets (bucket sizes fixed) and is only computed when a seed is given;
+    it is exactly 1, without drawing, when every shuffle must reach ``|rho|``.
     A negative interval in ``pairs``, which may be built by hand, raises
     ValidationError.
     """
     edges = sorted(float(e) for e in bucket_edges)
     if len(edges) != len(set(edges)) or any(not 0 < e < math.inf for e in edges):
         raise InvalidConfigError("bucket edges must be positive, finite and distinct")
+    seed = None if seed is None else require_seed(seed, "interval_profile")
     if seed is not None and permutation_replicates < 1:
         raise InvalidConfigError("permutation replicates must be >= 1")
     bounds = [0.0, *edges, math.inf]
@@ -353,11 +358,13 @@ def interval_profile(
     rho = _spearman(order, rates)
     p_value = None
     if seed is not None:
-        hits = 0
-        for replicate in range(permutation_replicates):
-            rng = np.random.default_rng([int(seed), replicate])
-            perm_rates = np.add.reduceat(rng.permutation(flags), starts) / sizes
-            if abs(_spearman(order, perm_rates)) >= abs(rho) - 1e-12:
-                hits += 1
+        hits = permutation_replicates
+        if not _every_shuffle_hits(rho, sizes, int(hits_per_bucket.sum())):
+            hits = 0
+            for replicate in range(permutation_replicates):
+                rng = np.random.default_rng([seed, replicate])
+                perm_rates = np.add.reduceat(rng.permutation(flags), starts) / sizes
+                if abs(_spearman(order, perm_rates)) >= abs(rho) - 1e-12:
+                    hits += 1
         p_value = (1 + hits) / (1 + permutation_replicates)
     return IntervalProfile(buckets=tuple(buckets), trend_rho=rho, trend_p=p_value)

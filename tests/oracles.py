@@ -218,6 +218,62 @@ def brute_item_votes(records):
     return votes
 
 
+def brute_average_ranks(values):
+    """1-based ranks by sorting position, each run of equal values (``==``)
+    given the mean of the positions it covers."""
+    order = sorted(range(len(values)), key=lambda i: values[i])
+    ranks = [0.0] * len(values)
+    i = 0
+    while i < len(order):
+        j = i
+        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        for k in range(i, j + 1):
+            ranks[order[k]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
+def brute_spearman(x, y):
+    """Pearson's r of the average ranks; 0.0 when either side is constant."""
+    rx, ry = brute_average_ranks(x), brute_average_ranks(y)
+    mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
+    sxy = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    sxx = sum((a - mx) ** 2 for a in rx)
+    syy = sum((b - my) ** 2 for b in ry)
+    if sxx == 0 or syy == 0:
+        return 0.0
+    return sxy / (sxx * syy) ** 0.5
+
+
+def brute_trend_p(flags_by_bucket, seed, replicates):
+    """Permutation p-value of the Spearman trend of bucket consistency.
+
+    ``flags_by_bucket`` lists each occupied bucket's consistency flags in
+    bucket order. Replicate ``r`` shuffles the concatenated flags with
+    ``default_rng([seed, r]).permutation`` and cuts them back into buckets
+    of the same sizes; it hits when its |rho| reaches the observed |rho|
+    less 1e-12. p = (1 + hits) / (1 + replicates).
+    """
+    sizes = [len(bucket) for bucket in flags_by_bucket]
+
+    def trend(flags):
+        rates, start = [], 0
+        for size in sizes:
+            rates.append(sum(flags[start:start + size]) / size)
+            start += size
+        return brute_spearman(list(range(len(sizes))), rates)
+
+    flags = [float(flag) for bucket in flags_by_bucket for flag in bucket]
+    observed = abs(trend(flags))
+    hits = 0
+    for r in range(replicates):
+        shuffled = np.random.default_rng([seed, r]).permutation(np.array(flags))
+        if abs(trend(shuffled.tolist())) >= observed - 1e-12:
+            hits += 1
+    return (1 + hits) / (1 + replicates)
+
+
 #: RFC 3339 section 5.6 ``date-time``, ASCII digits only
 RFC3339 = re.compile(r"(\d{4})-(\d\d)-(\d\d)[Tt ](\d\d):(\d\d):(\d\d)(?:\.(\d+))?"
                      r"(?:[Zz]|([+-])(\d\d):(\d\d))?", re.ASCII)

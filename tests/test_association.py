@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -18,6 +19,7 @@ from relistab import (
     compare_reliability,
     compare_stability,
     dataset_stability,
+    interval_profile,
     permutation_p,
     phi,
     resolve_rationalisation,
@@ -40,7 +42,7 @@ from relistab.reliability import draw_positions, percentile_ci
 from relistab.simulator import CAUSES
 from relistab.stability import ItemStabilityLabel
 
-from conftest import make_rounds
+from conftest import make_rounds, timed_pairs
 
 
 def rebuilt_draw(aset, *key):
@@ -203,6 +205,33 @@ class TestPermutationP:
         assume(positive_margin(t))
         p = permutation_p(ContingencyTable(*t), replicates=50, seed=seed)
         assert 0.0 < p <= 1.0
+
+
+#: every resampling entry point, called with the seed under test; the
+#: interval profile is two 3/3 buckets whose rates cannot tie (p is 1
+#: without drawing)
+SEEDED_ENTRY_POINTS = {
+    "percentile_ci": lambda seed: percentile_ci(
+        lambda: 0.5, lambda seed_, r: seed_ + r, 5, 0.9, seed, "bootstrap"),
+    "permutation_p": lambda seed: permutation_p(
+        ContingencyTable(4, 1, 2, 3), replicates=5, seed=seed),
+    "interval_profile": lambda seed: interval_profile(
+        timed_pairs([60.0] * 3 + [7200.0] * 3, [True] + [False] * 5),
+        permutation_replicates=5, seed=seed),
+}
+
+
+@pytest.mark.parametrize("entry", SEEDED_ENTRY_POINTS)
+@pytest.mark.parametrize("seed", [2.5, 3.0, "3", -1, -(2**70)])
+def test_a_seed_is_a_nonnegative_integer(entry, seed):
+    with pytest.raises(InvalidConfigError, match="seed"):
+        SEEDED_ENTRY_POINTS[entry](seed)
+
+
+@pytest.mark.parametrize("entry", SEEDED_ENTRY_POINTS)
+def test_an_index_seed_reads_as_its_int(entry):
+    call = SEEDED_ENTRY_POINTS[entry]
+    assert call(np.int64(7)) == call(7)
 
 
 STABLE_ROUNDS = {

@@ -26,9 +26,10 @@ from relistab.errors import (
     TooFewBucketsError,
     ValidationError,
 )
-from relistab.stability import DEFAULT_BUCKET_EDGES
+from relistab.stability import DEFAULT_BUCKET_EDGES, _ranks
 
 from conftest import make_rounds, timed_pairs
+from oracles import brute_average_ranks, brute_spearman, brute_trend_p
 
 
 class TestSelfAgreement:
@@ -256,6 +257,79 @@ class TestIntervalProfile:
 
     def test_default_edges_span_hour_day_week_month(self):
         assert DEFAULT_BUCKET_EDGES == (3600.0, 86400.0, 604800.0, 2592000.0)
+
+
+#: one interval inside each default bucket, in bucket order
+BUCKET_INTERVALS = (60.0, 7200.0, 100_000.0, 1e6, 1e7)
+
+
+def bucketed_pairs(flags_by_bucket):
+    """Timed pairs holding each list of flags in its own default bucket."""
+    return timed_pairs([BUCKET_INTERVALS[b] for b, flags in enumerate(flags_by_bucket)
+                        for _ in flags], sum(flags_by_bucket, []))
+
+
+@given(st.data(), st.integers(0, 2**32), st.integers(1, 30))
+def test_trend_p_matches_the_permutation_oracle(data, seed, replicates):
+    chosen = data.draw(st.lists(st.sampled_from(range(5)), min_size=1, max_size=4,
+                                unique=True).map(sorted))
+    drawn = [(BUCKET_INTERVALS[b], flag) for b in chosen
+             for flag in data.draw(st.lists(st.booleans(), min_size=1, max_size=6))]
+    drawn = data.draw(st.permutations(drawn))
+    pairs = timed_pairs([interval for interval, _ in drawn], [flag for _, flag in drawn])
+    if len(chosen) < 2:
+        with pytest.raises(TooFewBucketsError):
+            interval_profile(pairs, seed=seed, permutation_replicates=replicates)
+        return
+    # flags grouped by bucket, in pair order within a bucket
+    flags_by_bucket = [[flag for interval, flag in drawn if interval == BUCKET_INTERVALS[b]]
+                       for b in chosen]
+    profile = interval_profile(pairs, seed=seed, permutation_replicates=replicates)
+    assert profile.trend_p == brute_trend_p(flags_by_bucket, seed, replicates)
+    rates = [sum(flags) / len(flags) for flags in flags_by_bucket]
+    assert profile.trend_rho == pytest.approx(
+        brute_spearman(list(range(len(chosen))), rates), abs=1e-12)
+
+
+class TestTrendWithoutDrawing:
+    #: 3/3 pairs, one consistent: 1 * 3 / 6 is not whole, so the rates never tie
+    UNTIEABLE = [[True, False, False], [False, False, False]]
+    #: 2/2 pairs, two consistent: a shuffle with one in each bucket ties
+    TIEABLE = [[True, True], [False, False]]
+    #: three buckets at rate 1/2: rho is 0
+    LEVEL = [[True, False], [False, True], [True, False]]
+
+    def test_untieable_two_buckets_give_one(self):
+        profile = interval_profile(bucketed_pairs(self.UNTIEABLE), seed=3,
+                                   permutation_replicates=50)
+        assert profile.trend_rho == -1.0
+        assert profile.trend_p == 1.0 == brute_trend_p(self.UNTIEABLE, 3, 50)
+
+    def test_tieable_two_buckets_run_the_loop(self):
+        profile = interval_profile(bucketed_pairs(self.TIEABLE), seed=3,
+                                   permutation_replicates=50)
+        assert profile.trend_p == brute_trend_p(self.TIEABLE, 3, 50) < 1.0
+
+    def test_equal_rates_give_one(self):
+        profile = interval_profile(bucketed_pairs(self.LEVEL), seed=3, permutation_replicates=50)
+        assert profile.trend_rho == 0.0
+        assert profile.trend_p == 1.0 == brute_trend_p(self.LEVEL, 3, 50)
+
+    def test_only_a_possible_tie_draws(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise RuntimeError("drew a shuffle")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert interval_profile(bucketed_pairs(self.UNTIEABLE), seed=3).trend_p == 1.0
+        assert interval_profile(bucketed_pairs(self.LEVEL), seed=3).trend_p == 1.0
+        with pytest.raises(RuntimeError, match="drew a shuffle"):
+            interval_profile(bucketed_pairs(self.TIEABLE), seed=3)
+
+
+@given(st.lists(st.one_of(st.sampled_from([-1.5, -0.0, 0.0, 0.5, 1.0, math.inf, -math.inf]),
+                          st.floats(allow_nan=False)), max_size=12))
+def test_ranks_equal_the_tie_loop(values):
+    assert _ranks(np.array(values, dtype=float)).tolist() == brute_average_ranks(values)
 
 
 def test_profile_from_simulated_timestamps():
