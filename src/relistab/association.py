@@ -24,17 +24,16 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import AnnotationSet, build_repeat_pairs, resolve_rounds
+from .core import AnnotationSet, require_seed, resolve_rounds
 from .errors import (
-    DegenerateError,
     EmptyInputError,
     InvalidConfigError,
     NoOverlapError,
     ValidationError,
     ZeroMarginError,
 )
-from .reliability import MetricCall, draw_positions, percentile_ci, replicate_value, require_seed
-from .stability import ItemStabilityLabel, dataset_stability, repeat_table
+from .reliability import METRICS, MetricCall, draw_positions, percentile_ci, replicate_value
+from .stability import ItemStabilityLabel
 
 RATIONALISATION_LABELS = ("subjective", "ambiguous", "difficult")
 RESOLVED_SUBJECTIVE = "subjective"
@@ -193,6 +192,21 @@ def permutation_p(table: ContingencyTable, replicates: int = 10000, seed: int | 
 COMPARE_RELIABILITY_METRICS = ("krippendorff_alpha", "fleiss_kappa", "percent_agreement")
 
 
+def _difference(set_a: AnnotationSet, set_b: AnnotationSet, metric: str, replicates: int,
+                seed: int | None, confidence: float) -> tuple[float, tuple[float, float]]:
+    """``metric`` on ``set_a`` minus on ``set_b``, each called on its first
+    round, with the percentile interval of the replicate differences; items
+    are resampled within each set independently, see :func:`replicate_value`."""
+    values = [replicate_value(s, MetricCall(metric, resolve_rounds(s, None)[0]))
+              for s in (set_a, set_b)]
+
+    def difference(*key: int) -> float:
+        a, b = (value(*key, side) if key else value() for side, value in enumerate(values))
+        return a - b
+
+    return percentile_ci(difference, difference, replicates, confidence, seed, "comparison")
+
+
 def compare_stability(
     set_a: AnnotationSet,
     set_b: AnnotationSet,
@@ -201,38 +215,11 @@ def compare_stability(
     metric: str = "exact_rate",
     confidence: float = 0.95,
 ) -> tuple[float, tuple[float, float]]:
-    """dataset_stability(a) - dataset_stability(b) with a bootstrap CI.
-
-    Items are resampled within each set independently; the interval is the
-    percentile interval of the replicate differences (widened, if needed, to
-    bracket the point difference). Each set is paired once: a replicate
-    reweights the rows of its repeat table by how often each item was drawn,
-    which gives the numbers a resampled and re-paired set would give.
-    """
-    if metric not in ("exact_rate", "self_kappa"):
+    """dataset_stability(a) - dataset_stability(b) with a bootstrap CI, see
+    :func:`_difference`; each set is paired once."""
+    if metric not in METRICS or METRICS[metric].axis != "stability":
         raise InvalidConfigError("stability metric must be exact_rate or self_kappa")
-    sets = (set_a, set_b)
-    tables = {}  # paired on first use, after percentile_ci has checked its arguments
-
-    def stat(side: int, *key: int) -> float:
-        if side not in tables:
-            tables[side] = repeat_table(sets[side], build_repeat_pairs(sets[side]))
-        table = tables[side]
-        if key:
-            n = len(table.items)
-            table = table.reweighted(np.bincount(draw_positions(n, *key, side), minlength=n))
-        result = dataset_stability(table)
-        if metric == "exact_rate":
-            return result.exact_rate
-        if result.self_kappa is None:
-            raise DegenerateError("self_kappa undefined")
-        return result.self_kappa
-
-    return percentile_ci(
-        lambda: stat(0) - stat(1),
-        lambda seed_, r: stat(0, seed_, r) - stat(1, seed_, r),
-        replicates, confidence, seed, "comparison",
-    )
+    return _difference(set_a, set_b, metric, replicates, seed, confidence)
 
 
 def compare_reliability(
@@ -243,23 +230,14 @@ def compare_reliability(
     metric: str = "krippendorff_alpha",
     confidence: float = 0.95,
 ) -> tuple[float, tuple[float, float]]:
-    """Reliability difference between two datasets with a bootstrap CI.
-
-    The metric runs on each set's first round, and so does every replicate
-    of that set (one without that round is degenerate); items are resampled
-    within each set independently, see :func:`replicate_value`.
-    """
+    """Reliability difference between two datasets with a bootstrap CI, see
+    :func:`_difference`; a replicate lacking its set's first round is
+    degenerate."""
     if metric not in COMPARE_RELIABILITY_METRICS:
         raise InvalidConfigError(
             f"reliability metric must be one of {sorted(COMPARE_RELIABILITY_METRICS)}"
         )
-    call_a, call_b = (MetricCall(metric, resolve_rounds(s, None)[0]) for s in (set_a, set_b))
-    value_a, value_b = replicate_value(set_a, call_a), replicate_value(set_b, call_b)
-    return percentile_ci(
-        lambda: call_a(set_a).value - call_b(set_b).value,
-        lambda seed_, r: value_a(seed_, r, 0) - value_b(seed_, r, 1),
-        replicates, confidence, seed, "comparison",
-    )
+    return _difference(set_a, set_b, metric, replicates, seed, confidence)
 
 
 def compare_item_scores(
@@ -276,15 +254,11 @@ def compare_item_scores(
     """
     if not scores_a or not scores_b:
         raise EmptyInputError("both score groups must be non-empty")
-    arr_a = np.asarray(scores_a, dtype=float)
-    arr_b = np.asarray(scores_b, dtype=float)
+    arrays = (np.asarray(scores_a, dtype=float), np.asarray(scores_b, dtype=float))
 
-    def replicate(seed_: int, r: int) -> float:
-        pick_a = draw_positions(len(arr_a), seed_, r, 0)
-        pick_b = draw_positions(len(arr_b), seed_, r, 1)
-        return arr_a[pick_a].mean() - arr_b[pick_b].mean()
+    def difference(*key: int) -> float:
+        a, b = (scores[draw_positions(len(scores), *key, side)] if key else scores
+                for side, scores in enumerate(arrays))
+        return float(a.mean() - b.mean())
 
-    return percentile_ci(
-        lambda: float(arr_a.mean() - arr_b.mean()), replicate,
-        replicates, confidence, seed, "comparison",
-    )
+    return percentile_ci(difference, difference, replicates, confidence, seed, "comparison")

@@ -233,7 +233,8 @@ def cmd_validate(args) -> int:
 
 #: ``reliability --metric`` names: the registered metrics with the ICC
 #: models folded into one ``icc`` chosen by ``--icc-model``
-RELIABILITY_CHOICES = [name for name in METRICS if not name.startswith("icc_")] + ["icc"]
+RELIABILITY_CHOICES = [name for name, metric in METRICS.items()
+                       if metric.axis == "reliability" and not name.startswith("icc_")] + ["icc"]
 
 
 def _reliability_battery(aset: AnnotationSet) -> list[str]:

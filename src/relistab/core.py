@@ -500,6 +500,20 @@ def as_text(value) -> str:
     return value
 
 
+def require_seed(seed, what: str) -> int:
+    """``seed`` as an int. InvalidConfigError for ``None``, for what
+    ``operator.index`` refuses (``2.5`` is not truncated) and below 0."""
+    if seed is None:
+        raise InvalidConfigError(f"{what} requires an explicit seed")
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise InvalidConfigError(f"{what} seed {seed!r} is not an integer") from None
+    if value < 0:
+        raise InvalidConfigError(f"{what} seed {seed!r} is negative")
+    return value
+
+
 def _as_timestamp(value) -> float | None:
     if isinstance(value, str):
         value = value.strip()

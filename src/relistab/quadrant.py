@@ -22,16 +22,15 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .core import AnnotationSet, resolve_rounds
-from .errors import DegenerateError, InvalidConfigError, NonFiniteError, NoQualifyingItemsError
-from .reliability import METRICS, pair_agreement
-from .stability import dataset_stability, item_votes
+from .errors import InvalidConfigError, NonFiniteError, NoQualifyingItemsError
+from .reliability import METRICS, MetricCall, pair_agreement, replicate_value
+from .stability import item_votes
 
-#: dataset-level metrics: every registered one that needs no annotator pair
-RELIABILITY_METRICS = tuple(name for name in METRICS if name != "cohens_kappa")
-STABILITY_METRICS = ("self_kappa", "exact_rate")
-
-#: raw (not chance-corrected) scores get the stricter default cut
-_RAW_METRICS = ("percent_agreement", "exact_rate")
+#: the dataset-level metrics of each axis: every registered one but
+#: cohens_kappa, which needs an annotator pair
+RELIABILITY_METRICS = tuple(name for name, metric in METRICS.items()
+                            if metric.axis == "reliability" and name != "cohens_kappa")
+STABILITY_METRICS = tuple(name for name, metric in METRICS.items() if metric.axis == "stability")
 
 
 class Quadrant(str, Enum):
@@ -42,7 +41,7 @@ class Quadrant(str, Enum):
 
 
 def default_cut(metric: str) -> float:
-    return 0.8 if metric in _RAW_METRICS else 0.6
+    return METRICS[metric].cut
 
 
 @dataclass(frozen=True)
@@ -59,20 +58,16 @@ class QuadrantThresholds:
     stability_metric: str = "self_kappa"
 
     def __post_init__(self):
-        if self.reliability_metric not in RELIABILITY_METRICS:
-            raise InvalidConfigError(
-                f"reliability_metric must be one of {RELIABILITY_METRICS}"
-            )
-        if self.stability_metric not in STABILITY_METRICS:
-            raise InvalidConfigError(f"stability_metric must be one of {STABILITY_METRICS}")
-        if self.reliability_cut is None:
-            object.__setattr__(self, "reliability_cut", default_cut(self.reliability_metric))
-        if self.stability_cut is None:
-            object.__setattr__(self, "stability_cut", default_cut(self.stability_metric))
-        for name, cut in (("reliability_cut", self.reliability_cut),
-                          ("stability_cut", self.stability_cut)):
+        for axis, names in (("reliability", RELIABILITY_METRICS), ("stability", STABILITY_METRICS)):
+            if getattr(self, f"{axis}_metric") not in names:
+                raise InvalidConfigError(f"{axis}_metric must be one of {names}")
+        for axis in ("reliability", "stability"):
+            cut = getattr(self, f"{axis}_cut")
+            if cut is None:
+                cut = default_cut(getattr(self, f"{axis}_metric"))
+                object.__setattr__(self, f"{axis}_cut", cut)
             if not 0.0 < cut < 1.0:
-                raise InvalidConfigError(f"{name} must lie strictly in (0, 1), got {cut}")
+                raise InvalidConfigError(f"{axis}_cut must lie strictly in (0, 1), got {cut}")
 
     def to_report(self) -> dict:
         return {
@@ -128,14 +123,9 @@ def classify_dataset(
     stability across all rounds."""
     thresholds = thresholds or QuadrantThresholds()
     first_round = resolve_rounds(aset, None)[0]
-    reliability_score = METRICS[thresholds.reliability_metric].kernel(aset, first_round).value
-    stab = dataset_stability(aset)
-    if thresholds.stability_metric == "self_kappa":
-        if stab.self_kappa is None:
-            raise DegenerateError("dataset self_kappa is undefined for every annotator")
-        stability_score = stab.self_kappa
-    else:
-        stability_score = stab.exact_rate
+    reliability_score, stability_score = (
+        replicate_value(aset, MetricCall(name, first_round))()
+        for name in (thresholds.reliability_metric, thresholds.stability_metric))
     return QuadrantAssignment(
         scope="dataset",
         subject_id=None,

@@ -19,7 +19,6 @@ Conventions
 from __future__ import annotations
 
 import math
-import operator
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import cache
@@ -33,6 +32,7 @@ from .core import (
     LabelSchema,
     coincidence_blocks,
     coincidence_counts,
+    require_seed,
     resolve_rounds,
 )
 from .errors import (
@@ -45,6 +45,7 @@ from .errors import (
     RelistabError,
     TooManyDegenerateError,
 )
+from .stability import _chance_corrected, counts_kappa, dataset_score, score_gather
 
 DISTANCES = ("nominal", "ordinal", "interval")
 ICC_MODELS = ("oneway_random", "twoway_random_single")
@@ -52,23 +53,27 @@ ICC_MODELS = ("oneway_random", "twoway_random_single")
 
 @dataclass(frozen=True)
 class Metric:
-    """A registered coefficient: ``kernel(aset, rounds, **options)``, the
-    closed range its value must lie in and, optionally, its gather:
+    """A registered score: ``kernel(aset, rounds, **options)``, the closed
+    range of its value, its ``axis`` (a ``stability`` score pairs every
+    round, so ``rounds`` does not apply to it), its default quadrant
+    ``cut`` (0.8 for a raw score, else 0.6) and, optionally, its gather:
     ``gather(aset, call)`` returns ``value(positions)``, the kernel's value
     on the replicate of ``aset`` that draws ``aset.items()[positions]``,
-    computed without building that replicate."""
+    computed without building it; ``value(None)`` is the kernel on ``aset``."""
 
-    kernel: Callable[..., "AgreementResult"]
+    kernel: Callable[..., "AgreementResult | float"]
     low: float
     high: float
-    gather: Callable[[AnnotationSet, "MetricCall"], Callable[[np.ndarray], float]] | None = None
+    axis: str = "reliability"
+    cut: float = 0.6
+    gather: Callable[[AnnotationSet, "MetricCall"], Callable[[np.ndarray | None], float]] | None = None
 
 
-#: every coefficient by the name its results carry. Kernels are looked up as
+#: every score by the name its results carry. Kernels are looked up as
 #: module attributes at call time, so replacing one (e.g. to trace it) takes
 #: effect for every caller of the table.
 METRICS: dict[str, Metric] = {
-    "percent_agreement": Metric(lambda s, r: percent_agreement(s, r), 0.0, 1.0),
+    "percent_agreement": Metric(lambda s, r: percent_agreement(s, r), 0.0, 1.0, cut=0.8),
     "cohens_kappa": Metric(lambda s, r, annotator_a, annotator_b: cohens_kappa(
         s, annotator_a, annotator_b, r), -1.0, 1.0),
     "fleiss_kappa": Metric(lambda s, r: fleiss_kappa(s, r), -1.0, 1.0),
@@ -78,18 +83,23 @@ METRICS: dict[str, Metric] = {
     "icc_oneway_random": Metric(lambda s, r: icc(s, r, "oneway_random"), -math.inf, 1.0),
     "icc_twoway_random_single": Metric(
         lambda s, r: icc(s, r, "twoway_random_single"), -math.inf, 1.0),
+    "self_kappa": Metric(lambda s, r: dataset_score(s, "self_kappa"), -1.0, 1.0, "stability",
+                         gather=score_gather),
+    "exact_rate": Metric(lambda s, r: dataset_score(s, "exact_rate"), 0.0, 1.0, "stability",
+                         0.8, gather=score_gather),
 }
 
 @dataclass(frozen=True)
 class MetricCall:
     """A registered metric bound to its round selector and options:
-    ``call(aset)`` runs ``METRICS[name].kernel`` on ``aset``."""
+    ``call(aset)`` runs ``METRICS[name].kernel`` on ``aset`` (or, for a
+    stability score, on its :class:`~relistab.stability.RepeatTable`)."""
 
     name: str
     rounds: int | Sequence[int] | None = 1
     options: Mapping = field(default_factory=dict)
 
-    def __call__(self, aset: AnnotationSet) -> "AgreementResult":
+    def __call__(self, aset: AnnotationSet) -> "AgreementResult | float":
         return METRICS[self.name].kernel(aset, self.rounds, **self.options)
 
 
@@ -182,26 +192,6 @@ def pair_agreement(counts: np.ndarray) -> np.ndarray:
     its unordered label pairs that agree."""
     m = counts.sum(axis=1)
     return (counts * (counts - 1)).sum(axis=1) / 2 / (m * (m - 1) / 2)
-
-
-def _chance_corrected(observed: float, expected: float) -> float | None:
-    """(observed - expected) / (1 - expected), the kappa family's correction.
-
-    Expected agreement 1 is the chance-degenerate corner: 1.0 when observed
-    agreement is perfect too, None otherwise (callers decide whether that
-    raises).
-    """
-    if expected >= 1.0 - 1e-15:
-        return 1.0 if observed >= 1.0 - 1e-15 else None
-    return (observed - expected) / (1.0 - expected)
-
-
-def counts_kappa(n: int, agree: int, chance: int) -> float | None:
-    """Cohen's kappa from integer counts of ``n`` pairs: ``agree`` of them
-    equal, and ``chance`` the sum over labels of (rater 1's count) x (rater
-    2's count). Po and Pe are int / int, so any caller holding the same
-    counts gets the same float."""
-    return _chance_corrected(agree / n, chance / (n * n))
 
 
 def percent_agreement(aset: AnnotationSet, rounds: int | Sequence[int] | None = 1) -> AgreementResult:
@@ -370,7 +360,7 @@ def krippendorff_alpha(
     )
 
 
-def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray], float]:
+def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray | None], float]:
     """Alpha's gather (see :class:`Metric`).
 
     A rebuilt replicate pools its draws by the lowest selected round each
@@ -394,7 +384,9 @@ def _alpha_gather(aset: AnnotationSet, call: MetricCall) -> Callable[[np.ndarray
         stacked[items], lowest[items] = blocks, lowest_rounds
         return stacked, lowest
 
-    def value(positions: np.ndarray) -> float:
+    def value(positions: np.ndarray | None) -> float:
+        if positions is None:
+            return call(aset).value
         stacked, lowest = table()
         drawn = positions[lowest[positions] >= 0]
         if not drawn.size:
@@ -515,20 +507,6 @@ def resample_items(aset: AnnotationSet, item_ids: Sequence[str]) -> AnnotationSe
     ))
 
 
-def require_seed(seed, what: str) -> int:
-    """``seed`` as an int. InvalidConfigError for ``None``, for what
-    ``operator.index`` refuses (``2.5`` is not truncated) and below 0."""
-    if seed is None:
-        raise InvalidConfigError(f"{what} requires an explicit seed")
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        raise InvalidConfigError(f"{what} seed {seed!r} is not an integer") from None
-    if value < 0:
-        raise InvalidConfigError(f"{what} seed {seed!r} is negative")
-    return value
-
-
 def percentile_ci(
     estimate: Callable[[], float],
     replicate: Callable[[int, int], float],
@@ -581,20 +559,20 @@ def _value_of(result: "AgreementResult | float") -> float:
 
 def replicate_value(aset: AnnotationSet, metric: MetricCall | Measure) -> Callable[..., float]:
     """``value(*key)``: ``metric``'s value on the replicate of ``aset`` whose
-    items :func:`draw_positions` draws for ``key``.
+    items :func:`draw_positions` draws for ``key``; ``value()`` is its value
+    on ``aset`` itself.
 
-    A :class:`MetricCall` of a metric registered with a gather (alpha) is
-    evaluated from per-item statistics of ``aset`` without building the
-    replicate; any other metric or callable runs on the replicate that
-    :func:`resample_items` builds. Both give the same float.
+    A :class:`MetricCall` of a metric registered with a gather (alpha and
+    the stability scores) is evaluated from per-item statistics of ``aset``
+    without building the replicate; any other metric or callable runs on
+    the replicate that :func:`resample_items` builds. Both give the same
+    float.
     """
     gather = METRICS[metric.name].gather if isinstance(metric, MetricCall) else None
     items = aset.items()
-    if gather is None:
-        return lambda *key: _value_of(metric(resample_items(
-            aset, [items[i] for i in draw_positions(len(items), *key).tolist()])))
-    value = gather(aset, metric)
-    return lambda *key: value(draw_positions(len(items), *key))
+    value = gather(aset, metric) if gather else lambda positions: _value_of(metric(
+        aset if positions is None else resample_items(aset, [items[i] for i in positions.tolist()])))
+    return lambda *key: value(draw_positions(len(items), *key) if key else None)
 
 
 def bootstrap_ci(
@@ -611,7 +589,5 @@ def bootstrap_ci(
     :func:`replicate_value` for how a replicate is evaluated and
     :func:`percentile_ci` for dropped replicates and bracketing.
     """
-    return percentile_ci(
-        lambda: _value_of(metric(aset)), replicate_value(aset, metric),
-        replicates, confidence, seed, "bootstrap",
-    )[1]
+    value = replicate_value(aset, metric)
+    return percentile_ci(value, value, replicates, confidence, seed, "bootstrap")[1]

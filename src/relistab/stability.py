@@ -18,19 +18,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import cache
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .core import AnnotationSet, RepeatPairs, build_repeat_pairs
+from .core import AnnotationSet, RepeatPairs, build_repeat_pairs, require_seed
 from .errors import (
+    DegenerateError,
     InvalidConfigError,
     NoIntervalsError,
     NoRepeatsError,
     TooFewBucketsError,
     ValidationError,
 )
-from .reliability import counts_kappa, require_seed
 
 #: bucket edges in seconds: same-session, < 1 day, < 1 week, < 1 month, rest
 DEFAULT_BUCKET_EDGES = (3600.0, 86400.0, 604800.0, 2592000.0)
@@ -167,6 +168,26 @@ def _as_table(source: "AnnotationSet | RepeatTable", pairing: str) -> RepeatTabl
     return repeat_table(source, build_repeat_pairs(source, pairing))
 
 
+def _chance_corrected(observed: float, expected: float) -> float | None:
+    """(observed - expected) / (1 - expected), the kappa family's correction.
+
+    Expected agreement 1 is the chance-degenerate corner: 1.0 when observed
+    agreement is perfect too, None otherwise (callers decide whether that
+    raises).
+    """
+    if expected >= 1.0 - 1e-15:
+        return 1.0 if observed >= 1.0 - 1e-15 else None
+    return (observed - expected) / (1.0 - expected)
+
+
+def counts_kappa(n: int, agree: int, chance: int) -> float | None:
+    """Cohen's kappa from integer counts of ``n`` pairs: ``agree`` of them
+    equal, and ``chance`` the sum over labels of (rater 1's count) x (rater
+    2's count). Po and Pe are int / int, so any caller holding the same
+    counts gets the same float."""
+    return _chance_corrected(agree / n, chance / (n * n))
+
+
 def _annotator_counts(table: RepeatTable) -> list[tuple[str, int, int, float | None]]:
     """(annotator, pairs, agreeing pairs, self-kappa) per annotator with a
     pair, in the order of their first row: the order in which sorted
@@ -274,6 +295,30 @@ def dataset_stability(
         self_kappa=float(np.mean(kappas)) if kappas else None,
         n_pairs=total,
     )
+
+
+def dataset_score(source: "AnnotationSet | RepeatTable", name: str) -> float:
+    """Field ``name`` (exact_rate or self_kappa) of :func:`dataset_stability`,
+    the kernel of both stability scores; DegenerateError where it is None."""
+    value = getattr(dataset_stability(source), name)
+    if value is None:
+        raise DegenerateError("dataset self_kappa is undefined for every annotator")
+    return value
+
+
+def score_gather(aset: AnnotationSet, call) -> Callable[[np.ndarray | None], float]:
+    """The gather of a stability score (see ``reliability.Metric``): ``aset``
+    is paired once, on first use, and a replicate scores its
+    :class:`RepeatTable` with each item's rows scaled by how often the item
+    is drawn, which gives the score of the resampled set paired again."""
+    table = cache(lambda: _as_table(aset, "consecutive"))
+
+    def value(positions: np.ndarray | None) -> float:
+        if positions is None:
+            return call(table())
+        return call(table().reweighted(np.bincount(positions, minlength=len(aset.items()))))
+
+    return value
 
 
 def _ranks(values: np.ndarray) -> np.ndarray:

@@ -307,8 +307,7 @@ class TestCompare:
             calls["resample"] += 1
             return real_resample(*args, **kwargs)
 
-        for module in (relistab.association, relistab.stability):
-            monkeypatch.setattr(module, "build_repeat_pairs", counted_pairs)
+        monkeypatch.setattr(relistab.stability, "build_repeat_pairs", counted_pairs)
         monkeypatch.setattr(reliability, "resample_items", counted_resample)
         compare_stability(make_rounds(STABLE_ROUNDS), make_rounds(FLIPPING_ROUNDS),
                           replicates=40, seed=4)
