@@ -777,23 +777,26 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
     violating record; the record count is preserved on success. Every check
     runs on the distinct values of a field and on its codes.
     """
-    if isinstance(records, RecordColumns):
-        columns, error = records, None
-        bad_round = _first_refused(columns, 3, lambda r: type(r) is not int)  # not bool
-        if bad_round < len(columns):
-            error = (bad_round, ValidationError(f"round {columns[bad_round].round!r} is not an integer"))
-            columns = columns[:bad_round]
-    else:
-        raw, fault = collect_rows(map(raw_fields, records))
-        columns, error = coerce_record_columns(raw)
-        error = error or (fault and (len(raw), fault))
+    raw, fault = (records, None) if isinstance(records, RecordColumns) \
+        else collect_rows(map(raw_fields, records))
+    # fields of the types coerce_fields returns (the readers') are not converted again
+    types = [set(map(type, values)) for values in raw.values]
+    typed = (all(types[k] <= {str} and "" not in raw.values[k] for k in (0, 1, 2, 4))
+             and types[3] <= {int} and types[5] <= {float, type(None)})
+    columns, error = (raw, None) if typed else coerce_record_columns(raw)
+    error = error or (fault and (len(raw), fault))
     columns = RecordColumns.from_codes(
         (*columns.values[:4], map(normalize_label, columns.values[4]), columns.values[5]),
         columns.codes)
     codes = ColumnCodes.of(columns, schema.categories)
     categories = set(schema.categories)
+    # no stamp is coded NaN, so a stamp coded NaN or inf that is not None is refused
+    flagged = np.unique(columns.codes[5][~np.isfinite(codes.timestamp)]).tolist()
+    nonfinite = [k for k in flagged if columns.values[5][k] is not None]
     # the first faulty record wins; within a record, the checks run in this order
     faults = [
+        (_first_at(columns.codes[5], nonfinite), lambda p: NonFiniteError(
+            f"record {p}: timestamp {columns[p].timestamp!r} is not finite")),
         (_first_refused(columns, 0, lambda t: t != schema.task_id), lambda p: SchemaMismatchError(
             f"record task_id {columns[p].task_id!r} != schema task_id {schema.task_id!r}")),
         (_first_refused(columns, 4, lambda x: x not in categories), lambda p: UnknownLabelError(

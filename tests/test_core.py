@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import replace
 
@@ -21,13 +22,15 @@ from relistab.errors import (
     DegenerateError,
     DuplicateCellError,
     InvalidConfigError,
+    NonFiniteError,
     NoRepeatsError,
+    RelistabError,
     SchemaMismatchError,
     UnknownLabelError,
     ValidationError,
 )
 
-from relistab.core import ColumnCodes, as_integer
+from relistab.core import RECORD_FIELDS, ColumnCodes, as_integer
 
 from conftest import make_rounds, make_set, pair_tuples
 
@@ -340,6 +343,50 @@ def test_annotation_set_keeps_working_with_replace():
     swapped = replace(aset, schema=LabelSchema("t", ("y", "x")))
     assert swapped.codes.labels == ("y", "x") and swapped.records == aset.records
     assert moved != aset and replace(moved, schema=aset.schema) == aset
+
+
+class TestHandBuiltColumns:
+    """Hand-built RecordColumns give what the same records give as mappings:
+    columns whose values are not of the types the readers return are
+    converted, and the first faulty record is named."""
+
+    SCHEMA = LabelSchema("t", ("x", "y"))
+
+    def outcome(self, records):
+        try:
+            return validate_dataset(records, self.SCHEMA)
+        except RelistabError as exc:
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize("rows, expected", [
+        ([("t", "i0", "a", 1, "x", "garbage")],
+         (ValidationError, "record 0: bad timestamp 'garbage'")),
+        ([("t", 1, "a", 1, "x", None), ("t", "1", "b", 1, "y", None)], ("1",)),
+        ([("t", None, "a", 1, "x", None)],
+         (ValidationError, "record 0: missing field(s) ['item_id']")),
+        ([("t", "i0", "a", 1, "x", math.inf)],
+         (NonFiniteError, "record 0: timestamp inf is not finite")),
+        ([("t", "i0", "a", "1", "x", None)], ("i0",)),
+    ], ids=["garbage stamp", "int and text ids", "None id", "infinite stamp", "text round"])
+    def test_columns_read_as_mappings_do(self, rows, expected):
+        columns = RecordColumns(*zip(*rows))
+        mine, theirs = self.outcome(columns), self.outcome(
+            [dict(zip(RECORD_FIELDS, row)) for row in rows])
+        assert mine == theirs
+        assert (mine.items() if isinstance(mine, AnnotationSet) else mine) == expected
+
+    def test_a_float_stamp_that_is_not_finite_names_its_record(self):
+        """None is coded as NaN too; only a float that is not finite is refused,
+        unless an earlier record has a fault of its own."""
+        stamps = [1.0, None, None, -math.inf, math.nan]
+        rows = [("t", f"i{k}", "a", 1, "x", stamp) for k, stamp in enumerate(stamps)]
+        assert np.isnan(self.outcome(RecordColumns(*zip(*rows[:3]))).codes.timestamp[1:]).all()
+        for drop, message in ((None, "record 3: timestamp -inf"), (3, "record 3: timestamp nan")):
+            kept = [row for k, row in enumerate(rows) if k != drop]
+            error, text = self.outcome(RecordColumns(*zip(*kept)))
+            assert error is NonFiniteError and text.startswith(message)
+        repeated = rows[:3] + [("t", "i0", "a", 1, "y", None)] + rows[3:]
+        assert self.outcome(RecordColumns(*zip(*repeated)))[0] is DuplicateCellError
 
 
 class TestFirstFaultInRecordOrder:
