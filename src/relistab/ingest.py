@@ -39,6 +39,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from .association import RationalisationRecord
 from .core import RECORD_FIELDS as CSV_FIELDS
 from .core import (
     AnnotationRecord,
@@ -483,26 +484,29 @@ def read_annotation_records(path: str | Path) -> RecordColumns:
 RATIONALISATION_FIELDS = ("item_id", "rater_id", "label")
 
 
-def read_rationalisations_csv(path: str | Path):
-    """CSV with header item_id,rater_id,label -> RationalisationRecords."""
-    from .association import RationalisationRecord
-
+def read_rationalisations_csv(path: str | Path) -> list[RationalisationRecord]:
+    """CSV with header item_id,rater_id,label -> RationalisationRecords; a
+    faulty row, or CSV that ``csv`` refuses, raises ValidationError naming
+    ``path`` and its line."""
     records = []
     with _open_text(path, newline="") as handle:
         reader = csv.DictReader(handle)
-        header = tuple(reader.fieldnames or ())
-        if set(header) != set(RATIONALISATION_FIELDS):
-            raise ValidationError(
-                f"{path}: header must be {','.join(RATIONALISATION_FIELDS)}, got {header}"
-            )
-        for row in reader:
-            if any(row.get(f) in (None, "") for f in RATIONALISATION_FIELDS):
-                raise ValidationError(f"{path}:{reader.line_num}: missing field(s)")
-            records.append(
-                RationalisationRecord(
-                    item_id=row["item_id"], rater_id=row["rater_id"], label=row["label"]
-                )
-            )
+        try:
+            header = tuple(reader.fieldnames or ())
+            if set(header) != set(RATIONALISATION_FIELDS):
+                raise ValidationError(
+                    f"{path}: header must be {','.join(RATIONALISATION_FIELDS)}, got {header}")
+            for row in reader:
+                fields = [row.get(f) for f in RATIONALISATION_FIELDS]
+                try:
+                    if None in fields or "" in fields:
+                        raise ValidationError("missing field(s)")
+                    records.append(RationalisationRecord(*fields))
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{reader.reader.line_num}: {exc}") from exc
+        # the csv.reader's count: DictReader updates its own after a whole row
+        except csv.Error as exc:
+            raise ValidationError(f"{path}:{reader.reader.line_num}: {exc}") from exc
     return records
 
 
