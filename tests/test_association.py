@@ -12,8 +12,10 @@ from relistab import reliability
 from oracles import brute_resample, pearson_phi
 from relistab import (
     ContingencyTable,
+    MetricCall,
     RationalisationRecord,
     SimConfig,
+    bootstrap_ci,
     build_contingency,
     compare_item_scores,
     compare_reliability,
@@ -32,6 +34,7 @@ from relistab.association import (
     AssociationResult,
 )
 from relistab.errors import (
+    DegenerateError,
     EmptyInputError,
     InvalidConfigError,
     NoOverlapError,
@@ -312,6 +315,40 @@ class TestCompare:
         compare_stability(make_rounds(STABLE_ROUNDS), make_rounds(FLIPPING_ROUNDS),
                           replicates=40, seed=4)
         assert calls == {"pairs": 2, "resample": 0}
+
+    @pytest.mark.parametrize("compare, accepted", [
+        (compare_reliability, {"krippendorff_alpha", "fleiss_kappa", "percent_agreement"}),
+        (compare_stability, {"exact_rate", "self_kappa"}),
+    ])
+    def test_each_axis_takes_the_metrics_it_took(self, compare, accepted):
+        """What ``compare --axis reliability`` and ``--axis stability`` accept."""
+        aset = make_rounds(STABLE_ROUNDS)
+        taken = set()
+        for name in ("percent_agreement", "cohens_kappa", "fleiss_kappa", "krippendorff_alpha",
+                     "icc", "icc_oneway_random", "icc_twoway_random_single", "self_kappa",
+                     "exact_rate", "alpha"):
+            try:
+                compare(aset, aset, replicates=2, seed=0, metric=name)
+            except InvalidConfigError:
+                continue
+            except DegenerateError:
+                pass
+            taken.add(name)
+        assert taken == accepted
+
+    def test_bootstrap_of_a_stability_score_matches_rebuilt_replicates(self):
+        aset = simulate(SimConfig(
+            n_annotators=4, items_per_cause=dict.fromkeys(CAUSES, 3), categories=("x", "y", "z"),
+            rounds=3, base_error=0.2, seed=1))[0]
+
+        def stat(replicate):
+            return dataset_stability(replicate).self_kappa
+
+        _, expected = percentile_ci(
+            lambda: stat(aset), lambda seed_, r: stat(rebuilt_draw(aset, seed_, r)),
+            60, 0.9, 11, "bootstrap")
+        assert bootstrap_ci(MetricCall("self_kappa"), aset, replicates=60, confidence=0.9,
+                            seed=11) == expected
 
     @pytest.mark.parametrize("metric", ["krippendorff_alpha", "fleiss_kappa"])
     def test_reliability_matches_resampled_sets(self, metric):

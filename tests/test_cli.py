@@ -21,8 +21,10 @@ from relistab import (
     write_annotations_jsonl,
     write_rationalisations_csv,
 )
-from relistab.cli import build_parser, main
+from relistab.cli import RELIABILITY_CHOICES, build_parser, main
 from relistab.core import RECORD_FIELDS as CSV_FIELDS
+from relistab.core import validate_dataset
+from relistab.errors import DuplicateCellError
 
 from conftest import make_rounds
 
@@ -112,6 +114,22 @@ class TestValidate:
     def test_unknown_subcommand(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 3
+
+
+    def test_a_file_reports_a_reader_fault_before_a_record_check(self, capsys, workspace,
+                                                                 tmp_path):
+        """Readers refuse in line order first; the duplicate on line 3 is a
+        check of validate_dataset, which the same rows as mappings reach."""
+        rows = [("t", "i0", "a", "1", "x"), ("t", "i0", "a", "1", "y"), ("t", "i1", "a", "1.5", "x")]
+        two = tmp_path / "two.csv"
+        two.write_text("\n".join(",".join(row) for row in [CSV_FIELDS[:5], *rows]) + "\n")
+        code, _, err = run(capsys, "validate", "--annotations", str(two),
+                           "--schema", str(workspace / "schema.json"))
+        assert code == 3
+        assert error_of(err)["message"] == f"{two}:4: round '1.5' is not an integer"
+        with pytest.raises(DuplicateCellError):
+            validate_dataset([dict(zip(CSV_FIELDS, row)) for row in rows],
+                             LabelSchema("t", ("x", "y")))
 
 
 class TestReliability:
@@ -483,6 +501,25 @@ class TestPhi:
         assert 0.0 < doc["association"]["p_value"] <= 1.0
 
 
+    @pytest.mark.parametrize("rows, line, message", [
+        (["i0,r0,subjective", '"' + "i" * 140_000 + '",r0,subjective'], 3,
+         "field larger than field limit (131072)"),
+        (["i0,r0,subjective", "i1,r0,foo"], 3, "rationalisation label must be one of"),
+    ], ids=["oversized field", "unknown label"])
+    def test_a_faulty_rationalisation_names_its_line(self, capsys, workspace, tmp_path, rows,
+                                                      line, message):
+        why = tmp_path / "why.csv"
+        why.write_text("\n".join(["item_id,rater_id,label", *rows]) + "\n")
+        code, _, err = run(capsys, "phi",
+                           "--annotations", str(workspace / "annotations.csv"),
+                           "--schema", str(workspace / "schema.json"),
+                           "--rationalisations", str(why))
+        assert code == 3
+        error = error_of(err)
+        assert error["code"] == "Validation"
+        assert error["message"].startswith(f"{why}:{line}: {message}")
+
+
 class TestCompare:
     def test_self_comparison_centers_on_zero(self, capsys, workspace):
         doc = run_json(capsys, "compare",
@@ -523,6 +560,20 @@ class TestCompare:
                            "--schema", str(workspace / "schema.json"),
                            "--axis", "vibes", "--seed", "5")
         assert code == 3
+
+
+def test_metric_options_take_what_they_took():
+    commands = build_parser().commands
+    assert RELIABILITY_CHOICES == ["percent_agreement", "cohens_kappa", "fleiss_kappa",
+                                   "krippendorff_alpha", "icc"]
+    assert commands["reliability"].options["metric"].choices == RELIABILITY_CHOICES
+    for name in ("matrix", "simulate"):
+        options = commands[name].options
+        assert options["reliability_metric"].choices == [
+            "percent_agreement", "fleiss_kappa", "krippendorff_alpha", "icc_oneway_random",
+            "icc_twoway_random_single"]
+        assert options["stability_metric"].choices == ["self_kappa", "exact_rate"]
+    assert commands["compare"].options["metric"].choices is None
 
 
 class TestSimulate:

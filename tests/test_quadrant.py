@@ -85,6 +85,26 @@ class TestThresholds:
         with pytest.raises(InvalidConfigError):
             QuadrantThresholds(reliability_cut=cut)
 
+    def test_each_axis_takes_the_metrics_it_took(self):
+        assert RELIABILITY_METRICS == ("percent_agreement", "fleiss_kappa", "krippendorff_alpha",
+                                       "icc_oneway_random", "icc_twoway_random_single")
+        assert STABILITY_METRICS == ("self_kappa", "exact_rate")
+
+    @pytest.mark.parametrize("options, message", [
+        ({"reliability_metric": "accuracy", "stability_metric": "drift"},
+         "reliability_metric must be one of ('percent_agreement', 'fleiss_kappa', "
+         "'krippendorff_alpha', 'icc_oneway_random', 'icc_twoway_random_single')"),
+        ({"reliability_cut": 2.0, "stability_metric": "drift"},
+         "stability_metric must be one of ('self_kappa', 'exact_rate')"),
+        ({"reliability_cut": 2.0, "stability_cut": -1.0},
+         "reliability_cut must lie strictly in (0, 1), got 2.0"),
+        ({"stability_cut": -1.0}, "stability_cut must lie strictly in (0, 1), got -1.0"),
+    ])
+    def test_checks_keep_their_order_and_messages(self, options, message):
+        with pytest.raises(InvalidConfigError) as caught:
+            QuadrantThresholds(**options)
+        assert str(caught.value) == message
+
     def test_metric_names_validated(self):
         with pytest.raises(InvalidConfigError):
             QuadrantThresholds(reliability_metric="accuracy")

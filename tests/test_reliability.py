@@ -535,6 +535,26 @@ def test_alpha_gather_equals_alpha_of_rebuilt_replicate(aset, rounds, distance, 
     assert gathered(np.array(positions)) == expected
 
 
+@given(sparse_round_sets(), st.sampled_from(("exact_rate", "self_kappa")), st.data())
+def test_stability_gather_equals_score_of_rebuilt_replicate(aset, name, data):
+    """A stability score's gather scores the set itself through the kernel
+    (None) and a replicate as the replicate rebuilt and paired again."""
+    items = aset.items()
+    positions = data.draw(st.lists(st.integers(0, len(items) - 1), min_size=1,
+                                   max_size=3 * len(items) + 3))
+    call = MetricCall(name)
+    gathered = METRICS[name].gather(aset, call)
+    rebuilt = resample_items(aset, [items[i] for i in positions])
+    for source, drawn in ((aset, None), (rebuilt, np.array(positions))):
+        try:
+            expected = METRICS[name].kernel(source, None)
+        except DegenerateError:
+            with pytest.raises(DegenerateError):
+                gathered(drawn)
+            continue
+        assert gathered(drawn) == expected
+
+
 #: i0 is labelled in round 2 only, i1 mostly in round 1: a rebuilt replicate
 #: of draws (i0 x 4, i1 x 2) pools the i1 copies first, and summing the
 #: blocks in draw order instead changes alpha in its last bits
