@@ -769,9 +769,10 @@ def _first_refused(columns: RecordColumns, k: int, refuse: Callable) -> int:
 def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
     """Check all invariants and build an :class:`AnnotationSet`.
 
-    ``records`` is :class:`RecordColumns` as the readers return them, or an
-    iterable of :class:`AnnotationRecord` objects or field mappings, which
-    :func:`coerce_record_columns` converts first. Labels are normalised.
+    ``records`` is :class:`RecordColumns` or an iterable of
+    :class:`AnnotationRecord` objects or field mappings. Unless every value
+    has the type :func:`coerce_fields` returns, as the readers' do,
+    :func:`coerce_record_columns` converts them first. Labels are normalised.
     Raises :class:`DuplicateCellError`, :class:`UnknownLabelError`,
     :class:`SchemaMismatchError` or :class:`ValidationError` for the first
     violating record; the record count is preserved on success. Every check
@@ -779,7 +780,6 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
     """
     raw, fault = (records, None) if isinstance(records, RecordColumns) \
         else collect_rows(map(raw_fields, records))
-    # fields of the types coerce_fields returns (the readers') are not converted again
     types = [set(map(type, values)) for values in raw.values]
     typed = (all(types[k] <= {str} and "" not in raw.values[k] for k in (0, 1, 2, 4))
              and types[3] <= {int} and types[5] <= {float, type(None)})
@@ -790,7 +790,7 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
         columns.codes)
     codes = ColumnCodes.of(columns, schema.categories)
     categories = set(schema.categories)
-    # no stamp is coded NaN, so a stamp coded NaN or inf that is not None is refused
+    # None is coded NaN too: a NaN or inf code whose value is not None is a float stamp
     flagged = np.unique(columns.codes[5][~np.isfinite(codes.timestamp)]).tolist()
     nonfinite = [k for k in flagged if columns.values[5][k] is not None]
     # the first faulty record wins; within a record, the checks run in this order

@@ -364,10 +364,13 @@ class TestHandBuiltColumns:
         ([("t", 1, "a", 1, "x", None), ("t", "1", "b", 1, "y", None)], ("1",)),
         ([("t", None, "a", 1, "x", None)],
          (ValidationError, "record 0: missing field(s) ['item_id']")),
+        ([("t", "i0", "a", 1, "x", None), ("t", "i1", "", 1, "x", None)],
+         (ValidationError, "record 1: missing field(s) ['annotator_id']")),
         ([("t", "i0", "a", 1, "x", math.inf)],
          (NonFiniteError, "record 0: timestamp inf is not finite")),
         ([("t", "i0", "a", "1", "x", None)], ("i0",)),
-    ], ids=["garbage stamp", "int and text ids", "None id", "infinite stamp", "text round"])
+    ], ids=["garbage stamp", "int and text ids", "None id", "empty id", "infinite stamp",
+            "text round"])
     def test_columns_read_as_mappings_do(self, rows, expected):
         columns = RecordColumns(*zip(*rows))
         mine, theirs = self.outcome(columns), self.outcome(

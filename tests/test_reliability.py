@@ -580,6 +580,23 @@ def test_alpha_gather_adds_blocks_in_lowest_round_order():
     assert alpha_from_coincidence(aset.schema, in_draw_order) != expected
 
 
+#: items a, b and c all have round 1, but c's first record comes before b's:
+#: the kernel adds the blocks a, c, b, and in item order the sum differs
+FIRST_RECORD_ORDER = [("a", "p", 1, "x"), ("a", "p", 2, "x"), ("c", "p", 1, "x"),
+                      ("c", "p", 2, "x"), ("c", "p", 3, "x"), ("a", "p", 3, "y"),
+                      ("c", "p", 4, "y"), ("b", "p", 1, "x"), ("c", "q", 1, "y"),
+                      ("c", "q", 2, "y"), ("a", "p", 4, "z"), ("b", "p", 2, "x")]
+
+
+def test_alpha_gather_scores_the_set_itself_through_the_kernel():
+    aset = validate_dataset([AnnotationRecord("t", *rec) for rec in FIRST_RECORD_ORDER],
+                            ALPHA_SCHEMA)
+    gathered = METRICS["krippendorff_alpha"].gather(aset, MetricCall("krippendorff_alpha", None))
+    expected = krippendorff_alpha(aset, None).value
+    assert gathered(None) == expected
+    assert gathered(np.arange(len(aset.items()))) != expected
+
+
 def test_compare_reliability_measures_replicates_on_the_sources_first_round():
     # i0 has round 2 only, so a replicate that draws it twice has no label in
     # round 1, the source's first: it is degenerate and dropped
