@@ -194,9 +194,9 @@ COMPARE_RELIABILITY_METRICS = ("krippendorff_alpha", "fleiss_kappa", "percent_ag
 
 def _difference(set_a: AnnotationSet, set_b: AnnotationSet, metric: str, replicates: int,
                 seed: int | None, confidence: float) -> tuple[float, tuple[float, float]]:
-    """``metric`` on ``set_a`` minus on ``set_b``, each called on its first
-    round, with the percentile interval of the replicate differences; items
-    are resampled within each set independently, see :func:`replicate_value`."""
+    """``metric`` of ``set_a`` minus ``metric`` of ``set_b``, each called on
+    its set's first round, with the percentile interval of the replicate
+    differences; each set's items are resampled apart, see :func:`replicate_value`."""
     values = [replicate_value(s, MetricCall(metric, resolve_rounds(s, None)[0]))
               for s in (set_a, set_b)]
 
