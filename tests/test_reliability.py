@@ -3,7 +3,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     brute_cohens_kappa,
@@ -159,6 +159,38 @@ class TestFleissKappa:
                 fleiss_kappa(aset)
         else:
             assert fleiss_kappa(aset).value == pytest.approx(expected, abs=1e-9)
+
+
+def _corner_is_perfect(observed: float, expected: float) -> None:
+    """Expected agreement 1 comes with observed agreement 1; any other
+    expected agreement stays below the corner ``_chance_corrected`` tests."""
+    assert (expected == 1.0 and observed == 1.0) or expected < 1.0 - 1e-15
+
+
+@given(st.integers(1, 4).flatmap(lambda k: st.lists(
+    st.lists(st.integers(0, 4), min_size=k, max_size=k), min_size=k, max_size=k)))
+def test_cohen_counts_reach_chance_one_only_at_perfect_agreement(joint):
+    """On a joint table of two raters' labels (or one annotator's repeat
+    pairs), chance == n * n implies agree == n."""
+    joint = np.array(joint)
+    assume(joint.sum() > 0)
+    n, agree = int(joint.sum()), int(np.trace(joint))
+    chance = int(joint.sum(axis=1) @ joint.sum(axis=0))
+    assert chance != n * n or agree == n
+    _corner_is_perfect(agree / n, chance / (n * n))
+
+
+@given(st.tuples(st.integers(1, 4), st.integers(2, 6)).flatmap(lambda km: st.lists(
+    st.lists(st.integers(0, km[0] - 1), min_size=km[1], max_size=km[1]), min_size=1,
+    max_size=6).map(lambda units: np.array([np.bincount(u, minlength=km[0]) for u in units]))))
+def test_fleiss_counts_reach_chance_one_only_at_perfect_agreement(counts):
+    """On per-unit label counts with one label count m, P̄e == 1 implies
+    P̄ == 1, both computed as fleiss_kappa computes them."""
+    counts = counts.astype(float)
+    m = counts[0].sum()
+    p_bar = float(np.mean(np.sum(counts * (counts - 1), axis=1) / (m * (m - 1))))
+    p_j = np.sum(counts, axis=0) / counts.sum()
+    _corner_is_perfect(p_bar, float(np.sum(p_j**2)))
 
 
 class TestKrippendorffAlpha:
