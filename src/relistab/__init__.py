@@ -36,7 +36,6 @@ from .core import (
     validate_dataset,
 )
 from .errors import (
-    ChanceDegenerateError,
     CoverageMismatchError,
     DegenerateError,
     DuplicateCellError,

@@ -204,7 +204,7 @@ def _difference(set_a: AnnotationSet, set_b: AnnotationSet, metric: str, replica
         a, b = (value(*key, side) if key else value() for side, value in enumerate(values))
         return a - b
 
-    return percentile_ci(difference, difference, replicates, confidence, seed, "comparison")
+    return percentile_ci(difference, replicates, confidence, seed, "comparison")
 
 
 def compare_stability(
@@ -261,4 +261,4 @@ def compare_item_scores(
                 for side, scores in enumerate(arrays))
         return float(a.mean() - b.mean())
 
-    return percentile_ci(difference, difference, replicates, confidence, seed, "comparison")
+    return percentile_ci(difference, replicates, confidence, seed, "comparison")

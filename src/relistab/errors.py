@@ -58,10 +58,6 @@ class NoOverlapError(DegenerateError):
     code = "NoOverlap"
 
 
-class ChanceDegenerateError(DegenerateError):
-    code = "ChanceDegenerate"
-
-
 class NotIntervalError(DegenerateError):
     code = "NotInterval"
 

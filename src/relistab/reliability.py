@@ -11,9 +11,9 @@ Conventions
   round's labels for an item as a separate unit, except Krippendorff's
   alpha, which pools labels per item across the selected rounds (its
   coincidence construction handles unbalanced data natively).
-* Chance-degenerate cases (expected agreement 1, zero expected disagreement)
-  resolve to 1.0 when observed agreement is also perfect and raise
-  :class:`ChanceDegenerateError` otherwise.
+* Chance-degenerate cases (expected agreement 1) resolve to 1.0: for
+  Cohen's and Fleiss' kappa, expected agreement is 1 only when every label
+  is in one category, so observed agreement is perfect too.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from .core import (
     resolve_rounds,
 )
 from .errors import (
-    ChanceDegenerateError,
     DegenerateError,
     InsufficientVarianceError,
     InvalidConfigError,
@@ -45,7 +44,7 @@ from .errors import (
     RelistabError,
     TooManyDegenerateError,
 )
-from .stability import _chance_corrected, counts_kappa, dataset_score, score_gather
+from .stability import _chance_corrected, counts_kappa, dataset_stability, score_gather
 
 DISTANCES = ("nominal", "ordinal", "interval")
 ICC_MODELS = ("oneway_random", "twoway_random_single")
@@ -83,9 +82,9 @@ METRICS: dict[str, Metric] = {
     "icc_oneway_random": Metric(lambda s, r: icc(s, r, "oneway_random"), -math.inf, 1.0),
     "icc_twoway_random_single": Metric(
         lambda s, r: icc(s, r, "twoway_random_single"), -math.inf, 1.0),
-    "self_kappa": Metric(lambda s, r: dataset_score(s, "self_kappa"), -1.0, 1.0, "stability",
+    "self_kappa": Metric(lambda s, r: dataset_stability(s).self_kappa, -1.0, 1.0, "stability",
                          gather=score_gather),
-    "exact_rate": Metric(lambda s, r: dataset_score(s, "exact_rate"), 0.0, 1.0, "stability",
+    "exact_rate": Metric(lambda s, r: dataset_stability(s).exact_rate, 0.0, 1.0, "stability",
                          0.8, gather=score_gather),
 }
 
@@ -220,8 +219,8 @@ def cohens_kappa(
     """Cohen's kappa between two annotators over co-labelled units.
 
     kappa = (Po - Pe) / (1 - Pe) with Pe from the two annotators' own label
-    marginals. Pe = 1 with perfect observed agreement returns 1.0; Pe = 1
-    otherwise is a contradiction and raises ChanceDegenerateError.
+    marginals. Pe = 1 only when both give one and the same label throughout,
+    so Po = 1 too, and kappa is 1.0.
     """
     if annotator_a == annotator_b:
         raise InvalidConfigError("cohens_kappa needs two distinct annotators")
@@ -241,12 +240,9 @@ def cohens_kappa(
         )
     n_labels = len(codes.labels)
     chance = np.bincount(a, minlength=n_labels) @ np.bincount(b, minlength=n_labels)
-    value = counts_kappa(len(a), int((a == b).sum()), int(chance))
-    if value is None:
-        raise ChanceDegenerateError("expected agreement is 1 but observed agreement is not")
     return AgreementResult(
         metric_name="cohens_kappa",
-        value=value,
+        value=counts_kappa(len(a), int((a == b).sum()), int(chance)),
         n_items=int(both.any(axis=0).sum()),
         n_annotators=2,
         rounds=resolved,
@@ -274,12 +270,9 @@ def fleiss_kappa(aset: AnnotationSet, rounds: int | Sequence[int] | None = 1) ->
     p_bar = float(np.mean(p_i))
     p_j = np.sum(counts, axis=0) / counts.sum()
     pe_bar = float(np.sum(p_j**2))
-    value = _chance_corrected(p_bar, pe_bar)
-    if value is None:
-        raise ChanceDegenerateError("expected agreement is 1 but observed agreement is not")
     return AgreementResult(
         metric_name="fleiss_kappa",
-        value=value,
+        value=_chance_corrected(p_bar, pe_bar),
         **units.population(kept),
         rounds=resolved,
         exclusions=tuple(exclusions),
@@ -508,16 +501,16 @@ def resample_items(aset: AnnotationSet, item_ids: Sequence[str]) -> AnnotationSe
 
 
 def percentile_ci(
-    estimate: Callable[[], float],
-    replicate: Callable[[int, int], float],
+    value: Callable[..., float],
     replicates: int,
     confidence: float,
     seed: int | None,
     what: str,
 ) -> tuple[float, tuple[float, float]]:
-    """Point estimate plus percentile interval over resampled replicates.
+    """Point estimate ``value()`` plus percentile interval over resampled
+    replicates.
 
-    ``replicate(seed, r)`` computes replicate ``r``, deriving its randomness
+    ``value(seed, r)`` computes replicate ``r``, deriving its randomness
     from (seed, r) only; replicates that raise DegenerateError are dropped,
     and more than half dropped raises TooManyDegenerateError. The interval
     is widened, when needed, to bracket the point estimate so that reported
@@ -528,11 +521,11 @@ def percentile_ci(
         raise InvalidConfigError("replicates must be >= 1")
     if not 0.0 < confidence < 1.0:
         raise InvalidConfigError("confidence must lie in (0, 1)")
-    point = estimate()
+    point = value()
     values = []
     for r in range(replicates):
         try:
-            values.append(replicate(seed, r))
+            values.append(value(seed, r))
         except DegenerateError:
             pass
     degenerate = replicates - len(values)
@@ -590,4 +583,4 @@ def bootstrap_ci(
     :func:`percentile_ci` for dropped replicates and bracketing.
     """
     value = replicate_value(aset, metric)
-    return percentile_ci(value, value, replicates, confidence, seed, "bootstrap")[1]
+    return percentile_ci(value, replicates, confidence, seed, "bootstrap")[1]

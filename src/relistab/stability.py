@@ -25,7 +25,6 @@ import numpy as np
 
 from .core import AnnotationSet, RepeatPairs, build_repeat_pairs, require_seed
 from .errors import (
-    DegenerateError,
     InvalidConfigError,
     NoIntervalsError,
     NoRepeatsError,
@@ -44,7 +43,7 @@ class StabilityResult:
     scope: str
     subject_id: str | None
     exact_rate: float
-    self_kappa: float | None
+    self_kappa: float
     n_pairs: int
 
     def __post_init__(self):
@@ -168,19 +167,18 @@ def _as_table(source: "AnnotationSet | RepeatTable", pairing: str) -> RepeatTabl
     return repeat_table(source, build_repeat_pairs(source, pairing))
 
 
-def _chance_corrected(observed: float, expected: float) -> float | None:
+def _chance_corrected(observed: float, expected: float) -> float:
     """(observed - expected) / (1 - expected), the kappa family's correction.
 
-    Expected agreement 1 is the chance-degenerate corner: 1.0 when observed
-    agreement is perfect too, None otherwise (callers decide whether that
-    raises).
+    Expected agreement 1 means every label is in one category, so observed
+    agreement is 1 as well and the result is 1.0.
     """
     if expected >= 1.0 - 1e-15:
-        return 1.0 if observed >= 1.0 - 1e-15 else None
+        return 1.0
     return (observed - expected) / (1.0 - expected)
 
 
-def counts_kappa(n: int, agree: int, chance: int) -> float | None:
+def counts_kappa(n: int, agree: int, chance: int) -> float:
     """Cohen's kappa from integer counts of ``n`` pairs: ``agree`` of them
     equal, and ``chance`` the sum over labels of (rater 1's count) x (rater
     2's count). Po and Pe are int / int, so any caller holding the same
@@ -188,7 +186,7 @@ def counts_kappa(n: int, agree: int, chance: int) -> float | None:
     return _chance_corrected(agree / n, chance / (n * n))
 
 
-def _annotator_counts(table: RepeatTable) -> list[tuple[str, int, int, float | None]]:
+def _annotator_counts(table: RepeatTable) -> list[tuple[str, int, int, float]]:
     """(annotator, pairs, agreeing pairs, self-kappa) per annotator with a
     pair, in the order of their first row: the order in which sorted
     (item, annotator) cells first reach them, also in a resampled set,
@@ -281,29 +279,19 @@ def dataset_stability(
     source: "AnnotationSet | RepeatTable", pairing: str = "consecutive"
 ) -> StabilityResult:
     """Pooled repeat consistency: exact_rate over every pair in the dataset,
-    self_kappa as the mean per-annotator kappa where defined, taken in the
-    order annotators first appear in (item, annotator) order. ``source`` is
+    self_kappa as the mean per-annotator kappa, taken in the order
+    annotators first appear in (item, annotator) order. ``source`` is
     a set, paired under ``pairing``, or a :class:`RepeatTable` already
     paired (and perhaps reweighted)."""
     per_annotator = _annotator_counts(_as_table(source, pairing))
     total = sum(n for _, n, _, _ in per_annotator)
-    kappas = [kappa for _, _, _, kappa in per_annotator if kappa is not None]
     return StabilityResult(
         scope="dataset",
         subject_id=None,
         exact_rate=sum(agree for _, _, agree, _ in per_annotator) / total,
-        self_kappa=float(np.mean(kappas)) if kappas else None,
+        self_kappa=float(np.mean([kappa for _, _, _, kappa in per_annotator])),
         n_pairs=total,
     )
-
-
-def dataset_score(source: "AnnotationSet | RepeatTable", name: str) -> float:
-    """Field ``name`` (exact_rate or self_kappa) of :func:`dataset_stability`,
-    the kernel of both stability scores; DegenerateError where it is None."""
-    value = getattr(dataset_stability(source), name)
-    if value is None:
-        raise DegenerateError("dataset self_kappa is undefined for every annotator")
-    return value
 
 
 def score_gather(aset: AnnotationSet, call) -> Callable[[np.ndarray | None], float]:

@@ -6,7 +6,7 @@ import relistab
 #: in the README's list of removed names
 PUBLIC_NAMES = [
     "AgreementResult", "AnnotationRecord", "AnnotationSet", "AssociationResult",
-    "ChanceDegenerateError", "ContingencyTable", "CoverageMismatchError",
+    "ContingencyTable", "CoverageMismatchError",
     "DEFAULT_BUCKET_EDGES", "DEFAULT_CAUSE_QUADRANT", "DegenerateError", "DuplicateCellError",
     "EmptyInputError", "InsufficientVarianceError", "IntervalProfile", "InvalidConfigError",
     "ItemStabilityLabel", "LabelSchema", "MetricCall", "NoIntervalsError", "NoOverlapError",

@@ -54,6 +54,17 @@ def rebuilt_draw(aset, *key):
     return brute_resample(aset, [items[i] for i in draw_positions(len(items), *key)])
 
 
+def rebuilt_difference(stat, set_a, set_b):
+    """``value(*key)``, as :func:`percentile_ci` takes it: ``stat`` of
+    ``set_a`` minus ``stat`` of ``set_b``, each on its replicate for ``key``
+    rebuilt record by record, or on the set itself without a key."""
+    def value(*key):
+        a, b = (stat(rebuilt_draw(s, *key, side) if key else s)
+                for side, s in enumerate((set_a, set_b)))
+        return a - b
+    return value
+
+
 def stab(item, stable, n=1):
     return ItemStabilityLabel(item, "stable" if stable else "unstable", n,
                               1.0 if stable else 0.0)
@@ -215,7 +226,7 @@ class TestPermutationP:
 #: without drawing)
 SEEDED_ENTRY_POINTS = {
     "percentile_ci": lambda seed: percentile_ci(
-        lambda: 0.5, lambda seed_, r: seed_ + r, 5, 0.9, seed, "bootstrap"),
+        lambda *key: sum(key) if key else 0.5, 5, 0.9, seed, "bootstrap"),
     "permutation_p": lambda seed: permutation_p(
         ContingencyTable(4, 1, 2, 3), replicates=5, seed=seed),
     "interval_profile": lambda seed: interval_profile(
@@ -289,12 +300,7 @@ class TestCompare:
         def stat(aset):
             return getattr(dataset_stability(aset), metric)
 
-        expected = percentile_ci(
-            lambda: stat(set_a) - stat(set_b),
-            lambda seed_, r: stat(rebuilt_draw(set_a, seed_, r, 0))
-            - stat(rebuilt_draw(set_b, seed_, r, 1)),
-            60, 0.9, 11, "comparison",
-        )
+        expected = percentile_ci(rebuilt_difference(stat, set_a, set_b), 60, 0.9, 11, "comparison")
         assert compare_stability(set_a, set_b, replicates=60, seed=11, metric=metric,
                                  confidence=0.9) == expected
 
@@ -345,8 +351,7 @@ class TestCompare:
             return dataset_stability(replicate).self_kappa
 
         _, expected = percentile_ci(
-            lambda: stat(aset), lambda seed_, r: stat(rebuilt_draw(aset, seed_, r)),
-            60, 0.9, 11, "bootstrap")
+            lambda *key: stat(rebuilt_draw(aset, *key) if key else aset), 60, 0.9, 11, "bootstrap")
         assert bootstrap_ci(MetricCall("self_kappa"), aset, replicates=60, confidence=0.9,
                             seed=11) == expected
 
@@ -360,12 +365,7 @@ class TestCompare:
         def stat(aset):
             return kernel(aset, min(aset.rounds())).value
 
-        expected = percentile_ci(
-            lambda: stat(set_a) - stat(set_b),
-            lambda seed_, r: stat(rebuilt_draw(set_a, seed_, r, 0))
-            - stat(rebuilt_draw(set_b, seed_, r, 1)),
-            60, 0.9, 11, "comparison",
-        )
+        expected = percentile_ci(rebuilt_difference(stat, set_a, set_b), 60, 0.9, 11, "comparison")
         assert compare_reliability(set_a, set_b, replicates=60, seed=11, metric=metric,
                                    confidence=0.9) == expected
 
