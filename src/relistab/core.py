@@ -818,7 +818,8 @@ def validate_dataset(records: Iterable, schema: LabelSchema) -> AnnotationSet:
 
 
 def resolve_rounds(aset: AnnotationSet, rounds: int | Sequence[int] | None) -> tuple[int, ...]:
-    """Normalise a round selector: None means every round in the set.
+    """Normalise a round selector: None means every round in the set (an
+    empty set raises DegenerateError naming the set, not the selector).
 
     A selector is one round or an iterable of them, each read by
     :func:`as_integer`; anything else raises InvalidConfigError.
@@ -833,7 +834,8 @@ def resolve_rounds(aset: AnnotationSet, rounds: int | Sequence[int] | None) -> t
         except (TypeError, ValueError) as exc:
             raise InvalidConfigError(f"bad round selector {rounds!r}: {exc}") from exc
     if not resolved:
-        raise DegenerateError("round selector resolves to no rounds")
+        raise DegenerateError("the annotation set has no records" if rounds is None
+                              else "round selector resolves to no rounds")
     return resolved
 
 

@@ -368,14 +368,14 @@ def test_time_reversed_round_names_the_cell(capsys, workspace, reversed_round, a
     (["compare", "--annotations-a", "{data}", "--annotations-b", "{data}",
       "--axis", "reliability", "--seed", "2", "--replicates", "5"], True),
     (["compare", "--annotations-a", "{data}", "--annotations-b", "{data}",
-      "--axis", "stability", "--seed", "2", "--replicates", "5"], False),
+      "--axis", "stability", "--seed", "2", "--replicates", "5"], True),
 ], ids=["validate", "reliability", "bootstrap", "stability", "matrix", "phi",
         "compare-reliability", "compare-stability"])
 def test_empty_annotations_end_in_a_documented_exit_code(capsys, workspace, tmp_path, name,
                                                          text, argv, degenerate):
     """A header-only CSV or an empty JSONL file gives a report or a typed
     error, never an unexpected failure; the subcommands that need a first
-    round find none and raise DegenerateError."""
+    round find none and raise DegenerateError naming the empty set."""
     data = tmp_path / name
     data.write_text(text, encoding="utf-8")
     argv = [a.format(data=data, out=tmp_path / "out", why=workspace / "rationalisations.csv")
@@ -384,6 +384,7 @@ def test_empty_annotations_end_in_a_documented_exit_code(capsys, workspace, tmp_
     assert code in {0, 2, 3, 4}, err
     if degenerate:
         assert code == 4 and error_of(err)["code"] == "Degenerate"
+        assert error_of(err)["message"] == "the annotation set has no records"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
