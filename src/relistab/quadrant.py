@@ -40,10 +40,6 @@ class Quadrant(str, Enum):
     AMBIGUOUS_DIFFICULT_OR_POOR = "AmbiguousDifficultOrPoor"
 
 
-def default_cut(metric: str) -> float:
-    return METRICS[metric].cut
-
-
 @dataclass(frozen=True)
 class QuadrantThresholds:
     """Cut points and metric choices for the two axes.
@@ -64,7 +60,7 @@ class QuadrantThresholds:
         for axis in ("reliability", "stability"):
             cut = getattr(self, f"{axis}_cut")
             if cut is None:
-                cut = default_cut(getattr(self, f"{axis}_metric"))
+                cut = METRICS[getattr(self, f"{axis}_metric")].cut
                 object.__setattr__(self, f"{axis}_cut", cut)
             if not 0.0 < cut < 1.0:
                 raise InvalidConfigError(f"{axis}_cut must lie strictly in (0, 1), got {cut}")

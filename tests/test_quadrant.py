@@ -16,7 +16,7 @@ from relistab.errors import (
     NonFiniteError,
     NoQualifyingItemsError,
 )
-from relistab.quadrant import RELIABILITY_METRICS, STABILITY_METRICS, default_cut
+from relistab.quadrant import RELIABILITY_METRICS, STABILITY_METRICS
 
 from conftest import make_rounds
 
@@ -66,10 +66,9 @@ class TestClassify:
 
 class TestThresholds:
     def test_default_cuts_by_metric_kind(self):
-        assert default_cut("krippendorff_alpha") == 0.6
-        assert default_cut("self_kappa") == 0.6
-        assert default_cut("percent_agreement") == 0.8
-        assert default_cut("exact_rate") == 0.8
+        corrected = QuadrantThresholds(reliability_metric="krippendorff_alpha",
+                                       stability_metric="self_kappa")
+        assert (corrected.reliability_cut, corrected.stability_cut) == (0.6, 0.6)
         raw = QuadrantThresholds(reliability_metric="percent_agreement",
                                  stability_metric="exact_rate")
         assert (raw.reliability_cut, raw.stability_cut) == (0.8, 0.8)
